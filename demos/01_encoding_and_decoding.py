@@ -10,7 +10,7 @@ import numpy as np
 
 from nqac import (
     brute_force_ground,
-    decode_majority,
+    decode_batch,
     encode_nested,
     lift_logical,
     nested_energy_identity_check,
@@ -36,8 +36,8 @@ logical = ground_states[0]
 physical = lift_logical(npr, logical)
 for i in range(4):
     physical[npr.copies[i, rng.integers(0, 3)]] *= -1  # flip one copy
-decoded = decode_majority(npr, None, physical, rng)
+decoded, ties = decode_batch(npr, None, physical[None, :], rng)
 print(f"  sent    : {logical.tolist()}")
-print(f"  decoded : {decoded.logical.tolist()}  (ties broken by coin: {decoded.tie_count})")
-assert np.array_equal(decoded.logical, logical)
+print(f"  decoded : {decoded[0].tolist()}  (ties broken by coin: {ties})")
+assert np.array_equal(decoded[0], logical)
 print("  single-copy errors on every vertex are corrected")

@@ -12,16 +12,13 @@ from .ising import (
     brute_force_ground,
     energies,
     energy,
-    ground_key_set,
     load_problem,
     rescale,
     save_problem,
 )
 from .nesting import (
-    LogicalDecodeResult,
     NestedProblem,
     decode_batch,
-    decode_majority,
     encode_for_scale,
     encode_nested,
     lift_logical,

@@ -35,10 +35,11 @@ from .ising import brute_force_ground, load_problem
 from .meanfield import free_energy_grid
 from .nesting import encode_for_scale, encode_nested, load_nested, save_nested
 from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan
-from .sampleset import SampleSet, load_sampleset, save_sampleset
+from .sampleset import load_sampleset, save_sampleset
 from .sqa import (
     SqaParams,
     Schedule,
+    assemble_sampleset,
     default_schedule,
     device_like_schedule,
     load_schedule,
@@ -78,6 +79,12 @@ def code_digest() -> str:
 
 _REQUIRED = ("problem", "C", "alphas", "seed")
 
+#: the engine_params keys each engine reads; any other key is a config error
+_ENGINE_PARAMS = {
+    "sqa": {"sweeps", "trotter_slices", "beta", "noise_sigma"},
+    "pt": {"betas", "beta_max", "n_betas", "beta_min", "sweeps", "swap_interval", "n_samples"},
+}
+
 
 def load_config(path) -> dict:
     try:
@@ -108,8 +115,13 @@ def load_config(path) -> dict:
         raise ConfigError("seed must be an integer (wall-clock seeding is not allowed)")
     if cfg["engine"] not in ("sqa", "pt"):
         raise ConfigError(f"unknown engine {cfg['engine']!r}")
+    unread = sorted(set(cfg["engine_params"]) - _ENGINE_PARAMS[cfg["engine"]])
+    if unread:
+        raise ConfigError(f"engine_params {unread} are not read by the {cfg['engine']} engine")
     if cfg["embedding"] not in ("none", "choi", "heuristic"):
         raise ConfigError(f"unknown embedding mode {cfg['embedding']!r}")
+    if cfg["engine"] == "pt" and cfg["embedding"] != "none":
+        raise ConfigError("the pt engine samples the nested problem unembedded")
     if any(not (0 < a <= 1) for a in cfg["alphas"]):
         raise ConfigError("alphas must lie in (0, 1]")
     if not Path(cfg["problem"]).exists():
@@ -213,34 +225,15 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             else:
                 for u in units:
                     results[u] = _sqa_unit(cfg, emb_dicts[cfg["C"][u[0]]], *u)
-            for ci in range(len(cfg["C"])):
-                for ai in range(len(cfg["alphas"])):
-                    for gi in range(len(cfg["gammas"])):
-                        parts = []
-                        ids = []
-                        recs = []
-                        for cycle in range(int(cfg["cycles"])):
-                            configs, rec = results[(ci, ai, gi, cycle)]
-                            parts.append(configs)
-                            ids.append(np.full(configs.shape[0], cycle, dtype=np.int64))
-                            recs.append(rec)
-                        np_prob = encode_for_scale(
-                            base, cfg["C"][ci], cfg["gammas"][gi], cfg["alphas"][ai]
-                        )
-                        emb = embeddings[cfg["C"][ci]]
-                        if emb is None:
-                            digest = np_prob.nested.digest()
-                        else:
-                            from .chimera import apply_embedding
-
-                            digest = apply_embedding(
-                                np_prob, emb, load_graph(cfg["graph"])
-                            ).problem.digest()
-                        ss = SampleSet(
-                            configs=np.vstack(parts),
-                            cycle_ids=np.concatenate(ids),
-                            cycles=tuple(recs),
-                            problem_digest=digest,
+            graph = load_graph(cfg["graph"]) if cfg["graph"] else None
+            for ci, C in enumerate(cfg["C"]):
+                for ai, alpha in enumerate(cfg["alphas"]):
+                    for gi, gamma in enumerate(cfg["gammas"]):
+                        ss = assemble_sampleset(
+                            encode_for_scale(base, C, gamma, alpha),
+                            embeddings[C],
+                            [results[(ci, ai, gi, cycle)] for cycle in range(int(cfg["cycles"]))],
+                            graph=graph,
                         )
                         save_sampleset(ss, sample_path(ci, ai, gi))
         else:  # pt engine
@@ -275,59 +268,40 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     if stage not in ("all", "analyze"):
         return out
 
-    # analysis: per (C, alpha) pick the best gamma, then boost + exponent
-    curves = []
+    # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
+    # gamma, then boost + exponent
     if cfg["engine"] == "sqa":
-        for ci, C in enumerate(cfg["C"]):
-            alphas = []
-            Ps = []
-            ses = []
-            gamma_used = {}
-            for ai, alpha in enumerate(cfg["alphas"]):
-                per_gamma = {}
-                for gi, gamma in enumerate(cfg["gammas"]):
-                    ss = load_sampleset(sample_path(ci, ai, gi))
-                    np_prob = encode_for_scale(base, C, gamma, alpha)
-                    P, se = analysis.estimate_success(
-                        ss,
-                        np_prob,
-                        embeddings[C],
-                        ground_states,
-                        decode_seed=_unit_seed(cfg["seed"], 0xDEC, ci, ai, gi),
-                    )
-                    per_gamma[gamma] = (P, se)
-                gstar, pstar = analysis.optimize_gamma(per_gamma)
-                alphas.append(alpha)
-                Ps.append(pstar)
-                ses.append(per_gamma[gstar][1])
-                gamma_used[float(alpha)] = gstar
-            curves.append(
-                analysis.SuccessCurve(
-                    C=C, alphas=alphas, P=Ps, stderr=ses, gamma_used=gamma_used
-                )
+        table = {
+            (ci, ai, gi): analysis.estimate_success(
+                load_sampleset(sample_path(ci, ai, gi)),
+                encode_for_scale(base, C, gamma, alpha),
+                embeddings[C],
+                ground_states,
+                decode_seed=_unit_seed(cfg["seed"], 0xDEC, ci, ai, gi),
             )
+            for ci, C in enumerate(cfg["C"])
+            for ai, alpha in enumerate(cfg["alphas"])
+            for gi, gamma in enumerate(cfg["gammas"])
+        }
     else:
         rows = json.loads((samples_dir / "pt_scan.json").read_text())
-        for ci, C in enumerate(cfg["C"]):
-            alphas = []
-            Ps = []
-            ses = []
-            gamma_used = {}
-            for ai, alpha in enumerate(cfg["alphas"]):
-                per_gamma = {}
-                for row in rows:
-                    if row[0] == ci and row[1] == ai:
-                        per_gamma[cfg["gammas"][row[2]]] = (row[4], row[5])
-                gstar, pstar = analysis.optimize_gamma(per_gamma)
-                alphas.append(alpha)
-                Ps.append(pstar)
-                ses.append(per_gamma[gstar][1])
-                gamma_used[float(alpha)] = gstar
-            curves.append(
-                analysis.SuccessCurve(
-                    C=C, alphas=alphas, P=Ps, stderr=ses, gamma_used=gamma_used
-                )
+        table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
+    curves = []
+    for ci, C in enumerate(cfg["C"]):
+        Ps = []
+        ses = []
+        gamma_used = {}
+        for ai, alpha in enumerate(cfg["alphas"]):
+            per_gamma = {gamma: table[(ci, ai, gi)] for gi, gamma in enumerate(cfg["gammas"])}
+            gstar, pstar = analysis.optimize_gamma(per_gamma)
+            Ps.append(pstar)
+            ses.append(per_gamma[gstar][1])
+            gamma_used[float(alpha)] = gstar
+        curves.append(
+            analysis.SuccessCurve(
+                C=C, alphas=cfg["alphas"], P=Ps, stderr=ses, gamma_used=gamma_used
             )
+        )
 
     (out / "curves.csv").write_text(analysis.curves_csv(curves))
     if 1 in cfg["C"] and len(cfg["alphas"]) >= 2:

@@ -45,11 +45,6 @@ def as_spins(s, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_signs(g, n: int | None = None) -> np.ndarray:
-    """Validate a gauge sign vector (same constraints as a spin configuration)."""
-    return as_spins(g, n)
-
-
 @dataclass(frozen=True)
 class IsingProblem:
     """A weighted-graph Ising problem with an overall energy scale.
@@ -191,7 +186,7 @@ def apply_gauge(p: IsingProblem, g) -> IsingProblem:
 
     The spectrum is preserved under the companion map ``s -> g * s``.
     """
-    gv = as_signs(g, p.n).astype(np.float64)
+    gv = as_spins(g, p.n).astype(np.float64)
     new_h = p.h * gv
     new_values = p.values * gv[p.pairs[:, 0]] * gv[p.pairs[:, 1]] if p.values.size else p.values
     return IsingProblem(n=p.n, h=new_h, pairs=p.pairs, values=new_values, alpha=p.alpha)
@@ -241,11 +236,6 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, np.ndarray]:
     # the running minimum may have dropped after earlier chunks were kept
     keep = energies(p, states) <= best + GROUND_ATOL
     return best, states[keep]
-
-
-def ground_key_set(states: np.ndarray) -> frozenset[bytes]:
-    """Hashable membership set for decoded-state lookups."""
-    return frozenset(s.astype(np.int8).tobytes() for s in states)
 
 
 # ---------------------------------------------------------------------------

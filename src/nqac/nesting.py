@@ -62,14 +62,6 @@ class NestedProblem:
         return self.nested.n
 
 
-@dataclass(frozen=True)
-class LogicalDecodeResult:
-    """Decoded logical configuration plus the number of coin-flipped vertices."""
-
-    logical: np.ndarray
-    tie_count: int
-
-
 def encode_nested(base: IsingProblem, C: int, gamma: float) -> NestedProblem:
     """Nest ``base`` at level ``C`` with penalty strength ``gamma``.
 
@@ -206,79 +198,6 @@ def logical_members(np_prob: NestedProblem, emb=None) -> list[np.ndarray]:
     return members
 
 
-def chain_members(np_prob: NestedProblem, emb=None) -> list[list[np.ndarray]]:
-    """Per-logical, per-copy physical index groups (for two-stage decoding)."""
-    groups = []
-    for i in range(np_prob.base.n):
-        row = []
-        for v in np_prob.copies[i]:
-            if emb is None:
-                row.append(np.asarray([int(v)], dtype=np.int64))
-            else:
-                row.append(np.asarray(emb.chains[int(v)], dtype=np.int64))
-        groups.append(row)
-    return groups
-
-
-def _sign_with_ties(total: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Sign of vote sums; exact zeros become independent fair coin flips,
-    drawn one per tie in array order."""
-    out = np.sign(total).astype(np.int8)
-    ties = np.flatnonzero(out == 0)
-    for t in ties:
-        out[t] = 1 if rng.random() < 0.5 else -1
-    return out, int(ties.size)
-
-
-def decode_majority(
-    np_prob: NestedProblem,
-    emb,
-    physical,
-    rng: np.random.Generator,
-    mode: str = "joint",
-) -> LogicalDecodeResult:
-    """Majority-vote decode of a physical configuration.
-
-    ``mode="joint"`` (default) takes, per logical vertex, the sign of the sum
-    of all its constituent physical spins. ``mode="two_stage"`` first decodes
-    each copy's chain, then votes over the C copy values; chain-level ties
-    consume one RNG draw each but only logical-level ties are counted in
-    ``tie_count``. Ties are broken in vertex order with the supplied RNG.
-    """
-    phys = as_spins(physical)
-    if mode == "joint":
-        members = logical_members(np_prob, emb)
-        needed = max(int(m.max()) for m in members) + 1
-        if phys.shape[0] < needed:
-            raise DimensionMismatch(
-                f"physical configuration covers {phys.shape[0]} spins, needs {needed}"
-            )
-        totals = np.array([phys[m].sum() for m in members], dtype=np.int64)
-        logical, ties = _sign_with_ties(totals, rng)
-        return LogicalDecodeResult(logical=logical, tie_count=ties)
-    if mode == "two_stage":
-        groups = chain_members(np_prob, emb)
-        needed = max(int(q.max()) for row in groups for q in row) + 1
-        if phys.shape[0] < needed:
-            raise DimensionMismatch(
-                f"physical configuration covers {phys.shape[0]} spins, needs {needed}"
-            )
-        logical = np.empty(np_prob.base.n, dtype=np.int8)
-        tie_count = 0
-        for i, row in enumerate(groups):
-            chain_votes = np.empty(len(row), dtype=np.int64)
-            for c, qubits in enumerate(row):
-                v = int(np.sign(phys[qubits].sum()))
-                if v == 0:
-                    v = 1 if rng.random() < 0.5 else -1
-                chain_votes[c] = v
-            vote, ties = _sign_with_ties(np.array([chain_votes.sum()]), rng)
-            logical[i] = vote[0]
-            tie_count += ties
-        return LogicalDecodeResult(logical=logical, tie_count=tie_count)
-    raise DomainError(f"unknown decode mode {mode!r}")
-
-
 def decode_batch(
     np_prob: NestedProblem,
     emb,
@@ -292,6 +211,11 @@ def decode_batch(
     """
     configs = np.asarray(configs, dtype=np.int8)
     members = logical_members(np_prob, emb)
+    needed = max(int(m.max()) for m in members) + 1
+    if configs.ndim != 2 or configs.shape[1] < needed:
+        raise DimensionMismatch(
+            f"configs of shape {configs.shape} do not cover the {needed} voting spins"
+        )
     totals = np.column_stack([configs[:, m].sum(axis=1) for m in members])
     logical = np.sign(totals).astype(np.int8)
     tie_rows, tie_cols = np.nonzero(logical == 0)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import binomial_success, count_ground_hits
 from .errors import DomainError
-from .ising import IsingProblem, ground_key_set
-from .nesting import NestedProblem, decode_batch, encode_for_scale
+from .ising import IsingProblem
+from .nesting import NestedProblem, encode_for_scale
 from .sampleset import CycleRecord, SampleSet
 
 
@@ -193,18 +194,16 @@ def thermal_success(
             raise DomainError("embedded thermal runs need the hardware graph")
         problem = apply_embedding(np_prob, emb, graph, chain_gamma).problem
     samplesets = run_pt(problem, params, n_samples)
-    keys = ground_key_set(ground_states)
     decode_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(0xDEC0DE,))
     )
-    out = {}
-    for beta, ss in samplesets.items():
-        logical, _ = decode_batch(np_prob, emb, ss.configs, decode_rng)
-        hits = sum(l.tobytes() in keys for l in logical)
-        n = ss.n_records
-        phat = hits / n
-        out[beta] = (phat, float(np.sqrt(phat * (1 - phat) / n)))
-    return out
+    return {
+        beta: binomial_success(
+            count_ground_hits(np_prob, emb, ss.configs, ground_states, decode_rng),
+            ss.n_records,
+        )
+        for beta, ss in samplesets.items()
+    }
 
 
 def thermal_boost_scan(
@@ -237,15 +236,12 @@ def thermal_boost_scan(
         h_eff, ref.nested.pairs, vals_eff, np.asarray(params.betas), sweeps,
         params.swap_interval, rng,
     )
-    keys = ground_key_set(ground_states)
     decode_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(0xDEC0DE, 1))
     )
     out = []
     for ia, alpha in enumerate(alphas):
         configs = recs[ia, -1, -n_samples:, :]
-        logical, _ = decode_batch(ref, None, configs, decode_rng)
-        hits = sum(l.tobytes() in keys for l in logical)
-        phat = hits / configs.shape[0]
-        out.append((alpha, phat, float(np.sqrt(phat * (1 - phat) / configs.shape[0]))))
+        hits = count_ground_hits(ref, None, configs, ground_states, decode_rng)
+        out.append((alpha, *binomial_success(hits, configs.shape[0])))
     return out

@@ -72,24 +72,6 @@ class SampleSet:
         }
 
 
-def concatenate_samplesets(parts: list[SampleSet]) -> SampleSet:
-    """Merge sample sets of the same problem (cycle ids must not collide)."""
-    if not parts:
-        raise DomainError("nothing to concatenate")
-    digest = parts[0].problem_digest
-    if any(p.problem_digest != digest for p in parts):
-        raise DomainError("sample sets come from different problems")
-    all_cycles = [c for p in parts for c in p.cycles]
-    if len({c.cycle for c in all_cycles}) != len(all_cycles):
-        raise DomainError("cycle id collision while merging sample sets")
-    return SampleSet(
-        configs=np.vstack([p.configs for p in parts]),
-        cycle_ids=np.concatenate([p.cycle_ids for p in parts]),
-        cycles=tuple(sorted(all_cycles, key=lambda c: c.cycle)),
-        problem_digest=digest,
-    )
-
-
 def save_sampleset(ss: SampleSet, path) -> None:
     with open(path, "w") as fh:
         header = {

@@ -405,6 +405,34 @@ def run_protocol_cycle(
     return configs, rec
 
 
+def assemble_sampleset(
+    np_prob: NestedProblem,
+    emb: Embedding | None,
+    parts: list[tuple[np.ndarray, CycleRecord]],
+    graph: ChimeraGraph | None = None,
+    chain_gamma: float | None = None,
+) -> SampleSet:
+    """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set.
+
+    The digest is that of the unpermuted, noise-free programmed problem:
+    the nested problem itself, or its compilation onto ``graph``.
+    """
+    if emb is None:
+        reference = np_prob.nested
+    else:
+        if graph is None:
+            raise DomainError("embedded protocol runs need the hardware graph")
+        reference = apply_embedding(np_prob, emb, graph, chain_gamma).problem
+    return SampleSet(
+        configs=np.vstack([configs for configs, _ in parts]),
+        cycle_ids=np.concatenate(
+            [np.full(configs.shape[0], rec.cycle, dtype=np.int64) for configs, rec in parts]
+        ),
+        cycles=tuple(rec for _, rec in parts),
+        problem_digest=reference.digest(),
+    )
+
+
 def run_protocol(
     np_prob: NestedProblem,
     emb: Embedding | None,
@@ -426,17 +454,8 @@ def run_protocol(
     """
     if cycles < 1:
         raise DomainError("cycles must be >= 1")
-    if emb is None:
-        reference = np_prob.nested
-    else:
-        if graph is None:
-            raise DomainError("embedded protocol runs need the hardware graph")
-        reference = apply_embedding(np_prob, emb, graph, chain_gamma).problem
-    all_configs = []
-    all_ids = []
-    recs = []
-    for c in range(cycles):
-        configs, rec = run_protocol_cycle(
+    parts = [
+        run_protocol_cycle(
             np_prob,
             emb,
             sch,
@@ -448,12 +467,6 @@ def run_protocol(
             randomize_gauge=randomize_gauge,
             randomize_permutation=randomize_permutation,
         )
-        all_configs.append(configs)
-        all_ids.append(np.full(runs_per_cycle, c, dtype=np.int64))
-        recs.append(rec)
-    return SampleSet(
-        configs=np.vstack(all_configs),
-        cycle_ids=np.concatenate(all_ids),
-        cycles=tuple(recs),
-        problem_digest=reference.digest(),
-    )
+        for c in range(cycles)
+    ]
+    return assemble_sampleset(np_prob, emb, parts, graph=graph, chain_gamma=chain_gamma)

@@ -66,6 +66,15 @@ def test_estimate_success_cycle_arithmetic(k4_setup):
     assert se == pytest.approx(0.1)
 
 
+def test_estimate_success_single_cycle_binomial_stderr(k4_setup):
+    npr, gs = k4_setup
+    excited = np.array([1, 1, 1, 1], dtype=np.int8)  # not a ground state
+    ss = make_sampleset([np.array([gs[0]] * 3 + [excited] * 7)], 4)
+    P, se = estimate_success(ss, npr, None, gs)
+    assert P == pytest.approx(0.3)
+    assert se == pytest.approx(np.sqrt(0.3 * 0.7 / 10))
+
+
 def test_estimate_success_uniform_random(k4_setup):
     npr, gs = k4_setup
     rng = np.random.default_rng(0)

@@ -156,6 +156,36 @@ def test_run_bad_engine_is_config_error(tmp_path, k4_file):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
 
 
+def test_run_pt_with_embedding_is_config_error(tmp_path, k4_file):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
+    cfg = tiny_config(
+        tmp_path, k4_file, engine="pt", engine_params={}, embedding="choi", graph=str(graph)
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+
+
+@pytest.mark.parametrize(
+    "engine, engine_params",
+    [("sqa", {"sweeps": 10, "n_samples": 5}), ("pt", {"sweeps": 10, "trotter_slices": 8})],
+)
+def test_run_unread_engine_param_is_config_error(tmp_path, k4_file, engine, engine_params):
+    cfg = tiny_config(tmp_path, k4_file, engine=engine, engine_params=engine_params)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+
+
+def test_pt_run_reruns_from_manifest(tmp_path, k4_file):
+    cfg = tiny_config(
+        tmp_path, k4_file, engine="pt",
+        engine_params={"n_betas": 4, "sweeps": 100, "swap_interval": 2, "n_samples": 20},
+    )
+    out1 = tmp_path / "exp1"
+    assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+    out2 = tmp_path / "exp2"
+    assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
 def test_analyze_without_reference_curve_is_compute_error(tmp_path):
     curves = tmp_path / "curves.csv"
     curves.write_text("C,alpha,gamma_star,P,stderr\n2,0.1,0.3,0.4,0.01\n2,1,0.3,0.9,0.01\n")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nqac.errors import DomainError
+from nqac.errors import DimensionMismatch, DomainError
 from nqac.ising import IsingProblem, energy, rescale
 from nqac.nesting import (
     decode_batch,
-    decode_majority,
     encode_for_scale,
     encode_nested,
     lift_logical,
@@ -119,23 +118,28 @@ def test_permutation_rejects_non_bijection(k4):
         permute_nested(npr, np.zeros(8, dtype=int))
 
 
+def decode_one(npr, emb, phys, rng):
+    logical, ties = decode_batch(npr, emb, np.asarray(phys)[None, :], rng)
+    return logical[0], ties
+
+
 def test_decode_simple_majority(k4):
     npr = encode_nested(k4, 3, 0.5)
     rng = np.random.default_rng(0)
     phys = lift_logical(npr, [1, -1, 1, -1])
     phys[npr.copies[0, 2]] = -1  # copies of vertex 0 now (+, +, -)
-    out = decode_majority(npr, None, phys, rng)
-    assert out.logical[0] == 1
-    assert out.tie_count == 0
+    logical, ties = decode_one(npr, None, phys, rng)
+    assert logical[0] == 1
+    assert ties == 0
 
 
 def test_decode_unanimous(k4):
     npr = encode_nested(k4, 4, 0.5)
     rng = np.random.default_rng(0)
     s = np.array([1, -1, -1, 1], dtype=np.int8)
-    out = decode_majority(npr, None, lift_logical(npr, s), rng)
-    assert np.array_equal(out.logical, s)
-    assert out.tie_count == 0
+    logical, ties = decode_one(npr, None, lift_logical(npr, s), rng)
+    assert np.array_equal(logical, s)
+    assert ties == 0
 
 
 def test_decode_tie_statistics():
@@ -146,23 +150,21 @@ def test_decode_tie_statistics():
     rng = np.random.default_rng(123)
     ups = 0
     for _ in range(n):
-        out = decode_majority(npr, None, phys, rng)
-        assert out.tie_count == 1
-        ups += out.logical[0] == 1
+        logical, ties = decode_one(npr, None, phys, rng)
+        assert ties == 1
+        ups += logical[0] == 1
     # fair coin: 5 sigma around 0.5
     sigma = 0.5 / np.sqrt(n)
     assert abs(ups / n - 0.5) < 5 * sigma
 
 
-def test_decode_batch_matches_scalar(k4):
+def test_decode_rejects_narrow_configs(k4):
     npr = encode_nested(k4, 3, 0.5)
-    rng = np.random.default_rng(7)
-    configs = rng.choice([-1, 1], size=(64, 12)).astype(np.int8)
-    batch, _ = decode_batch(npr, None, configs, np.random.default_rng(1))
-    for row_cfg, row_out in zip(configs, batch):
-        out = decode_majority(npr, None, row_cfg, np.random.default_rng(99))
-        # C=3 per-vertex votes cannot tie, so decoding is deterministic
-        assert np.array_equal(out.logical, row_out)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionMismatch):
+        decode_batch(npr, None, np.ones((5, 11), dtype=np.int8), rng)
+    with pytest.raises(DimensionMismatch):
+        decode_batch(npr, None, np.ones(12, dtype=np.int8), rng)
 
 
 def test_decode_permutation_equivariance(k4):
@@ -174,29 +176,28 @@ def test_decode_permutation_equivariance(k4):
         phys = rng.choice([-1, 1], size=12).astype(np.int8)
         moved_phys = np.empty(12, dtype=np.int8)
         moved_phys[perm] = phys
-        a = decode_majority(npr, None, phys, np.random.default_rng(0))
-        b = decode_majority(moved, None, moved_phys, np.random.default_rng(0))
-        assert np.array_equal(a.logical, b.logical)
+        a, _ = decode_one(npr, None, phys, np.random.default_rng(0))
+        b, _ = decode_one(moved, None, moved_phys, np.random.default_rng(0))
+        assert np.array_equal(a, b)
 
 
-def test_two_stage_equals_joint_on_aligned_chains(k4):
-    # build an embedded problem whose chains are unanimous: both decoders
-    # must agree exactly (including absence of ties for odd C)
+def test_embedded_decode_of_unanimous_chains_equals_nested_decode(k4):
+    # choi chains have equal length, so with every chain unanimous the vote
+    # over all chain qubits of a logical vertex is the vote over its copies
     from nqac.chimera import build_chimera, choi_embed
 
     npr = encode_nested(k4, 3, 0.5)
     g = build_chimera(3, 3)
     emb = choi_embed(12, g)
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        nested_cfg = rng.choice([-1, 1], size=12).astype(np.int8)
-        phys = np.ones(g.total_qubits, dtype=np.int8)
-        for v, qs in emb.chains.items():
-            phys[list(qs)] = nested_cfg[v]
-        a = decode_majority(npr, emb, phys, np.random.default_rng(0), mode="joint")
-        b = decode_majority(npr, emb, phys, np.random.default_rng(0), mode="two_stage")
-        assert np.array_equal(a.logical, b.logical)
-        assert a.tie_count == b.tie_count == 0
+    nested_cfgs = rng.choice([-1, 1], size=(20, 12)).astype(np.int8)
+    phys = np.ones((20, g.total_qubits), dtype=np.int8)
+    for v, qs in emb.chains.items():
+        phys[:, list(qs)] = nested_cfgs[:, [v]]
+    a, ties_a = decode_batch(npr, emb, phys, np.random.default_rng(0))
+    b, ties_b = decode_batch(npr, None, nested_cfgs, np.random.default_rng(0))
+    assert np.array_equal(a, b)
+    assert ties_a == ties_b == 0
 
 
 def test_nested_serialization_round_trip(tmp_path, k4):
