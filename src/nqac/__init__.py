@@ -46,7 +46,7 @@ from .sqa import (
     run_sqa,
     sample_noise,
 )
-from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan, thermal_success
+from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan
 from .meanfield import (
     MeanFieldPoint,
     beta_free_energy,

@@ -579,24 +579,17 @@ def _chain_tree_edges(qs: Sequence[int], g: ChimeraGraph) -> list[tuple[int, int
     return edges
 
 
-def apply_embedding(
-    np_prob: NestedProblem,
-    e: Embedding,
-    g: ChimeraGraph,
-    chain_gamma: float | None = None,
-    spread_fields: bool = False,
-) -> PhysicalProblem:
+def apply_embedding(np_prob: NestedProblem, e: Embedding, g: ChimeraGraph) -> PhysicalProblem:
     """Compile a nested problem into a physical Ising problem.
 
-    ``chain_gamma`` defaults to the nesting penalty (the shared-penalty
-    protocol); pass a value to optimize it separately. Fields go on the first
-    qubit of each chain unless ``spread_fields`` divides them evenly.
+    Chains are bound at the nesting penalty ``np_prob.gamma`` (the
+    shared-penalty protocol); each nested field goes on the first qubit of
+    its chain.
     """
     report = validate_embedding(e, np_prob, g)
     if not report.ok:
         raise InvalidEmbedding(report)
-    if chain_gamma is None:
-        chain_gamma = np_prob.gamma
+    chain_gamma = np_prob.gamma
     if not chain_gamma > 0:
         raise DomainError(f"chain penalty must be positive, got {chain_gamma}")
 
@@ -607,10 +600,7 @@ def apply_embedding(
 
     for v in range(nested.n):
         qs = e.chains[v]
-        if spread_fields:
-            h[list(qs)] += nested.h[v] / len(qs)
-        else:
-            h[qs[0]] += nested.h[v]
+        h[qs[0]] += nested.h[v]
         for a, b in _chain_tree_edges(qs, g):
             coup[(a, b)] = -float(chain_gamma)
 

@@ -16,13 +16,13 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
 from .chimera import (
-    Embedding,
     build_chimera,
     choi_embed,
     heuristic_embed,
@@ -78,58 +78,120 @@ def code_digest() -> str:
 
 
 _REQUIRED = ("problem", "C", "alphas", "seed")
+_COMMON = {"gammas": list(DEFAULT_GAMMA_GRID), "engine_params": {}, "embedding": "none",
+           "fit_count": 4, "p0": None}
 
-#: the engine_params keys each engine reads; any other key is a config error
-_ENGINE_PARAMS = {
-    "sqa": {"sweeps", "trotter_slices", "beta", "noise_sigma"},
-    "pt": {"betas", "beta_max", "n_betas", "beta_min", "sweeps", "swap_interval", "n_samples"},
+#: the optional top-level keys each engine reads, with their defaults; only
+#: embedded runs set ``graph``, and PT takes no embedding but "none"
+CONFIG_KEYS = {
+    "sqa": {**_COMMON, "engine": "sqa", "graph": None, "cycles": 20, "runs_per_cycle": 1000,
+            "schedule": "linear"},
+    "pt": {**_COMMON, "engine": "pt"},
 }
 
 
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)
+            if f.default is not MISSING and f.name != "seed"}
+
+
+#: the engine_params each engine reads, with their defaults; under PT an
+#: explicit ``betas`` ladder replaces the geometric one (the _LADDER keys)
+ENGINE_PARAMS = {
+    "sqa": _field_defaults(SqaParams),
+    "pt": {**_field_defaults(PtParams), "n_samples": 1000, "beta_max": 2.0, "n_betas": 16,
+           "beta_min": 0.1},
+}
+_LADDER = ("beta_max", "n_betas", "beta_min")
+
+
+def _filled(given: dict, table: dict, unread_msg: str) -> dict:
+    """``given`` over the defaults in ``table``; a key outside the table, or a
+    value of another JSON type than its default (or an integer below 1), is a
+    config error."""
+    unread = sorted(set(given) - set(table))
+    if unread:
+        raise ConfigError(f"{unread_msg}: {unread}")
+    out = {**table, **given}
+    for key, default in table.items():
+        v, want = out[key], type(default)
+        if default is not None and not (type(v) is want or want is float and type(v) is int):
+            raise ConfigError(f"{key} must be of JSON type {want.__name__}, got {v!r}")
+        if want is int and v < 1:
+            raise ConfigError(f"{key} must be at least 1, got {v}")
+    return out
+
+
+def _check_grid(key: str, values, ok, what: str) -> None:
+    good = isinstance(values, list) and all(type(v) in (int, float) and ok(v) for v in values)
+    if not good or not values or len(set(values)) < len(values):
+        raise ConfigError(f"{key} must be a non-empty list of distinct {what}, got {values!r}")
+
+
+def _sampler(cfg: dict):
+    """``(params, schedule)`` for SQA, ``(params, None)`` for PT, at seed 0;
+    a value the sampler rejects is a config error."""
+    ep = cfg["engine_params"]
+    try:
+        if cfg["engine"] == "sqa":
+            return SqaParams(**ep), _schedule_from_name(cfg["schedule"])
+        betas = ep["betas"] if "betas" in ep else geometric_ladder(*(ep[k] for k in _LADDER))
+        return PtParams(betas=betas, sweeps=ep["sweeps"], swap_interval=ep["swap_interval"]), None
+    except (NqacError, OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path) -> dict:
+    """Read and check an experiment config.
+
+    Returns it with every default filled in: the keys its engine reads and no
+    other, which is what the manifest records. A key the engine does not
+    read, or a value it cannot use, raises ConfigError.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if "config" in raw and isinstance(raw["config"], dict):
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    if isinstance(raw.get("config"), dict):
         raw = raw["config"]  # manifests embed the config; rerun from them
-    cfg = dict(raw)
     for key in _REQUIRED:
-        if key not in cfg:
+        if key not in raw:
             raise ConfigError(f"config missing required key {key!r}")
-    cfg.setdefault("gammas", list(DEFAULT_GAMMA_GRID))
-    cfg.setdefault("engine", "sqa")
-    cfg.setdefault("engine_params", {})
-    cfg.setdefault("embedding", "none")
-    cfg.setdefault("graph", None)
-    cfg.setdefault("cycles", 20)
-    cfg.setdefault("runs_per_cycle", 1000)
-    cfg.setdefault("schedule", "linear")
-    cfg.setdefault("fit_count", 4)
-    cfg.setdefault("p0", None)
-    if not cfg["C"] or not cfg["alphas"] or not cfg["gammas"]:
-        raise ConfigError("C, alphas and gammas grids must be non-empty")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer (wall-clock seeding is not allowed)")
-    if cfg["engine"] not in ("sqa", "pt"):
-        raise ConfigError(f"unknown engine {cfg['engine']!r}")
-    unread = sorted(set(cfg["engine_params"]) - _ENGINE_PARAMS[cfg["engine"]])
-    if unread:
-        raise ConfigError(f"engine_params {unread} are not read by the {cfg['engine']} engine")
+    engine = raw.get("engine", "sqa")
+    if engine not in ("sqa", "pt"):
+        raise ConfigError(f"unknown engine {engine!r}")
+    optional = {k: v for k, v in raw.items() if k not in _REQUIRED}
+    cfg = _filled(optional, CONFIG_KEYS[engine], f"keys the {engine} engine does not read")
+    cfg.update((k, raw[k]) for k in _REQUIRED)
+    ep, ep_keys = cfg["engine_params"], ENGINE_PARAMS[engine]
+    msg = f"engine_params the {engine} engine does not read"
+    if engine == "pt" and "betas" in ep:
+        _check_grid("betas", ep["betas"], lambda b: b > 0, "positive numbers")
+        ep_keys = {k: v for k, v in ep_keys.items() if k not in _LADDER} | {"betas": None}
+        msg += " beside betas"
+    cfg["engine_params"] = _filled(ep, ep_keys, msg)
+
+    _check_grid("C", cfg["C"], lambda c: type(c) is int and c >= 1, "positive integers")
+    _check_grid("alphas", cfg["alphas"], lambda a: 0 < a <= 1, "numbers in (0, 1]")
+    _check_grid("gammas", cfg["gammas"], lambda g: g > 0, "positive numbers")
+    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
+        raise ConfigError("seed must be a non-negative integer (no wall-clock seeding)")
+    if not (cfg["p0"] is None or type(cfg["p0"]) in (int, float)):
+        raise ConfigError(f"p0 must be a number or null, got {cfg['p0']!r}")
+    if engine == "pt" and cfg["embedding"] != "none":
+        raise ConfigError("the pt engine samples the nested problem unembedded")
     if cfg["embedding"] not in ("none", "choi", "heuristic"):
         raise ConfigError(f"unknown embedding mode {cfg['embedding']!r}")
-    if cfg["engine"] == "pt" and cfg["embedding"] != "none":
-        raise ConfigError("the pt engine samples the nested problem unembedded")
-    if any(not (0 < a <= 1) for a in cfg["alphas"]):
-        raise ConfigError("alphas must lie in (0, 1]")
-    if not Path(cfg["problem"]).exists():
-        raise ConfigError(f"problem file not found: {cfg['problem']}")
-    if cfg["embedding"] != "none" and not cfg["graph"]:
-        raise ConfigError("embedded runs need a hardware graph file")
-    if cfg["graph"] and not Path(cfg["graph"]).exists():
-        raise ConfigError(f"graph file not found: {cfg['graph']}")
+    if engine == "sqa" and (cfg["embedding"] == "none") != (cfg["graph"] is None):
+        raise ConfigError("embedded runs, and only they, read a hardware graph file")
+    for key in ("problem", "graph") if cfg.get("graph") is not None else ("problem",):
+        if not (isinstance(cfg[key], str) and Path(cfg[key]).is_file()):
+            raise ConfigError(f"{key} file not found: {cfg[key]}")
+    _sampler(cfg)
     return cfg
 
 
@@ -138,45 +200,18 @@ def _unit_seed(master: int, *idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sqa_unit(cfg: dict, emb_dict, ci: int, ai: int, gi: int, cycle: int):
-    """One (C, alpha, gamma, cycle) work unit; safe to run in any process."""
-    base = load_problem(cfg["problem"])
-    C = cfg["C"][ci]
-    alpha = cfg["alphas"][ai]
-    gamma = cfg["gammas"][gi]
-    np_prob = encode_for_scale(base, C, gamma, alpha)
-    emb = Embedding.from_dict(emb_dict) if emb_dict is not None else None
-    graph = load_graph(cfg["graph"]) if cfg["graph"] else None
-    ep = cfg["engine_params"]
-    params = SqaParams(
-        sweeps=int(ep.get("sweeps", 10_000)),
-        trotter_slices=int(ep.get("trotter_slices", 64)),
-        beta=float(ep.get("beta", 0.1)),
-        noise_sigma=float(ep.get("noise_sigma", 0.05)),
-        seed=_unit_seed(cfg["seed"], ci, ai, gi),
-    )
-    sch = _schedule_from_name(cfg["schedule"])
-    configs, rec = run_protocol_cycle(
-        np_prob, emb, sch, params, int(cfg["runs_per_cycle"]), cycle, graph=graph
-    )
-    return configs, rec
-
-
-def _build_embedding(cfg: dict, C: int, n_logical: int):
+def _build_embedding(cfg: dict, C: int, base, graph):
     if cfg["embedding"] == "none":
         return None
-    graph = load_graph(cfg["graph"])
-    n_nested = C * n_logical
     if cfg["embedding"] == "choi":
-        return choi_embed(n_nested, graph)
+        return choi_embed(C * base.n, graph)
     rng = np.random.default_rng(_unit_seed(cfg["seed"], 0xE0BED, C))
-    base = load_problem(cfg["problem"])
-    np_prob = encode_nested(base, C, 1.0)
-    return heuristic_embed(np_prob, graph, rng)
+    return heuristic_embed(encode_nested(base, C, 1.0), graph, rng)
 
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
-    """Execute the full pipeline for a config; returns the artifact directory."""
+    """Execute the full pipeline for a checked config (see ``load_config``);
+    returns the artifact directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples_dir = out / "samples"
@@ -184,8 +219,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
     base = load_problem(cfg["problem"])
     ground_energy, ground_states = brute_force_ground(base)
-
-    embeddings = {C: _build_embedding(cfg, C, base.n) for C in cfg["C"]}
+    params, sch = _sampler(cfg)
 
     manifest = {
         "config": cfg,
@@ -198,72 +232,47 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     def sample_path(ci, ai, gi):
         return samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson"
 
+    if cfg["engine"] == "sqa":
+        graph = load_graph(cfg["graph"]) if cfg["graph"] else None
+        embeddings = [_build_embedding(cfg, C, base, graph) for C in cfg["C"]]
+        # the nested problem of every (ci, ai, gi) grid point, encoded once
+        nested = {
+            (ci, ai, gi): encode_for_scale(base, C, gamma, alpha)
+            for ci, C in enumerate(cfg["C"])
+            for ai, alpha in enumerate(cfg["alphas"])
+            for gi, gamma in enumerate(cfg["gammas"])
+        }
+
     if stage in ("all", "sample"):
         if cfg["engine"] == "sqa":
-            units = [
-                (ci, ai, gi, cycle)
-                for ci in range(len(cfg["C"]))
-                for ai in range(len(cfg["alphas"]))
-                for gi in range(len(cfg["gammas"]))
-                for cycle in range(int(cfg["cycles"]))
+            units = [(key, cycle) for key in nested for cycle in range(cfg["cycles"])]
+            args = [
+                (nested[key], embeddings[key[0]], sch,
+                 replace(params, seed=_unit_seed(cfg["seed"], *key)),
+                 cfg["runs_per_cycle"], cycle, graph)
+                for key, cycle in units
             ]
-            emb_dicts = {
-                C: (e.to_dict() if e is not None else None)
-                for C, e in embeddings.items()
-            }
-            results = {}
             if jobs > 1:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futs = {
-                        u: pool.submit(
-                            _sqa_unit, cfg, emb_dicts[cfg["C"][u[0]]], *u
-                        )
-                        for u in units
-                    }
-                    for u, fut in futs.items():
-                        results[u] = fut.result()
+                    done = list(pool.map(run_protocol_cycle, *zip(*args)))
             else:
-                for u in units:
-                    results[u] = _sqa_unit(cfg, emb_dicts[cfg["C"][u[0]]], *u)
-            graph = load_graph(cfg["graph"]) if cfg["graph"] else None
-            for ci, C in enumerate(cfg["C"]):
-                for ai, alpha in enumerate(cfg["alphas"]):
-                    for gi, gamma in enumerate(cfg["gammas"]):
-                        ss = assemble_sampleset(
-                            encode_for_scale(base, C, gamma, alpha),
-                            embeddings[C],
-                            [results[(ci, ai, gi, cycle)] for cycle in range(int(cfg["cycles"]))],
-                            graph=graph,
-                        )
-                        save_sampleset(ss, sample_path(ci, ai, gi))
+                done = [run_protocol_cycle(*a) for a in args]
+            results = dict(zip(units, done))
+            for key, np_prob in nested.items():
+                parts = [results[key, cycle] for cycle in range(cfg["cycles"])]
+                ss = assemble_sampleset(np_prob, embeddings[key[0]], parts, graph=graph)
+                save_sampleset(ss, sample_path(*key))
         else:  # pt engine
-            ep = cfg["engine_params"]
-            betas = tuple(
-                ep.get("betas")
-                or geometric_ladder(
-                    float(ep.get("beta_max", 2.0)),
-                    int(ep.get("n_betas", 16)),
-                    float(ep.get("beta_min", 0.1)),
-                )
-            )
             rows = []
             for ci, C in enumerate(cfg["C"]):
                 for gi, gamma in enumerate(cfg["gammas"]):
-                    params = PtParams(
-                        betas=betas,
-                        sweeps=int(ep.get("sweeps", 4000)),
-                        swap_interval=int(ep.get("swap_interval", 5)),
-                        seed=_unit_seed(cfg["seed"], ci, gi),
-                    )
                     pts = thermal_boost_scan(
-                        base, C, gamma, cfg["alphas"], params, ground_states,
-                        n_samples=int(ep.get("n_samples", 1000)),
+                        base, C, gamma, cfg["alphas"],
+                        replace(params, seed=_unit_seed(cfg["seed"], ci, gi)), ground_states,
+                        n_samples=cfg["engine_params"]["n_samples"],
                     )
-                    for ai, (alpha, P, se) in enumerate(pts):
-                        rows.append((ci, ai, gi, alpha, P, se))
-            (samples_dir / "pt_scan.json").write_text(
-                json.dumps(rows, sort_keys=True)
-            )
+                    rows += [(ci, ai, gi, *pt) for ai, pt in enumerate(pts)]
+            (samples_dir / "pt_scan.json").write_text(json.dumps(rows, sort_keys=True))
 
     if stage not in ("all", "analyze"):
         return out
@@ -272,16 +281,14 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     # gamma, then boost + exponent
     if cfg["engine"] == "sqa":
         table = {
-            (ci, ai, gi): analysis.estimate_success(
-                load_sampleset(sample_path(ci, ai, gi)),
-                encode_for_scale(base, C, gamma, alpha),
-                embeddings[C],
+            key: analysis.estimate_success(
+                load_sampleset(sample_path(*key)),
+                np_prob,
+                embeddings[key[0]],
                 ground_states,
-                decode_seed=_unit_seed(cfg["seed"], 0xDEC, ci, ai, gi),
+                decode_seed=_unit_seed(cfg["seed"], 0xDEC, *key),
             )
-            for ci, C in enumerate(cfg["C"])
-            for ai, alpha in enumerate(cfg["alphas"])
-            for gi, gamma in enumerate(cfg["gammas"])
+            for key, np_prob in nested.items()
         }
     else:
         rows = json.loads((samples_dir / "pt_scan.json").read_text())
@@ -309,10 +316,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
         (out / "boost.csv").write_text(analysis.boost_csv(boost))
         usable = [C for C, v in boost.mu.items() if v is not None]
         if len(usable) >= 2:
-            eta = analysis.fit_eta(boost, fit_count=int(cfg["fit_count"]))
-            (out / "eta.txt").write_text(
-                analysis.eta_text(eta, int(cfg["fit_count"]))
-            )
+            eta = analysis.fit_eta(boost, fit_count=cfg["fit_count"])
+            (out / "eta.txt").write_text(analysis.eta_text(eta, cfg["fit_count"]))
     return out
 
 
@@ -324,6 +329,8 @@ def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("seed must be a non-negative integer")
             cfg["seed"] = args.seed
     except ConfigError as exc:
         print(f"[config] {exc}", file=sys.stderr)
@@ -507,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     sqa_p.add_argument("--problem", required=True)
     sqa_p.add_argument("--schedule", default="linear",
                        help="'linear', 'device', or a CSV path")
-    sqa_p.add_argument("--sweeps", type=int, default=10_000)
-    sqa_p.add_argument("--slices", type=int, default=64)
-    sqa_p.add_argument("--beta", type=float, default=0.1)
+    sqa_p.add_argument("--sweeps", type=int, default=ENGINE_PARAMS["sqa"]["sweeps"])
+    sqa_p.add_argument("--slices", type=int, default=ENGINE_PARAMS["sqa"]["trotter_slices"])
+    sqa_p.add_argument("--beta", type=float, default=ENGINE_PARAMS["sqa"]["beta"])
     sqa_p.add_argument("--anneals", type=int, default=100)
     sqa_p.add_argument("--seed", type=int, default=0)
     sqa_p.add_argument("--out", required=True)
@@ -518,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt_p = sub.add_parser("pt", help="sample thermal states by parallel tempering")
     pt_p.add_argument("--problem", required=True)
     pt_p.add_argument("--betas", default=None, help="comma list; overrides the ladder")
-    pt_p.add_argument("--beta-max", type=float, default=2.0)
-    pt_p.add_argument("--beta-min", type=float, default=0.1)
-    pt_p.add_argument("--n-betas", type=int, default=16)
-    pt_p.add_argument("--sweeps", type=int, default=4000)
-    pt_p.add_argument("--swap-interval", type=int, default=5)
-    pt_p.add_argument("--samples", type=int, default=1000)
+    pt_p.add_argument("--beta-max", type=float, default=ENGINE_PARAMS["pt"]["beta_max"])
+    pt_p.add_argument("--beta-min", type=float, default=ENGINE_PARAMS["pt"]["beta_min"])
+    pt_p.add_argument("--n-betas", type=int, default=ENGINE_PARAMS["pt"]["n_betas"])
+    pt_p.add_argument("--sweeps", type=int, default=ENGINE_PARAMS["pt"]["sweeps"])
+    pt_p.add_argument("--swap-interval", type=int, default=ENGINE_PARAMS["pt"]["swap_interval"])
+    pt_p.add_argument("--samples", type=int, default=ENGINE_PARAMS["pt"]["n_samples"])
     pt_p.add_argument("--seed", type=int, default=0)
     pt_p.add_argument("--out", required=True)
     pt_p.set_defaults(func=_cmd_pt)

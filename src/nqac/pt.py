@@ -26,14 +26,14 @@ import numpy as np
 from .analysis import binomial_success, count_ground_hits
 from .errors import DomainError
 from .ising import IsingProblem
-from .nesting import NestedProblem, encode_for_scale
+from .nesting import encode_for_scale
 from .sampleset import CycleRecord, SampleSet
 
 
 @dataclass(frozen=True)
 class PtParams:
-    """Replica-exchange knobs. ``betas`` must ascend; half the sweeps are
-    burn-in and recording is thinned by ``swap_interval``."""
+    """Replica-exchange knobs (the CLI reads the defaults). ``betas`` must
+    ascend; half the sweeps are burn-in, recording is thinned by ``swap_interval``."""
 
     betas: tuple
     sweeps: int = 4000
@@ -55,16 +55,16 @@ class PtParams:
         object.__setattr__(self, "betas", betas)
 
 
-def geometric_ladder(beta_max: float, n_betas: int = 16, beta_min: float = 0.1) -> tuple:
+def geometric_ladder(beta_max: float, n_betas: int, beta_min: float) -> tuple:
     """Geometrically spaced ladder from ``beta_min`` up to ``beta_max``."""
     if beta_max <= beta_min:
         raise DomainError("beta_max must exceed beta_min")
     return tuple(np.geomspace(beta_min, beta_max, n_betas))
 
 
-def swap_probability(beta_a: float, e_a: float, beta_b: float, e_b: float) -> float:
-    """Replica-exchange acceptance; exactly 1 for equal betas."""
-    return float(np.exp(min((beta_a - beta_b) * (e_a - e_b), 0.0)))
+def swap_probability(beta_a, e_a, beta_b, e_b):
+    """Replica-exchange acceptance, elementwise; exactly 1 for equal betas."""
+    return np.exp(np.clip((beta_a - beta_b) * (e_a - e_b), -700.0, 0.0))
 
 
 def _pt_sample(
@@ -117,8 +117,9 @@ def _pt_sample(
             E = full_energy()
             u_swap = rng.random((R - 1, A)) if R > 1 else np.zeros((0, A))
             for k in range(R - 1):
-                logp = (betas[k] - betas[k + 1]) * (E[:, k] - E[:, k + 1])
-                acc = u_swap[k] < np.exp(np.clip(logp, -700.0, 0.0))
+                acc = u_swap[k] < swap_probability(
+                    betas[k], E[:, k], betas[k + 1], E[:, k + 1]
+                )
                 if np.any(acc):
                     tmp = S[acc, k].copy()
                     S[acc, k] = S[acc, k + 1]
@@ -171,41 +172,6 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     return out
 
 
-def thermal_success(
-    np_prob: NestedProblem,
-    emb,
-    params: PtParams,
-    ground_states: np.ndarray,
-    n_samples: int = 1000,
-    graph=None,
-    chain_gamma: float | None = None,
-) -> dict[float, tuple[float, float]]:
-    """Decoded ground-state probability of the thermal state at each beta.
-
-    ``ground_states`` comes from exhaustive enumeration of the base problem.
-    Returns per-beta (P, binomial standard error).
-    """
-    if emb is None:
-        problem = np_prob.nested
-    else:
-        from .chimera import apply_embedding
-
-        if graph is None:
-            raise DomainError("embedded thermal runs need the hardware graph")
-        problem = apply_embedding(np_prob, emb, graph, chain_gamma).problem
-    samplesets = run_pt(problem, params, n_samples)
-    decode_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(0xDEC0DE,))
-    )
-    return {
-        beta: binomial_success(
-            count_ground_hits(np_prob, emb, ss.configs, ground_states, decode_rng),
-            ss.n_records,
-        )
-        for beta, ss in samplesets.items()
-    }
-
-
 def thermal_boost_scan(
     base: IsingProblem,
     C: int,
@@ -213,7 +179,7 @@ def thermal_boost_scan(
     alphas,
     params: PtParams,
     ground_states: np.ndarray,
-    n_samples: int = 1000,
+    n_samples: int,
 ) -> list[tuple[float, float, float]]:
     """Success of the top-rung thermal state across a problem-scale scan.
 

@@ -123,8 +123,8 @@ def load_schedule(path) -> Schedule:
 
 @dataclass(frozen=True)
 class SqaParams:
-    """Engine knobs; defaults follow the experimental protocol this package
-    reproduces (10^4 sweeps, 64 slices, beta = 0.1, sigma = 0.05)."""
+    """Engine knobs; the defaults, which the CLI reads too, follow the protocol
+    this package reproduces (10^4 sweeps, 64 slices, beta = 0.1, sigma = 0.05)."""
 
     sweeps: int = 10_000
     trotter_slices: int = 64
@@ -346,6 +346,10 @@ def _cycle_setup_rng(master_seed: int, cycle: int) -> np.random.Generator:
     )
 
 
+#: fresh permutations tried per cycle before an embedding counts as unusable
+_EMBED_RETRIES = 10
+
+
 def run_protocol_cycle(
     np_prob: NestedProblem,
     emb: Embedding | None,
@@ -354,46 +358,33 @@ def run_protocol_cycle(
     runs: int,
     cycle: int,
     graph: ChimeraGraph | None = None,
-    chain_gamma: float | None = None,
-    randomize_gauge: bool = True,
-    randomize_permutation: bool = True,
-    max_embed_retries: int = 10,
 ) -> tuple[np.ndarray, CycleRecord]:
     """One programming cycle: permute, embed, add noise, gauge, anneal.
 
     Draw order within the cycle's setup stream is fixed: permutation, then
     coupler noise, then gauge. Recorded configurations have the gauge undone.
     """
+    if emb is not None and graph is None:
+        raise DomainError("embedded protocol runs need the hardware graph")
     setup = _cycle_setup_rng(params.seed, cycle)
-    tries = max_embed_retries if randomize_permutation else 1
-    phys_problem = None
-    perm = None
-    for _ in range(tries):
-        if randomize_permutation:
-            perm = random_permutation(np_prob.n_nested, setup)
-        else:
-            perm = np.arange(np_prob.n_nested, dtype=np.int64)
+    for _ in range(_EMBED_RETRIES):
+        perm = random_permutation(np_prob.n_nested, setup)
         permuted = permute_nested(np_prob, perm)
         if emb is None:
             phys_problem = permuted.nested
             break
-        if graph is None:
-            raise DomainError("embedded protocol runs need the hardware graph")
         try:
-            phys_problem = apply_embedding(permuted, emb, graph, chain_gamma).problem
+            phys_problem = apply_embedding(permuted, emb, graph).problem
             break
         except InvalidEmbedding:
-            phys_problem = None
-    if phys_problem is None:
+            pass
+    else:
         raise EmbeddingNotFound(
-            f"embedding invalid after {tries} permutation retries in cycle {cycle}"
+            f"embedding invalid after {_EMBED_RETRIES} permutation retries in cycle {cycle}"
         )
 
     noisy = sample_noise(phys_problem, params.noise_sigma, setup)
-    if randomize_gauge:
-        gauge = (setup.integers(0, 2, size=noisy.n) * 2 - 1).astype(np.int8)
-    else:
-        gauge = np.ones(noisy.n, dtype=np.int8)
+    gauge = (setup.integers(0, 2, size=noisy.n) * 2 - 1).astype(np.int8)
     programmed = apply_gauge(noisy, gauge)
 
     aseed = cycle_anneal_seed(params.seed, cycle)
@@ -410,7 +401,6 @@ def assemble_sampleset(
     emb: Embedding | None,
     parts: list[tuple[np.ndarray, CycleRecord]],
     graph: ChimeraGraph | None = None,
-    chain_gamma: float | None = None,
 ) -> SampleSet:
     """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set.
 
@@ -422,7 +412,7 @@ def assemble_sampleset(
     else:
         if graph is None:
             raise DomainError("embedded protocol runs need the hardware graph")
-        reference = apply_embedding(np_prob, emb, graph, chain_gamma).problem
+        reference = apply_embedding(np_prob, emb, graph).problem
     return SampleSet(
         configs=np.vstack([configs for configs, _ in parts]),
         cycle_ids=np.concatenate(
@@ -441,9 +431,6 @@ def run_protocol(
     cycles: int,
     runs_per_cycle: int,
     graph: ChimeraGraph | None = None,
-    chain_gamma: float | None = None,
-    randomize_gauge: bool = True,
-    randomize_permutation: bool = True,
 ) -> SampleSet:
     """Run ``cycles`` programming cycles of ``runs_per_cycle`` anneals each.
 
@@ -455,18 +442,7 @@ def run_protocol(
     if cycles < 1:
         raise DomainError("cycles must be >= 1")
     parts = [
-        run_protocol_cycle(
-            np_prob,
-            emb,
-            sch,
-            params,
-            runs_per_cycle,
-            c,
-            graph=graph,
-            chain_gamma=chain_gamma,
-            randomize_gauge=randomize_gauge,
-            randomize_permutation=randomize_permutation,
-        )
+        run_protocol_cycle(np_prob, emb, sch, params, runs_per_cycle, c, graph=graph)
         for c in range(cycles)
     ]
-    return assemble_sampleset(np_prob, emb, parts, graph=graph, chain_gamma=chain_gamma)
+    return assemble_sampleset(np_prob, emb, parts, graph=graph)

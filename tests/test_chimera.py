@@ -168,7 +168,7 @@ def test_embedding_round_trip(tmp_path):
 def test_apply_embedding_k4_structure(k4):
     g = build_chimera(8, 8)
     npr = encode_nested(k4, 1, 0.5)
-    phys = apply_embedding(npr, choi_embed(4, g), g, chain_gamma=0.5)
+    phys = apply_embedding(npr, choi_embed(4, g), g)
     vals = list(phys.problem.coupling_dict().values())
     assert sum(1 for v in vals if v == -0.5) == 4      # one tree edge per chain
     assert sum(1 for v in vals if v == 1.0) == 6       # each J on one canonical edge
@@ -187,7 +187,7 @@ def test_apply_embedding_rejects_invalid(k4):
     npr = encode_nested(k4, 1, 0.5)
     bad = Embedding(chains={0: [0], 1: [0], 2: [1], 3: [2]})
     with pytest.raises(InvalidEmbedding):
-        apply_embedding(npr, bad, g, chain_gamma=0.5)
+        apply_embedding(npr, bad, g)
 
 
 def test_aligned_energy_identity_through_embedding(k4):
@@ -195,7 +195,7 @@ def test_aligned_energy_identity_through_embedding(k4):
     for C, gamma in ((1, 0.5), (2, 0.3)):
         npr = encode_nested(k4, C, gamma)
         emb = choi_embed(4 * C, g)
-        phys = apply_embedding(npr, emb, g, chain_gamma=gamma)
+        phys = apply_embedding(npr, emb, g)
         overhead = sum(len(qs) - 1 for qs in emb.chains.values())
         rng = np.random.default_rng(4)
         for _ in range(8):
@@ -214,7 +214,7 @@ def test_apply_embedding_zero_couplings_leave_only_chains():
     base = IsingProblem.from_couplings(3, couplings={(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0})
     g = build_chimera(8, 8)
     npr = encode_nested(base, 1, 0.5)
-    phys = apply_embedding(npr, choi_embed(3, g), g, chain_gamma=0.5)
+    phys = apply_embedding(npr, choi_embed(3, g), g)
     nonzero = {k: v for k, v in phys.problem.coupling_dict().items() if v != 0.0}
     assert set(nonzero.values()) == {-0.5}
     assert len(nonzero) == sum(len(qs) - 1 for qs in phys.embedding.chains.values())
@@ -232,7 +232,3 @@ def test_apply_embedding_fields_on_first_qubit():
     for v in range(6):
         first = emb.chains[v][0]
         assert phys.problem.h[first] == pytest.approx(npr.nested.h[v])
-    spread = apply_embedding(npr, emb, g, spread_fields=True)
-    for v in range(6):
-        qs = list(emb.chains[v])
-        assert spread.problem.h[qs].sum() == pytest.approx(npr.nested.h[v])

@@ -18,20 +18,17 @@ def k4_file(tmp_path):
     return path
 
 
-def tiny_config(tmp_path, k4_file, **overrides):
-    cfg = {
-        "problem": str(k4_file),
-        "C": [1, 2],
-        "alphas": [0.3, 1.0],
-        "gammas": [0.3],
-        "engine": "sqa",
-        "engine_params": {"sweeps": 120, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.05},
-        "embedding": "none",
-        "cycles": 2,
-        "runs_per_cycle": 10,
-        "schedule": "device",
-        "seed": 1234,
-    }
+def tiny_config(tmp_path, k4_file, engine="sqa", **overrides):
+    """A small config holding only keys its engine reads, plus ``overrides``."""
+    cfg = {"problem": str(k4_file), "C": [1, 2], "alphas": [0.3, 1.0], "gammas": [0.3],
+           "engine": engine, "seed": 1234}
+    if engine == "sqa":
+        cfg.update(
+            engine_params={"sweeps": 120, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.05},
+            embedding="none", cycles=2, runs_per_cycle=10, schedule="device",
+        )
+    else:
+        cfg["engine_params"] = {"n_betas": 4, "sweeps": 100, "swap_interval": 2, "n_samples": 20}
     cfg.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -156,29 +153,53 @@ def test_run_bad_engine_is_config_error(tmp_path, k4_file):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
 
 
-def test_run_pt_with_embedding_is_config_error(tmp_path, k4_file):
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
-    cfg = tiny_config(
-        tmp_path, k4_file, engine="pt", engine_params={}, embedding="choi", graph=str(graph)
-    )
+def test_run_pt_with_embedding_is_config_error(tmp_path, k4_file, capsys):
+    cfg = tiny_config(tmp_path, k4_file, engine="pt", embedding="choi")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    assert "unembedded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "engine, engine_params",
     [("sqa", {"sweeps": 10, "n_samples": 5}), ("pt", {"sweeps": 10, "trotter_slices": 8})],
 )
-def test_run_unread_engine_param_is_config_error(tmp_path, k4_file, engine, engine_params):
+def test_run_unread_engine_param_is_config_error(
+    tmp_path, k4_file, capsys, engine, engine_params
+):
     cfg = tiny_config(tmp_path, k4_file, engine=engine, engine_params=engine_params)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    assert f"engine_params the {engine} engine does not read" in capsys.readouterr().err
+
+
+# a key the engine does not read, or a value it cannot use
+@pytest.mark.parametrize(
+    "engine, overrides",
+    [
+        ("sqa", {"runs_per_cyle": 5}),
+        ("pt", {"cycles": 7}),
+        ("pt", {"runs_per_cycle": 3}),
+        ("pt", {"schedule": "no_such.csv"}),
+        ("pt", {"graph": "g.json"}),
+        ("pt", {"engine_params": {"betas": [0.5, 2.0], "beta_max": 50.0}}),
+        ("sqa", {"graph": "g.json", "embedding": "none"}),
+        ("sqa", {"seed": True}),
+        ("sqa", {"C": [1, 1, 2]}),
+        ("sqa", {"cycles": 0}),
+        ("sqa", {"gammas": [0]}),
+        ("sqa", {"C": [0, 1]}),
+    ],
+)
+def test_run_config_is_config_error(tmp_path, k4_file, capsys, engine, overrides):
+    (tmp_path / "g.json").write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
+    if "graph" in overrides:
+        overrides["graph"] = str(tmp_path / overrides["graph"])
+    cfg = tiny_config(tmp_path, k4_file, engine=engine, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err.startswith("[config] ")
 
 
 def test_pt_run_reruns_from_manifest(tmp_path, k4_file):
-    cfg = tiny_config(
-        tmp_path, k4_file, engine="pt",
-        engine_params={"n_betas": 4, "sweeps": 100, "swap_interval": 2, "n_samples": 20},
-    )
+    cfg = tiny_config(tmp_path, k4_file, engine="pt")
     out1 = tmp_path / "exp1"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     out2 = tmp_path / "exp2"

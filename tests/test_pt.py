@@ -4,14 +4,12 @@ import pytest
 from nqac.errors import DomainError
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import IsingProblem
-from nqac.nesting import encode_nested
 from nqac.pt import (
     PtParams,
     geometric_ladder,
     run_pt,
     swap_probability,
     thermal_boost_scan,
-    thermal_success,
 )
 
 
@@ -39,6 +37,9 @@ def test_geometric_ladder():
 def test_swap_probability_equal_betas_is_one():
     assert swap_probability(2.0, -5.0, 2.0, 13.0) == 1.0
     assert swap_probability(1.0, 0.0, 2.0, 1.0) <= 1.0
+    # elementwise over the batch rows, as the sampler calls it
+    p = swap_probability(1.0, np.array([0.0, 3.0, 1.0]), 2.0, np.array([1.0, 1.0, 1.0]))
+    assert p == pytest.approx([1.0, np.exp(-2.0), 1.0])
 
 
 def test_single_spin_magnetization():
@@ -89,22 +90,21 @@ def test_determinism():
         assert np.array_equal(a[beta].configs, b[beta].configs)
 
 
-def test_thermal_success_limits(k4, k4_ground):
+def test_thermal_boost_scan_limits(k4, k4_ground):
+    # the scan reports the top rung: a cold ladder solves the nested K4, a
+    # hot one decodes to the 6/16 random baseline
     _, gs = k4_ground
-    npr = encode_nested(k4, 2, 1.0)
-    params = PtParams(
-        betas=(0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0),
-        sweeps=6000,
-        swap_interval=5,
-        seed=21,
-    )
-    out = thermal_success(npr, None, params, gs, n_samples=2000)
-    p_cold, _ = out[20.0]
+
+    def top_rung(betas):
+        params = PtParams(betas=betas, sweeps=6000, swap_interval=5, seed=21)
+        [(_, P, se)] = thermal_boost_scan(k4, 2, 1.0, [1.0], params, gs, n_samples=2000)
+        return P, se
+
+    p_cold, _ = top_rung((0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
     assert p_cold >= 0.99
-    p_hot, se_hot = out[0.001]
+    p_hot, se_hot = top_rung((0.001,))
     assert abs(p_hot - 6 / 16) < 5 * max(se_hot, 1e-3)
-    # success improves monotonically enough from hot to cold
-    assert out[20.0][0] > out[0.001][0]
+    assert p_cold > p_hot
 
 
 def test_thermal_boost_scan_shapes(k4, k4_ground):

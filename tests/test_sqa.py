@@ -8,7 +8,6 @@ from nqac.nesting import encode_nested
 from nqac.sqa import (
     Schedule,
     SqaParams,
-    cycle_anneal_seed,
     default_schedule,
     device_like_schedule,
     run_protocol,
@@ -190,23 +189,6 @@ def test_protocol_determinism(k4):
     )
 
 
-def test_protocol_degenerates_to_run_sqa(k4):
-    npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=60, trotter_slices=8, beta=0.5, noise_sigma=0.0, seed=7)
-    ss = run_protocol(
-        npr, None, default_schedule(), params, 1, 9,
-        randomize_gauge=False, randomize_permutation=False,
-    )
-    direct = run_sqa(
-        npr.nested,
-        default_schedule(),
-        SqaParams(sweeps=60, trotter_slices=8, beta=0.5, noise_sigma=0.0,
-                  seed=cycle_anneal_seed(7, 0)),
-        9,
-    )
-    assert np.array_equal(ss.configs, direct.configs)
-
-
 def test_protocol_with_embedding_smoke(k4):
     from nqac.chimera import build_chimera, choi_embed
 
@@ -237,12 +219,12 @@ def test_embedded_solver_and_estimate(k4, k4_ground):
 
     _, gs = k4_ground
     g = build_chimera(8, 8)
-    npr = encode_nested(k4, 1, 0.4)
-    emb = choi_embed(4, g)
     # at full problem scale the chains need a penalty above the coupling
-    # scale to stay bound (optimal penalties grow with alpha)
+    # scale to stay bound (optimal penalties grow with alpha); at C=1 the
+    # nesting penalty binds only the chains
+    npr = encode_nested(k4, 1, 2.0)
+    emb = choi_embed(4, g)
     params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1, noise_sigma=0.0, seed=15)
-    ss = run_protocol(npr, emb, device_like_schedule(), params, 2, 50,
-                      graph=g, chain_gamma=2.0)
+    ss = run_protocol(npr, emb, device_like_schedule(), params, 2, 50, graph=g)
     P, se = estimate_success(ss, npr, emb, gs)
     assert P >= 0.9, (P, se)
