@@ -154,6 +154,12 @@ class Embedding:
             {int(v): tuple(int(q) for q in qs) for v, qs in self.chains.items()},
         )
 
+    @property
+    def qubits(self) -> tuple:
+        """The chain qubits in ascending hardware-label order: position i of a
+        compiled problem, and of its sample records, is hardware qubit qubits[i]."""
+        return tuple(sorted(q for qs in self.chains.values() for q in qs))
+
     def to_dict(self) -> dict:
         return {"chains": {str(v): list(qs) for v, qs in sorted(self.chains.items())}}
 
@@ -548,19 +554,19 @@ def heuristic_embed(
 
 @dataclass(frozen=True)
 class PhysicalProblem:
-    """A nested problem compiled onto hardware qubits.
+    """A nested problem compiled onto the chain qubits of an embedding.
 
-    ``problem`` spans the full qubit index space of the graph; qubits outside
-    any chain carry no couplings or fields. Intra-chain couplers sit on a
-    spanning tree of each chain (len-1 of them) at ``-chain_gamma``; each
-    nested coupling is concentrated on one canonical hardware edge, with any
-    parallel edges between the two chains present at value 0.
+    ``problem`` has one spin per chain qubit, at its position in
+    ``embedding.qubits``; idle hardware qubits are not part of it.
+    Intra-chain couplers sit on a spanning tree of each chain (len-1 of them)
+    at ``-chain_gamma``; each nested coupling is concentrated on one canonical
+    hardware edge, with any parallel edges between the two chains present at
+    value 0.
     """
 
     problem: IsingProblem
     embedding: Embedding
     chain_gamma: float
-    graph: ChimeraGraph
 
 
 def _chain_tree_edges(qs: Sequence[int], g: ChimeraGraph) -> list[tuple[int, int]]:
@@ -584,7 +590,7 @@ def apply_embedding(np_prob: NestedProblem, e: Embedding, g: ChimeraGraph) -> Ph
 
     Chains are bound at the nesting penalty ``np_prob.gamma`` (the
     shared-penalty protocol); each nested field goes on the first qubit of
-    its chain.
+    its chain. Spins are indexed by position in ``e.qubits``.
     """
     report = validate_embedding(e, np_prob, g)
     if not report.ok:
@@ -594,19 +600,20 @@ def apply_embedding(np_prob: NestedProblem, e: Embedding, g: ChimeraGraph) -> Ph
         raise DomainError(f"chain penalty must be positive, got {chain_gamma}")
 
     nested = np_prob.nested
-    n_phys = g.total_qubits
-    h = np.zeros(n_phys, dtype=np.float64)
+    # hardware label -> position; ascending, so it keeps every pair's order
+    pos = {q: i for i, q in enumerate(e.qubits)}
+    h = np.zeros(len(pos), dtype=np.float64)
     coup: dict[tuple[int, int], float] = {}
 
     for v in range(nested.n):
         qs = e.chains[v]
-        h[qs[0]] += nested.h[v]
+        h[pos[qs[0]]] += nested.h[v]
         for a, b in _chain_tree_edges(qs, g):
-            coup[(a, b)] = -float(chain_gamma)
+            coup[(pos[a], pos[b])] = -float(chain_gamma)
 
     for (u, v), val in zip(nested.pairs, nested.values):
         hw = sorted(
-            (min(a, b), max(a, b))
+            (pos[min(a, b)], pos[max(a, b)])
             for a in e.chains[int(u)]
             for b in e.chains[int(v)]
             if g.has_edge(a, b)
@@ -615,7 +622,5 @@ def apply_embedding(np_prob: NestedProblem, e: Embedding, g: ChimeraGraph) -> Ph
         for extra in hw[1:]:
             coup.setdefault(extra, 0.0)
 
-    problem = IsingProblem.from_couplings(n_phys, couplings=coup, h=h, alpha=nested.alpha)
-    return PhysicalProblem(
-        problem=problem, embedding=e, chain_gamma=float(chain_gamma), graph=g
-    )
+    problem = IsingProblem.from_couplings(len(pos), couplings=coup, h=h, alpha=nested.alpha)
+    return PhysicalProblem(problem=problem, embedding=e, chain_gamma=float(chain_gamma))

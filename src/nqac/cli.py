@@ -43,6 +43,7 @@ from .sqa import (
     default_schedule,
     device_like_schedule,
     load_schedule,
+    programmed_digest,
     run_protocol_cycle,
     run_sqa,
 )
@@ -280,16 +281,18 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
     # gamma, then boost + exponent
     if cfg["engine"] == "sqa":
-        table = {
-            key: analysis.estimate_success(
-                load_sampleset(sample_path(*key)),
-                np_prob,
-                embeddings[key[0]],
-                ground_states,
+        table = {}
+        for key, np_prob in nested.items():
+            ss = load_sampleset(sample_path(*key))
+            if ss.problem_digest != programmed_digest(np_prob, embeddings[key[0]], graph):
+                raise ConfigError(
+                    f"{sample_path(*key)} holds samples of another problem than this "
+                    "config programs at its grid point; run the sample stage again"
+                )
+            table[key] = analysis.estimate_success(
+                ss, np_prob, embeddings[key[0]], ground_states,
                 decode_seed=_unit_seed(cfg["seed"], 0xDEC, *key),
             )
-            for key, np_prob in nested.items()
-        }
     else:
         rows = json.loads((samples_dir / "pt_scan.json").read_text())
         table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
@@ -326,23 +329,12 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a non-negative integer")
-            cfg["seed"] = args.seed
-    except ConfigError as exc:
-        print(f"[config] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        out = run_experiment(cfg, args.out, jobs=args.jobs, stage=args.stage)
-    except (EmbeddingNotFound, InvalidEmbedding) as exc:
-        print(f"[embed] {exc}", file=sys.stderr)
-        return EXIT_EMBEDDING
-    except NqacError as exc:
-        print(f"[compute] {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        cfg["seed"] = args.seed
+    out = run_experiment(cfg, args.out, jobs=args.jobs, stage=args.stage)
     print(f"experiment artifacts in {out}")
     return EXIT_OK
 
@@ -382,17 +374,18 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _count(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _cmd_sqa(args) -> int:
     p = load_problem(args.problem)
-    sch = _schedule_from_name(args.schedule)
-    params = SqaParams(
-        sweeps=args.sweeps,
-        trotter_slices=args.slices,
-        beta=args.beta,
-        noise_sigma=0.0,
-        seed=args.seed,
-    )
-    ss = run_sqa(p, sch, params, args.anneals)
+    params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params": {
+        "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta,
+        "noise_sigma": 0.0}})
+    ss = run_sqa(p, sch, replace(params, seed=args.seed), _count("--anneals", args.anneals))
     save_sampleset(ss, args.out)
     print(f"{ss.n_records} anneal records -> {args.out}")
     return EXIT_OK
@@ -400,17 +393,14 @@ def _cmd_sqa(args) -> int:
 
 def _cmd_pt(args) -> int:
     p = load_problem(args.problem)
-    betas = (
-        tuple(float(b) for b in args.betas.split(","))
-        if args.betas
-        else geometric_ladder(args.beta_max, args.n_betas, args.beta_min)
-    )
-    params = PtParams(
-        betas=betas, sweeps=args.sweeps, swap_interval=args.swap_interval, seed=args.seed
-    )
+    ladder = ({"betas": args.betas.split(",")} if args.betas else
+              {"beta_max": args.beta_max, "n_betas": args.n_betas, "beta_min": args.beta_min})
+    params, _ = _sampler({"engine": "pt", "engine_params": {
+        **ladder, "sweeps": args.sweeps, "swap_interval": args.swap_interval}})
+    n_samples = _count("--samples", args.samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samplesets = run_pt(p, params, args.samples)
+    samplesets = run_pt(p, replace(params, seed=args.seed), n_samples)
     for i, (beta, ss) in enumerate(sorted(samplesets.items())):
         save_sampleset(ss, out_dir / f"beta_{i:02d}_{beta:.6g}.ndjson")
     print(f"{len(samplesets)} thermal sample sets -> {out_dir}")

@@ -181,20 +181,19 @@ def permute_nested(np_prob: NestedProblem, perm) -> NestedProblem:
 
 
 def logical_members(np_prob: NestedProblem, emb=None) -> list[np.ndarray]:
-    """Physical indices voting for each logical vertex.
+    """Record positions voting for each logical vertex.
 
-    Without an embedding these are the C copy vertices; with one, the union
-    of the chains of all C copies (C*L physical qubits for uniform chains).
+    Without an embedding these are the C copy vertices; with one, the
+    positions in ``emb.qubits`` of the chains of all C copies (C*L spins for
+    uniform chains).
     """
     members = []
     for i in range(np_prob.base.n):
         if emb is None:
             members.append(np.asarray(np_prob.copies[i], dtype=np.int64))
         else:
-            qubits = []
-            for v in np_prob.copies[i]:
-                qubits.extend(emb.chains[int(v)])
-            members.append(np.asarray(qubits, dtype=np.int64))
+            qubits = [q for v in np_prob.copies[i] for q in emb.chains[int(v)]]
+            members.append(np.searchsorted(emb.qubits, qubits))
     return members
 
 
@@ -204,7 +203,7 @@ def decode_batch(
     configs: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Joint majority-vote decode of a (batch, n_phys) array of spins.
+    """Joint majority-vote decode of a (batch, n_spins) array of records.
 
     Tie coins are drawn in (record, vertex) order. Returns the (batch, N)
     logical configurations and the total tie count.

@@ -62,6 +62,14 @@ def geometric_ladder(beta_max: float, n_betas: int, beta_min: float) -> tuple:
     return tuple(np.geomspace(beta_min, beta_max, n_betas))
 
 
+def _run_sweeps(params: PtParams, n_samples: int) -> int:
+    """Sweeps that record at least ``n_samples`` configurations per rung
+    after burn-in (half the run)."""
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    return max(params.sweeps, 2 * n_samples * params.swap_interval)
+
+
 def swap_probability(beta_a, e_a, beta_b, e_b):
     """Replica-exchange acceptance, elementwise; exactly 1 for equal betas."""
     return np.exp(np.clip((beta_a - beta_b) * (e_a - e_b), -700.0, 0.0))
@@ -143,9 +151,7 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     recorded per rung after burn-in (the last ``n_samples`` are kept), and
     returns one sample set per beta.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    sweeps = max(params.sweeps, 2 * n_samples * params.swap_interval)
+    sweeps = _run_sweeps(params, n_samples)
     rng = np.random.default_rng(params.seed)
     h_eff = (p.alpha * p.h)[None, :]
     vals_eff = (p.alpha * p.values)[None, :]
@@ -192,11 +198,11 @@ def thermal_boost_scan(
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise DomainError("empty alpha grid")
+    sweeps = _run_sweeps(params, n_samples)
     nested = [encode_for_scale(base, C, gamma_device, a) for a in alphas]
     ref = nested[0]
     h_eff = np.stack([npx.nested.alpha * npx.nested.h for npx in nested])
     vals_eff = np.stack([npx.nested.alpha * npx.nested.values for npx in nested])
-    sweeps = max(params.sweeps, 2 * n_samples * params.swap_interval)
     rng = np.random.default_rng(params.seed)
     recs = _pt_sample(
         h_eff, ref.nested.pairs, vals_eff, np.asarray(params.betas), sweeps,

@@ -150,8 +150,10 @@ def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> Isi
     values, in units where the maximum coupling magnitude is 1: programmed
     couplings become alpha*J + N(0, sigma), so the stored values are shifted
     by N(0, sigma)/alpha. Every stored coupling is perturbed, penalties and
-    explicit zeros included, then every field. sigma = 0 returns the problem
-    unchanged without consuming draws.
+    explicit zeros included, then every field. For an embedded problem these
+    are its programmed couplers (parallel zero couplers included) and the
+    fields of its chain qubits; idle hardware qubits are not in the problem.
+    sigma = 0 returns the problem unchanged without consuming draws.
     """
     if sigma < 0:
         raise DomainError("sigma must be >= 0")
@@ -203,44 +205,37 @@ class _Lattice:
         idx, val = p.neighbor_lists()
         self.nbr_idx = idx
         self.nbr_val = val
-        self.active_sites = [
-            i for i in range(p.n) if idx[i].size or p.h[i] != 0.0
-        ]
         self.dense_rows = p.dense_couplings() if p.n <= 128 else None
 
 
 def _sweep(S, lat: _Lattice, p_bond: float, coup_scale: float, rng: np.random.Generator):
-    """One full sweep: per active site in index order, one ring-cluster update.
+    """One full sweep: per site in index order, one ring-cluster update.
 
     The state S has layout (n, batch, K) so per-site slices are contiguous.
-    All randomness for the sweep is drawn up front in site-major order.
+    All randomness for the sweep is drawn up front in site-major order. Every
+    site is updated, so a problem should hold only the spins it samples (an
+    embedded one holds its chain qubits; see ``apply_embedding``).
     """
-    _, Bn, K = S.shape
-    ns = len(lat.active_sites)
-    bond_u = rng.random((ns, Bn, K))
-    seeds = rng.integers(0, K, size=(ns, Bn))
-    accept_u = rng.random((ns, Bn))
-    S2 = S.reshape(S.shape[0], Bn * K)
-    for a, i in enumerate(lat.active_sites):
+    n, Bn, K = S.shape
+    bond_u = rng.random((n, Bn, K))
+    seeds = rng.integers(0, K, size=(n, Bn))
+    accept_u = rng.random((n, Bn))
+    S2 = S.reshape(n, Bn * K)
+    for i in range(lat.n):
         spins = S[i]
-        idx = lat.nbr_idx[i]
-        if not idx.size:
-            X = np.full((Bn, K), lat.h[i])
-        elif lat.dense_rows is not None:
+        if lat.dense_rows is not None:
             X = (lat.dense_rows[i] @ S2).reshape(Bn, K)
-            if lat.h[i] != 0.0:
-                X += lat.h[i]
         else:
-            X = np.tensordot(lat.nbr_val[i], S[idx], axes=(0, 0))
-            if lat.h[i] != 0.0:
-                X += lat.h[i]
+            X = np.tensordot(lat.nbr_val[i], S[lat.nbr_idx[i]], axes=(0, 0))
+        if lat.h[i] != 0.0:
+            X += lat.h[i]
         aligned = np.empty((Bn, K), dtype=bool)
         np.equal(spins[:, 1:], spins[:, :-1], out=aligned[:, :-1])
         np.equal(spins[:, 0], spins[:, -1], out=aligned[:, -1])
-        active = aligned & (bond_u[a] < p_bond)
-        member = _ring_members(active, seeds[a])
+        active = aligned & (bond_u[i] < p_bond)
+        member = _ring_members(active, seeds[i])
         dE = -2.0 * coup_scale * np.einsum("bk,bk,bk->b", spins, X, member)
-        accept = accept_u[a] < np.exp(-np.clip(dE, -700.0, 700.0))
+        accept = accept_u[i] < np.exp(-np.clip(dE, -700.0, 700.0))
         flip = member & accept[:, None]
         np.multiply(spins, np.where(flip, -1.0, 1.0), out=spins)
 
@@ -396,30 +391,33 @@ def run_protocol_cycle(
     return configs, rec
 
 
+def programmed_digest(
+    np_prob: NestedProblem, emb: Embedding | None, graph: ChimeraGraph | None = None
+) -> str:
+    """Digest of the unpermuted, noise-free programmed problem: the nested
+    problem itself, or its compilation onto ``graph``. Sample sets carry it."""
+    if emb is None:
+        return np_prob.nested.digest()
+    if graph is None:
+        raise DomainError("embedded protocol runs need the hardware graph")
+    return apply_embedding(np_prob, emb, graph).problem.digest()
+
+
 def assemble_sampleset(
     np_prob: NestedProblem,
     emb: Embedding | None,
     parts: list[tuple[np.ndarray, CycleRecord]],
     graph: ChimeraGraph | None = None,
 ) -> SampleSet:
-    """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set.
-
-    The digest is that of the unpermuted, noise-free programmed problem:
-    the nested problem itself, or its compilation onto ``graph``.
-    """
-    if emb is None:
-        reference = np_prob.nested
-    else:
-        if graph is None:
-            raise DomainError("embedded protocol runs need the hardware graph")
-        reference = apply_embedding(np_prob, emb, graph).problem
+    """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set
+    whose digest is ``programmed_digest``."""
     return SampleSet(
         configs=np.vstack([configs for configs, _ in parts]),
         cycle_ids=np.concatenate(
             [np.full(configs.shape[0], rec.cycle, dtype=np.int64) for configs, rec in parts]
         ),
         cycles=tuple(rec for _, rec in parts),
-        problem_digest=reference.digest(),
+        problem_digest=programmed_digest(np_prob, emb, graph),
     )
 
 

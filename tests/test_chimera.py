@@ -201,9 +201,9 @@ def test_aligned_energy_identity_through_embedding(k4):
         for _ in range(8):
             s = rng.choice([-1, 1], size=4).astype(np.int8)
             nested_cfg = lift_logical(npr, s)
-            full = np.ones(g.total_qubits, dtype=np.int8)
+            full = np.ones(len(emb.qubits), dtype=np.int8)
             for v, qs in emb.chains.items():
-                full[list(qs)] = nested_cfg[v]
+                full[[emb.qubits.index(q) for q in qs]] = nested_cfg[v]
             expected = energy(npr.nested, nested_cfg) - npr.nested.alpha * gamma * overhead
             assert energy(phys.problem, full) == pytest.approx(expected, abs=1e-9)
 
@@ -230,5 +230,5 @@ def test_apply_embedding_fields_on_first_qubit():
     emb = choi_embed(6, g)
     phys = apply_embedding(npr, emb, g)
     for v in range(6):
-        first = emb.chains[v][0]
+        first = emb.qubits.index(emb.chains[v][0])
         assert phys.problem.h[first] == pytest.approx(npr.nested.h[v])

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nqac.chimera import build_chimera, choi_embed
 from nqac.cli import main
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import save_problem
@@ -86,6 +87,24 @@ def test_sqa_subcommand(k4_file, tmp_path):
     assert rc == 0
     ss = load_sampleset(out)
     assert ss.n_records == 12 and ss.n_spins == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["sqa", "--slices", "1"],
+    ["sqa", "--sweeps", "0"],
+    ["sqa", "--anneals", "0"],
+    ["sqa", "--schedule", "no_such_schedule.csv"],
+    ["pt", "--beta-max", "0.05"],
+    ["pt", "--n-betas", "0"],
+    ["pt", "--betas", "2.0,0.5"],
+    ["pt", "--swap-interval", "0"],
+    ["pt", "--samples", "0"],
+], ids=" ".join)
+def test_sampler_subcommand_bad_parameter_is_config_error(k4_file, tmp_path, capsys, argv):
+    command, *flags = argv
+    rc = main([command, "--problem", str(k4_file), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("[config]")
 
 
 def test_pt_subcommand(k4_file, tmp_path):
@@ -229,6 +248,9 @@ def test_run_with_choi_embedding(tmp_path, k4_file):
     C, alpha, gamma, P, se = lines[1].split(",")
     assert (C, alpha) == ("1", "1")
     assert 0.0 <= float(P) <= 1.0
+    # records hold the chain qubits only, not all 512 qubits of the graph
+    chains = choi_embed(4, build_chimera(8, 8)).chains.values()
+    assert load_sampleset(out / "samples" / "C1_a0_g0.ndjson").n_spins == sum(map(len, chains))
 
 
 def test_run_embedding_failure_exit_code(tmp_path, k4_file):
@@ -248,6 +270,16 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, k4_file):
     out2 = tmp_path / "exp2"
     assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
+def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, capsys):
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file, gammas=[0.2, 0.5])
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    cfg = tiny_config(tmp_path, k4_file, gammas=[0.3, 0.9])
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+    assert "run the sample stage again" in capsys.readouterr().err
+    assert not (out / "curves.csv").exists()
 
 
 def test_staged_run_matches_single_run(tmp_path, k4_file):

@@ -191,9 +191,9 @@ def test_embedded_decode_of_unanimous_chains_equals_nested_decode(k4):
     emb = choi_embed(12, g)
     rng = np.random.default_rng(2)
     nested_cfgs = rng.choice([-1, 1], size=(20, 12)).astype(np.int8)
-    phys = np.ones((20, g.total_qubits), dtype=np.int8)
+    phys = np.ones((20, len(emb.qubits)), dtype=np.int8)
     for v, qs in emb.chains.items():
-        phys[:, list(qs)] = nested_cfgs[:, [v]]
+        phys[:, [emb.qubits.index(q) for q in qs]] = nested_cfgs[:, [v]]
     a, ties_a = decode_batch(npr, emb, phys, np.random.default_rng(0))
     b, ties_b = decode_batch(npr, None, nested_cfgs, np.random.default_rng(0))
     assert np.array_equal(a, b)

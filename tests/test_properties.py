@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nqac.analysis import count_ground_hits
-from nqac.chimera import build_chimera, heuristic_embed, validate_embedding
+from nqac.chimera import apply_embedding, build_chimera, heuristic_embed, validate_embedding
 from nqac.errors import EmbeddingNotFound
 from nqac.ising import IsingProblem, apply_gauge, energies
 from nqac.nesting import decode_batch, encode_nested, permute_nested
@@ -83,3 +83,5 @@ def test_heuristic_embed_is_valid_or_raises_on_dead_graphs(rows, cols, n, dead_s
     except EmbeddingNotFound:
         return
     assert validate_embedding(emb, pairs, g).ok
+    npr = encode_nested(IsingProblem.from_couplings(n, couplings=dict.fromkeys(pairs, 1.0)), 1, 0.5)
+    assert apply_embedding(npr, emb, g).problem.n == len(emb.qubits)

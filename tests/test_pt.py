@@ -90,6 +90,12 @@ def test_determinism():
         assert np.array_equal(a[beta].configs, b[beta].configs)
 
 
+def test_thermal_boost_scan_rejects_no_samples(k4, k4_ground):
+    params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
+    with pytest.raises(DomainError):
+        thermal_boost_scan(k4, 2, 0.5, [1.0], params, k4_ground[1], n_samples=0)
+
+
 def test_thermal_boost_scan_limits(k4, k4_ground):
     # the scan reports the top rung: a cold ladder solves the nested K4, a
     # hot one decodes to the 6/16 random baseline

@@ -8,6 +8,9 @@ from nqac.nesting import encode_nested
 from nqac.sqa import (
     Schedule,
     SqaParams,
+    _init_state,
+    _Lattice,
+    _sweep,
     default_schedule,
     device_like_schedule,
     run_protocol,
@@ -151,6 +154,26 @@ def test_determinism_byte_identical(k4):
     assert a.problem_digest == b.problem_digest
 
 
+def test_dense_and_sparse_fields_give_the_same_sweeps():
+    # _Lattice picks dense rows for n <= 128 and neighbour gathers above; both
+    # must produce the same chain. Couplings and fields are multiples of 1/8,
+    # so every local field is exact on either path. Site 5 is isolated.
+    rng = np.random.default_rng(3)
+    couplings = {(i, j): rng.integers(-8, 9) / 8 for i in range(10) for j in range(i + 1, 10)
+                 if 5 not in (i, j) and rng.random() < 0.4}
+    p = IsingProblem.from_couplings(10, couplings=couplings, h=rng.integers(-8, 9, 10) / 8)
+    states = []
+    for dense in (True, False):
+        lat = _Lattice(p)
+        lat.dense_rows = lat.dense_rows if dense else None
+        rng = np.random.default_rng(7)
+        S = _init_state(p.n, 8, 16, rng)
+        for _ in range(20):
+            _sweep(S, lat, 0.4, 0.3, rng)
+        states.append(S)
+    assert np.array_equal(*states)
+
+
 def test_monotone_hardness_trend(k4, k4_ground_keys):
     sch = device_like_schedule()
     ps = []
@@ -198,7 +221,7 @@ def test_protocol_with_embedding_smoke(k4):
     params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5, noise_sigma=0.02, seed=8)
     ss = run_protocol(npr, emb, default_schedule(), params, 2, 4, graph=g)
     assert ss.n_records == 8
-    assert ss.n_spins == g.total_qubits
+    assert ss.n_spins == len(emb.qubits)
 
 
 def test_zero_problem_samples_uniformly(k4, k4_ground_keys):
