@@ -77,13 +77,6 @@ class ChimeraGraph:
     def index(self, row: int, col: int, side: int, k: int) -> int:
         return ((row * self.cols + col) * 2 + side) * self.cell_size + k
 
-    def coordinates(self, q: int) -> tuple[int, int, int, int]:
-        k = q % self.cell_size
-        q //= self.cell_size
-        side = q % 2
-        q //= 2
-        return q // self.cols, q % self.cols, side, k
-
     def _structural_edges(self):
         m = self.cell_size
         for r in range(self.rows):

@@ -266,13 +266,13 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
         else:  # pt engine
             rows = []
             for ci, C in enumerate(cfg["C"]):
-                for gi, gamma in enumerate(cfg["gammas"]):
-                    pts = thermal_boost_scan(
-                        base, C, gamma, cfg["alphas"],
-                        replace(params, seed=_unit_seed(cfg["seed"], ci, gi)), ground_states,
-                        n_samples=cfg["engine_params"]["n_samples"],
-                    )
-                    rows += [(ci, ai, gi, *pt) for ai, pt in enumerate(pts)]
+                scans = thermal_boost_scan(
+                    base, C, cfg["gammas"], cfg["alphas"], params, ground_states,
+                    n_samples=cfg["engine_params"]["n_samples"],
+                    seeds=[_unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))],
+                )
+                rows += [(ci, ai, gi, *pt) for gi, pts in enumerate(scans)
+                         for ai, pt in enumerate(pts)]
             (samples_dir / "pt_scan.json").write_text(json.dumps(rows, sort_keys=True))
 
     if stage not in ("all", "analyze"):
@@ -331,9 +331,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        cfg["seed"] = args.seed
+        cfg["seed"] = _seed(args.seed)
     out = run_experiment(cfg, args.out, jobs=args.jobs, stage=args.stage)
     print(f"experiment artifacts in {out}")
     return EXIT_OK
@@ -351,13 +349,14 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    seed = _seed(args.seed)
     graph = load_graph(args.graph) if args.graph else build_chimera(args.rows, args.cols)
     np_prob = load_nested(args.source)
     try:
         if args.mode == "choi":
             emb = choi_embed(np_prob.n_nested, graph)
         else:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(seed)
             emb = heuristic_embed(np_prob, graph, rng, max_tries=args.max_tries)
     except (EmbeddingNotFound, NqacError) as exc:
         print(f"[embed] {exc}", file=sys.stderr)
@@ -374,6 +373,12 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _seed(value: int) -> int:
+    if value < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    return value
+
+
 def _count(flag: str, value: int) -> int:
     if value < 1:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -385,7 +390,7 @@ def _cmd_sqa(args) -> int:
     params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params": {
         "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta,
         "noise_sigma": 0.0}})
-    ss = run_sqa(p, sch, replace(params, seed=args.seed), _count("--anneals", args.anneals))
+    ss = run_sqa(p, sch, replace(params, seed=_seed(args.seed)), _count("--anneals", args.anneals))
     save_sampleset(ss, args.out)
     print(f"{ss.n_records} anneal records -> {args.out}")
     return EXIT_OK
@@ -398,9 +403,10 @@ def _cmd_pt(args) -> int:
     params, _ = _sampler({"engine": "pt", "engine_params": {
         **ladder, "sweeps": args.sweeps, "swap_interval": args.swap_interval}})
     n_samples = _count("--samples", args.samples)
+    params = replace(params, seed=_seed(args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samplesets = run_pt(p, replace(params, seed=args.seed), n_samples)
+    samplesets = run_pt(p, params, n_samples)
     for i, (beta, ss) in enumerate(sorted(samplesets.items())):
         save_sampleset(ss, out_dir / f"beta_{i:02d}_{beta:.6g}.ndjson")
     print(f"{len(samplesets)} thermal sample sets -> {out_dir}")

@@ -12,9 +12,12 @@ recorded at every rung each ``swap_interval`` sweeps. A thermal state is the
 infinite-sweep limit of the annealer, so these samples bound what annealing
 can achieve at a given temperature.
 
-The engine is vectorized over an outer batch of problems sharing one coupling
-structure (used for problem-scale scans); effective, already-scaled fields
-and coupling values are supplied per batch row.
+The engine is vectorized over a batch of rows, each one problem with its own
+effective (already scaled) couplings and fields held as a dense ``[J | h]``
+row; the state carries a last spin fixed at +1, so a site update is one
+matrix product and a few whole-batch passes. A scan puts every (gamma, alpha)
+point of one nesting level in a single batch. Each gamma's block of rows
+draws from its own generator, so a batch reproduces the per-gamma runs.
 """
 
 from __future__ import annotations
@@ -75,73 +78,65 @@ def swap_probability(beta_a, e_a, beta_b, e_b):
     return np.exp(np.clip((beta_a - beta_b) * (e_a - e_b), -700.0, 0.0))
 
 
+def _dense_rows(problems) -> np.ndarray:
+    """Each problem's effective ``[J | h]`` (its couplings and fields times its
+    ``alpha``), stacked as (rows, n, n+1)."""
+    return np.stack([p.alpha * np.column_stack([p.dense_couplings(), p.h]) for p in problems])
+
+
 def _pt_sample(
-    h_eff: np.ndarray,
-    pairs: np.ndarray,
-    vals_eff: np.ndarray,
+    W: np.ndarray,
     betas: np.ndarray,
     sweeps: int,
     swap_interval: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Core sampler. Returns recorded configs (batch, rungs, records, n)."""
-    A, n = h_eff.shape
+    """Core sampler over a batch of rows, each row its own ``[J | h]`` in ``W``
+    (rows, n, n+1). The state is (rows, rungs, n+1) with a last spin fixed at
+    +1, so a site's local field is one matrix product. ``rngs`` split the rows
+    into equal consecutive blocks; each block draws its initial spins, site
+    uniforms and swap uniforms from its own generator, exactly as a batch of
+    that block alone would. Returns recorded configs (rows, rungs, records, n).
+    """
+    B, n = W.shape[:2]
     R = betas.size
-    m = pairs.shape[0]
-    nbr_eids = [[] for _ in range(n)]
-    nbr_other = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(pairs):
-        nbr_eids[u].append(e)
-        nbr_other[u].append(v)
-        nbr_eids[v].append(e)
-        nbr_other[v].append(u)
-    nbr_eids = [np.asarray(a, dtype=np.int64) for a in nbr_eids]
-    nbr_other = [np.asarray(a, dtype=np.int64) for a in nbr_other]
-    sites = [i for i in range(n) if nbr_eids[i].size or np.any(h_eff[:, i])]
-
-    S = (rng.integers(0, 2, size=(A, R, n)) * 2 - 1).astype(np.float64)
+    A = B // len(rngs)
+    cols = np.ascontiguousarray(W.transpose(1, 0, 2))[..., None]  # site i: (rows, n+1, 1)
+    half = W.copy()
+    half[:, :, :n] /= 2  # E = s . ([J/2 | h] [s | 1])
+    S = np.ones((B, R, n + 1))
+    S[:, :, :n] = np.concatenate([rng.integers(0, 2, size=(A, R, n)) * 2 - 1 for rng in rngs])
+    X = np.empty((B, R, 1))
     burn = sweeps // 2
     records = []
-
-    def full_energy():
-        e = np.einsum("an,arn->ar", h_eff, S)
-        if m:
-            e += np.einsum("ae,are->ar", vals_eff, S[:, :, pairs[:, 0]] * S[:, :, pairs[:, 1]])
-        return e
-
     for t in range(1, sweeps + 1):
-        u_site = rng.random((len(sites), A, R))
-        for a, i in enumerate(sites):
-            if nbr_eids[i].size:
-                X = h_eff[:, i][:, None] + np.einsum(
-                    "ae,are->ar", vals_eff[:, nbr_eids[i]], S[:, :, nbr_other[i]]
-                )
-            else:
-                X = np.broadcast_to(h_eff[:, i][:, None], (A, R))
-            dE = -2.0 * S[:, :, i] * X
-            acc = u_site[a] < np.exp(-np.clip(betas[None, :] * dE, -700.0, 700.0))
-            S[:, :, i] = np.where(acc, -S[:, :, i], S[:, :, i])
-        if t % swap_interval == 0:
-            E = full_energy()
-            u_swap = rng.random((R - 1, A)) if R > 1 else np.zeros((0, A))
+        # Metropolis flips s_i when u < exp(2 beta s_i X_i), i.e. when
+        # log(u) / (2 beta) < s_i X_i; log(0) = -inf flips
+        with np.errstate(divide="ignore"):
+            thr = np.log(np.concatenate([rng.random((n, A, R)) for rng in rngs], axis=1))
+        thr /= 2.0 * betas
+        for i in range(n):
+            np.matmul(S, cols[i], out=X)
+            s = S[:, :, i]
+            np.negative(s, out=s, where=thr[i] < s * X[:, :, 0])
+        if t % swap_interval:
+            continue
+        if R > 1:
+            E = np.einsum("bri,bij,brj->br", S[:, :, :n], half, S)
+            u_swap = np.concatenate([rng.random((R - 1, A)) for rng in rngs], axis=1)
+            perm = np.tile(np.arange(R), (B, 1))
             for k in range(R - 1):
-                acc = u_swap[k] < swap_probability(
-                    betas[k], E[:, k], betas[k + 1], E[:, k + 1]
-                )
-                if np.any(acc):
-                    tmp = S[acc, k].copy()
-                    S[acc, k] = S[acc, k + 1]
-                    S[acc, k + 1] = tmp
-                    te = E[acc, k].copy()
-                    E[acc, k] = E[acc, k + 1]
-                    E[acc, k + 1] = te
-            if t > burn:
-                records.append(S.astype(np.int8).copy())
+                acc = u_swap[k] < swap_probability(betas[k], E[:, k], betas[k + 1], E[:, k + 1])
+                E[acc, k], E[acc, k + 1] = E[acc, k + 1], E[acc, k]
+                perm[acc, k], perm[acc, k + 1] = perm[acc, k + 1], perm[acc, k]
+            S = np.take_along_axis(S, perm[:, :, None], axis=1)
+        if t > burn:
+            records.append(S[:, :, :n].astype(np.int8))
     if not records:
         raise DomainError(
             "no samples recorded; increase sweeps (need > 2*swap_interval)"
         )
-    return np.stack(records, axis=2)  # (A, R, records, n)
+    return np.stack(records, axis=2)  # (rows, rungs, records, n)
 
 
 def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, SampleSet]:
@@ -152,12 +147,9 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     returns one sample set per beta.
     """
     sweeps = _run_sweeps(params, n_samples)
-    rng = np.random.default_rng(params.seed)
-    h_eff = (p.alpha * p.h)[None, :]
-    vals_eff = (p.alpha * p.values)[None, :]
     recs = _pt_sample(
-        h_eff, p.pairs, vals_eff, np.asarray(params.betas), sweeps,
-        params.swap_interval, rng,
+        _dense_rows([p]), np.asarray(params.betas), sweeps, params.swap_interval,
+        [np.random.default_rng(params.seed)],
     )
     out = {}
     cyc = CycleRecord(
@@ -181,39 +173,43 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
 def thermal_boost_scan(
     base: IsingProblem,
     C: int,
-    gamma_device: float,
+    gammas,
     alphas,
     params: PtParams,
     ground_states: np.ndarray,
     n_samples: int,
-) -> list[tuple[float, float, float]]:
-    """Success of the top-rung thermal state across a problem-scale scan.
+    seeds,
+) -> list[list[tuple[float, float, float]]]:
+    """Success of the top-rung thermal state over a (gamma, alpha) grid at level ``C``.
 
-    The penalty is held at ``gamma_device`` in device units for every scan
-    point (the stored penalty is ``gamma_device / alpha``), matching the
-    protocol in which the penalty is never rescaled with the problem.
-    Returns ``[(alpha, P, stderr), ...]`` for the largest ladder beta,
-    sampling all scan points in one vectorized batch.
+    Each penalty is held at its gamma in device units for every scan point
+    (the stored penalty is ``gamma / alpha``), matching the protocol in which
+    the penalty is never rescaled with the problem. All grid points are rows
+    of one batch. The rows of ``gammas[g]`` sample and decode with generators
+    seeded by ``seeds[g]`` (``params.seed`` is not read), so each gamma gets
+    the result a one-gamma call with its seed gives. Returns one
+    ``[(alpha, P, stderr), ...]`` list per gamma, for the largest ladder beta.
     """
     alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise DomainError("empty alpha grid")
+    if not alphas or len(gammas) == 0:
+        raise DomainError("empty alpha or gamma grid")
+    if len(seeds) != len(gammas):
+        raise DomainError(f"need one seed per gamma, got {len(seeds)} for {len(gammas)}")
     sweeps = _run_sweeps(params, n_samples)
-    nested = [encode_for_scale(base, C, gamma_device, a) for a in alphas]
-    ref = nested[0]
-    h_eff = np.stack([npx.nested.alpha * npx.nested.h for npx in nested])
-    vals_eff = np.stack([npx.nested.alpha * npx.nested.values for npx in nested])
-    rng = np.random.default_rng(params.seed)
+    nested = [encode_for_scale(base, C, gamma, a) for gamma in gammas for a in alphas]
     recs = _pt_sample(
-        h_eff, ref.nested.pairs, vals_eff, np.asarray(params.betas), sweeps,
-        params.swap_interval, rng,
-    )
-    decode_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(0xDEC0DE, 1))
+        _dense_rows([npx.nested for npx in nested]), np.asarray(params.betas), sweeps,
+        params.swap_interval, [np.random.default_rng(s) for s in seeds],
     )
     out = []
-    for ia, alpha in enumerate(alphas):
-        configs = recs[ia, -1, -n_samples:, :]
-        hits = count_ground_hits(ref, None, configs, ground_states, decode_rng)
-        out.append((alpha, *binomial_success(hits, configs.shape[0])))
+    for gi, seed in enumerate(seeds):
+        decode_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(0xDEC0DE, 1))
+        )
+        pts = []
+        for ai, alpha in enumerate(alphas):
+            configs = recs[gi * len(alphas) + ai, -1, -n_samples:, :]
+            hits = count_ground_hits(nested[0], None, configs, ground_states, decode_rng)
+            pts.append((alpha, *binomial_success(hits, configs.shape[0])))
+        out.append(pts)
     return out

@@ -122,11 +122,11 @@ def test_criterion_05_thermal_boost_scaling():
     k4 = k4_antiferromagnet()
     _, gs = brute_force_ground(k4)
     alphas = np.geomspace(0.004, 1.0, 16)
-    params = PtParams(betas=geometric_ladder(2.0, 12, 0.1), sweeps=12_000,
-                      swap_interval=5, seed=505)
+    params = PtParams(betas=geometric_ladder(2.0, 12, 0.1), sweeps=12_000, swap_interval=5)
     curves = []
     for C in (1, 2, 3, 4):
-        pts = thermal_boost_scan(k4, C, 1.0, alphas, params, gs, n_samples=1000)
+        [pts] = thermal_boost_scan(k4, C, [1.0], alphas, params, gs, n_samples=1000,
+                                   seeds=[505])
         curves.append(
             SuccessCurve(
                 C=C,

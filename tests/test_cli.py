@@ -107,6 +107,15 @@ def test_sampler_subcommand_bad_parameter_is_config_error(k4_file, tmp_path, cap
     assert capsys.readouterr().err.startswith("[config]")
 
 
+@pytest.mark.parametrize("command", ["sqa", "pt", "embed"])
+def test_negative_seed_is_config_error(k4_file, tmp_path, capsys, command):
+    source = "--source" if command == "embed" else "--problem"
+    rc = main([command, source, str(k4_file), "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "[config] seed must be a non-negative integer\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_pt_subcommand(k4_file, tmp_path):
     out = tmp_path / "thermal"
     rc = main(["pt", "--problem", str(k4_file), "--betas", "0.5,2.0", "--sweeps", "400",

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nqac.errors import DomainError
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import IsingProblem
+from nqac.nesting import encode_for_scale
 from nqac.pt import (
     PtParams,
+    _dense_rows,
+    _pt_sample,
     geometric_ladder,
     run_pt,
     swap_probability,
@@ -52,6 +57,16 @@ def test_single_spin_magnetization():
     assert abs(m - exact) < 5 * sigma
 
 
+def test_free_spin_is_sampled():
+    # spin 1 has no coupler and no field: its thermal mean is 0 at every beta
+    p = IsingProblem.from_couplings(2, h={0: -1.0})
+    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=2000, swap_interval=5, seed=1)
+    configs = run_pt(p, params, 2000)[2.0].configs
+    assert abs(configs[:, 1].mean()) < 5 / np.sqrt(2000)
+    exact = np.tanh(2.0)
+    assert abs(configs[:, 0].mean() - exact) < 5 * np.sqrt((1 - exact**2) / 2000)
+
+
 def test_two_spin_gibbs_tv():
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
     params = PtParams(betas=(0.3, 0.6, 1.0), sweeps=4000, swap_interval=5, seed=12)
@@ -90,10 +105,40 @@ def test_determinism():
         assert np.array_equal(a[beta].configs, b[beta].configs)
 
 
+def test_pt_sample_stream_is_pinned(k4):
+    # the records of a two-gamma-block K4 batch, hashed; a change to the
+    # random stream or the acceptance rule changes the digest
+    nested = [encode_for_scale(k4, 2, g, a).nested for g in (0.5, 1.0) for a in (0.1, 0.4, 1.0)]
+    recs = _pt_sample(_dense_rows(nested), np.array([0.2, 0.5, 1.0, 2.0]), 300, 5,
+                      [np.random.default_rng(7), np.random.default_rng(8)])
+    assert recs.shape == (6, 4, 30, 8) and recs.dtype == np.int8
+    assert hashlib.sha256(recs.tobytes()).hexdigest() == (
+        "5f7a740e4a3014e97244f9dd29e22359dae7efda693cb4669bbd019a6ff8d30e"
+    )
+
+
+def test_thermal_boost_scan_batches_gammas(k4, k4_ground):
+    # a two-gamma call gives each gamma what a one-gamma call with its seed gives
+    _, gs = k4_ground
+    params = PtParams(betas=geometric_ladder(2.0, 4, 0.1), sweeps=400, swap_interval=5)
+    alphas = [0.05, 0.2, 1.0]
+    both = thermal_boost_scan(k4, 2, [0.5, 1.0], alphas, params, gs, n_samples=100, seeds=[7, 8])
+    one = [thermal_boost_scan(k4, 2, [g], alphas, params, gs, n_samples=100, seeds=[s])[0]
+           for g, s in ((0.5, 7), (1.0, 8))]
+    assert both == one
+
+
 def test_thermal_boost_scan_rejects_no_samples(k4, k4_ground):
     params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
     with pytest.raises(DomainError):
-        thermal_boost_scan(k4, 2, 0.5, [1.0], params, k4_ground[1], n_samples=0)
+        thermal_boost_scan(k4, 2, [0.5], [1.0], params, k4_ground[1], n_samples=0, seeds=[0])
+
+
+def test_thermal_boost_scan_needs_one_seed_per_gamma(k4, k4_ground):
+    params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
+    with pytest.raises(DomainError, match="one seed per gamma"):
+        thermal_boost_scan(k4, 2, [0.5, 1.0], [1.0], params, k4_ground[1], n_samples=4,
+                           seeds=[0])
 
 
 def test_thermal_boost_scan_limits(k4, k4_ground):
@@ -102,8 +147,9 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
     _, gs = k4_ground
 
     def top_rung(betas):
-        params = PtParams(betas=betas, sweeps=6000, swap_interval=5, seed=21)
-        [(_, P, se)] = thermal_boost_scan(k4, 2, 1.0, [1.0], params, gs, n_samples=2000)
+        params = PtParams(betas=betas, sweeps=6000, swap_interval=5)
+        [[(_, P, se)]] = thermal_boost_scan(k4, 2, [1.0], [1.0], params, gs, n_samples=2000,
+                                            seeds=[21])
         return P, se
 
     p_cold, _ = top_rung((0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
@@ -115,8 +161,9 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 
 def test_thermal_boost_scan_shapes(k4, k4_ground):
     _, gs = k4_ground
-    params = PtParams(betas=geometric_ladder(2.0, 6, 0.1), sweeps=1500, swap_interval=5, seed=4)
-    pts = thermal_boost_scan(k4, 2, 1.0, [0.1, 0.4, 1.0], params, gs, n_samples=300)
+    params = PtParams(betas=geometric_ladder(2.0, 6, 0.1), sweeps=1500, swap_interval=5)
+    [pts] = thermal_boost_scan(k4, 2, [1.0], [0.1, 0.4, 1.0], params, gs, n_samples=300,
+                               seeds=[4])
     assert [a for a, _, _ in pts] == [0.1, 0.4, 1.0]
     assert all(0 <= p <= 1 for _, p, _ in pts)
     # monotone trend in alpha at fixed C
