@@ -1,6 +1,6 @@
 """Post-processing: success probabilities, penalty optimization, energy-boost
-extraction via interpolated curve crossings, exponent fits, and the classical
-repetition adjustment.
+extraction via interpolated curve crossings, exponent fits, the classical
+repetition adjustment, and the results files (curves, boost and eta).
 
 The boost mu_C compares the nesting-level-C success curve against the
 unnested one: shape-preserving cubic interpolants of P(alpha) are crossed
@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, make_smoothing_spline
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError
@@ -59,8 +60,6 @@ class BoostResult:
 
     mu: dict
     p0: float
-    eta: float | None = None
-    fit_count: int | None = None
 
 
 def _spin_codes(states: np.ndarray) -> np.ndarray:
@@ -117,30 +116,26 @@ def estimate_success(
 
 
 def optimize_gamma(results: dict) -> tuple[float, float]:
-    """Pick the penalty maximizing P; exact ties resolve to the smaller gamma."""
+    """Pick the penalty maximizing P in a ``{gamma: (P, se)}`` table; exact
+    ties resolve to the smaller gamma."""
     if not results:
         raise DomainError("no penalty results to optimize over")
     best_gamma = None
     best_p = -np.inf
     for gamma in sorted(results):
-        p = results[gamma][0] if isinstance(results[gamma], tuple) else results[gamma]
+        p = results[gamma][0]
         if p > best_p:
             best_p = float(p)
             best_gamma = float(gamma)
     return best_gamma, best_p
 
 
-def _interpolant(x, y, smoothing):
-    if smoothing is None:
-        return PchipInterpolator(x, y, extrapolate=False)
-    if smoothing == "auto":
-        return make_smoothing_spline(x, y)
-    return make_smoothing_spline(x, y, lam=float(smoothing))
+_BAND_Z = 1.96  #: the band's curve shift in stderrs, the two-sided ~95 % normal quantile
 
 
-def _crossing(x: np.ndarray, y: np.ndarray, p0: float, smoothing) -> float | None:
+def _crossing(x: np.ndarray, y: np.ndarray, p0: float) -> float | None:
     """Smallest upward crossing of the interpolated curve with p0."""
-    f = _interpolant(x, y, smoothing)
+    f = PchipInterpolator(x, y, extrapolate=False)
 
     def g(a):
         return float(f(a)) - p0
@@ -156,17 +151,11 @@ def _crossing(x: np.ndarray, y: np.ndarray, p0: float, smoothing) -> float | Non
     return None
 
 
-def compute_boost(
-    curves: list[SuccessCurve],
-    p0: float | None = None,
-    smoothing: float | None = None,
-    band_shift: float = 1.96,
-) -> BoostResult:
+def compute_boost(curves: list[SuccessCurve], p0: float | None = None) -> BoostResult:
     """Extract mu_C = alpha*_1 / alpha*_C from crossing points at level ``p0``.
 
     ``p0`` defaults to the midpoint of the C=1 curve's span. Each curve and
-    its +-``band_shift``*stderr shifts are interpolated (shape-preserving
-    cubic by default, or a smoothing spline when ``smoothing`` is given) and
+    its +-1.96*stderr shifts are interpolated (shape-preserving cubic) and
     crossed with p0 by bisection. The uncertainty band is the envelope of the
     shifted-curve crossing ratios: pairing only same-direction shifts would
     cancel exactly on data-collapsing families and cover the truth almost
@@ -177,15 +166,17 @@ def compute_boost(
     by_c = {c.C: c for c in curves}
     if 1 not in by_c:
         raise DomainError("boost extraction needs the C=1 reference curve")
+    if any(c.alphas.size < 2 for c in curves):
+        raise DomainError("boost extraction needs at least 2 alphas per curve")
     ref = by_c[1]
     if p0 is None:
         p0 = 0.5 * (float(ref.P.max()) + float(ref.P.min()))
 
     cross = {}
     for C, curve in by_c.items():
-        mid = _crossing(curve.alphas, curve.P, p0, smoothing)
-        up = _crossing(curve.alphas, curve.P + band_shift * curve.stderr, p0, smoothing)
-        dn = _crossing(curve.alphas, curve.P - band_shift * curve.stderr, p0, smoothing)
+        mid = _crossing(curve.alphas, curve.P, p0)
+        up = _crossing(curve.alphas, curve.P + _BAND_Z * curve.stderr, p0)
+        dn = _crossing(curve.alphas, curve.P - _BAND_Z * curve.stderr, p0)
         cross[C] = (mid, up, dn)
 
     mid1, up1, dn1 = cross[1]
@@ -258,21 +249,56 @@ def adjust_repetition(P: float, C: int, C_max: int, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# results files
+
+_CURVES_HEADER = "C,alpha,gamma_star,P,stderr"
 
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _exact(x) -> str:
+    """The shortest of the .12g ... .17g forms of x that reads back as x."""
+    x = float(x)
+    for digits in range(12, 17):
+        if float(text := format(x, f".{digits}g")) == x:
+            return text
+    return format(x, ".17g")
+
+
 def curves_csv(curves: list[SuccessCurve]) -> str:
-    lines = ["C,alpha,gamma_star,P,stderr"]
+    """The curves.csv text; ``read_curves`` gives back every float exactly."""
+    lines = [_CURVES_HEADER]
     for c in sorted(curves, key=lambda c: c.C):
         for a, p, se in zip(c.alphas, c.P, c.stderr):
-            gamma = c.gamma_used.get(float(a), "") if c.gamma_used else ""
-            gfield = _fmt(gamma) if gamma != "" else ""
-            lines.append(f"{c.C},{_fmt(a)},{gfield},{_fmt(p)},{_fmt(se)}")
+            gamma = (c.gamma_used or {}).get(float(a))
+            gfield = "" if gamma is None else _exact(gamma)
+            lines.append(f"{c.C},{_exact(a)},{gfield},{_exact(p)},{_exact(se)}")
     return "\n".join(lines) + "\n"
+
+
+def read_curves(text: str) -> list[SuccessCurve]:
+    """The curves of a curves.csv text, one per C in ascending order."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != _CURVES_HEADER:
+        raise DomainError(f"a curves.csv starts with the header {_CURVES_HEADER!r}")
+    by_c: dict[int, list] = {}
+    for line in lines[1:]:
+        try:
+            C, alpha, gamma, P, se = line.split(",")
+            by_c.setdefault(int(C), []).append(
+                (float(alpha), float(P), float(se), float(gamma) if gamma else None)
+            )
+        except ValueError:
+            raise DomainError(f"bad curves.csv row: {line!r}") from None
+    curves = []
+    for C, pts in sorted(by_c.items()):
+        alphas, P, se, gammas = zip(*pts)
+        gamma_used = {a: g for a, g in zip(alphas, gammas) if g is not None}
+        curves.append(SuccessCurve(C=C, alphas=alphas, P=P, stderr=se,
+                                   gamma_used=gamma_used or None))
+    return curves
 
 
 def boost_csv(boost: BoostResult) -> str:
@@ -286,5 +312,17 @@ def boost_csv(boost: BoostResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eta_text(eta: float, fit_count: int) -> str:
-    return f"eta = {_fmt(eta)} (least-squares over first {fit_count} nesting levels)\n"
+def write_boost(curves: list[SuccessCurve], out_dir, p0: float | None,
+                fit_count: int) -> float | None:
+    """Write boost.csv, and eta.txt when at least two levels have a boost,
+    into ``out_dir``; returns eta, or None where none could be fitted."""
+    out = Path(out_dir)
+    boost = compute_boost(curves, p0=p0)
+    (out / "boost.csv").write_text(boost_csv(boost))
+    if sum(v is not None for v in boost.mu.values()) < 2:
+        return None
+    eta = fit_eta(boost, fit_count=fit_count)
+    (out / "eta.txt").write_text(
+        f"eta = {_fmt(eta)} (least-squares over first {fit_count} nesting levels)\n"
+    )
+    return eta

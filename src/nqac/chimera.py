@@ -104,9 +104,6 @@ class ChimeraGraph:
     def edge_count(self) -> int:
         return len(self._edge_set)
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "dead": sorted(self.dead)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ChimeraGraph":
         return cls(
@@ -120,10 +117,6 @@ class ChimeraGraph:
 def build_chimera(rows: int, cols: int, dead: Iterable[int] = ()) -> ChimeraGraph:
     """Construct a Chimera graph with K_{4,4} unit cells."""
     return ChimeraGraph(rows=rows, cols=cols, cell_size=4, dead=frozenset(dead))
-
-
-def save_graph(g: ChimeraGraph, path) -> None:
-    Path(path).write_text(json.dumps(g.to_dict(), indent=2))
 
 
 def load_graph(path) -> ChimeraGraph:

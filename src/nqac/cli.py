@@ -30,7 +30,7 @@ from .chimera import (
     save_embedding,
     validate_embedding,
 )
-from .errors import ConfigError, EmbeddingNotFound, InvalidEmbedding, NqacError
+from .errors import ConfigError, DomainError, EmbeddingNotFound, InvalidEmbedding, NqacError
 from .ising import brute_force_ground, load_problem
 from .meanfield import free_energy_grid
 from .nesting import encode_for_scale, encode_nested, load_nested, save_nested
@@ -46,6 +46,7 @@ from .sqa import (
     programmed_digest,
     run_protocol_cycle,
     run_sqa,
+    unit_seed,
 )
 
 #: the standard penalty optimization grid
@@ -129,6 +130,14 @@ def _check_grid(key: str, values, ok, what: str) -> None:
         raise ConfigError(f"{key} must be a non-empty list of distinct {what}, got {values!r}")
 
 
+def _check_boost(p0, fit_count: int) -> None:
+    """A ``p0`` or ``fit_count`` that boost and eta cannot use is a config error."""
+    if not (p0 is None or type(p0) in (int, float) and 0 < p0 <= 1):
+        raise ConfigError(f"p0 must be null or a number in (0, 1], got {p0!r}")
+    if fit_count < 2:
+        raise ConfigError(f"fit_count must be at least 2 (eta is a slope), got {fit_count}")
+
+
 def _sampler(cfg: dict):
     """``(params, schedule)`` for SQA, ``(params, None)`` for PT, at seed 0;
     a value the sampler rejects is a config error."""
@@ -181,8 +190,7 @@ def load_config(path) -> dict:
     _check_grid("gammas", cfg["gammas"], lambda g: g > 0, "positive numbers")
     if type(cfg["seed"]) is not int or cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer (no wall-clock seeding)")
-    if not (cfg["p0"] is None or type(cfg["p0"]) in (int, float)):
-        raise ConfigError(f"p0 must be a number or null, got {cfg['p0']!r}")
+    _check_boost(cfg["p0"], cfg["fit_count"])
     if engine == "pt" and cfg["embedding"] != "none":
         raise ConfigError("the pt engine samples the nested problem unembedded")
     if cfg["embedding"] not in ("none", "choi", "heuristic"):
@@ -196,17 +204,12 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _unit_seed(master: int, *idx: int) -> int:
-    ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(idx))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _build_embedding(cfg: dict, C: int, base, graph):
     if cfg["embedding"] == "none":
         return None
     if cfg["embedding"] == "choi":
         return choi_embed(C * base.n, graph)
-    rng = np.random.default_rng(_unit_seed(cfg["seed"], 0xE0BED, C))
+    rng = np.random.default_rng(unit_seed(cfg["seed"], 0xE0BED, C))
     return heuristic_embed(encode_nested(base, C, 1.0), graph, rng)
 
 
@@ -249,7 +252,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             units = [(key, cycle) for key in nested for cycle in range(cfg["cycles"])]
             args = [
                 (nested[key], embeddings[key[0]], sch,
-                 replace(params, seed=_unit_seed(cfg["seed"], *key)),
+                 replace(params, seed=unit_seed(cfg["seed"], *key)),
                  cfg["runs_per_cycle"], cycle, graph)
                 for key, cycle in units
             ]
@@ -269,7 +272,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 scans = thermal_boost_scan(
                     base, C, cfg["gammas"], cfg["alphas"], params, ground_states,
                     n_samples=cfg["engine_params"]["n_samples"],
-                    seeds=[_unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))],
+                    seeds=[unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))],
                 )
                 rows += [(ci, ai, gi, *pt) for gi, pts in enumerate(scans)
                          for ai, pt in enumerate(pts)]
@@ -291,7 +294,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 )
             table[key] = analysis.estimate_success(
                 ss, np_prob, embeddings[key[0]], ground_states,
-                decode_seed=_unit_seed(cfg["seed"], 0xDEC, *key),
+                decode_seed=unit_seed(cfg["seed"], 0xDEC, *key),
             )
     else:
         rows = json.loads((samples_dir / "pt_scan.json").read_text())
@@ -315,12 +318,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
     (out / "curves.csv").write_text(analysis.curves_csv(curves))
     if 1 in cfg["C"] and len(cfg["alphas"]) >= 2:
-        boost = analysis.compute_boost(curves, p0=cfg["p0"])
-        (out / "boost.csv").write_text(analysis.boost_csv(boost))
-        usable = [C for C, v in boost.mu.items() if v is not None]
-        if len(usable) >= 2:
-            eta = analysis.fit_eta(boost, fit_count=cfg["fit_count"])
-            (out / "eta.txt").write_text(analysis.eta_text(eta, cfg["fit_count"]))
+        analysis.write_boost(curves, out, cfg["p0"], cfg["fit_count"])
     return out
 
 
@@ -426,33 +424,12 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    rows = [
-        line.split(",")
-        for line in Path(args.curves).read_text().strip().splitlines()[1:]
-    ]
-    by_c: dict[int, list] = {}
-    for C, alpha, gamma, P, se in rows:
-        by_c.setdefault(int(C), []).append(
-            (float(alpha), float(P), float(se), float(gamma) if gamma else None)
-        )
-    curves = []
-    for C, pts in sorted(by_c.items()):
-        pts.sort()
-        curves.append(
-            analysis.SuccessCurve(
-                C=C,
-                alphas=[p[0] for p in pts],
-                P=[p[1] for p in pts],
-                stderr=[p[2] for p in pts],
-                gamma_used={p[0]: p[3] for p in pts if p[3] is not None} or None,
-            )
-        )
+    _check_boost(args.p0, args.fit_count)
+    curves = analysis.read_curves(Path(args.curves).read_text())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    boost = analysis.compute_boost(curves, p0=args.p0, smoothing=args.smoothing)
-    (out / "boost.csv").write_text(analysis.boost_csv(boost))
-    eta = analysis.fit_eta(boost, fit_count=args.fit_count)
-    (out / "eta.txt").write_text(analysis.eta_text(eta, args.fit_count))
+    if analysis.write_boost(curves, out, args.p0, args.fit_count) is None:
+        raise DomainError("eta fit needs at least 2 nesting levels with a boost")
     print(f"boost + eta -> {out}")
     return EXIT_OK
 
@@ -544,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="boost and exponent from a curves.csv")
     an.add_argument("--curves", required=True)
     an.add_argument("--p0", type=float, default=None)
-    an.add_argument("--fit-count", type=int, default=4)
-    an.add_argument("--smoothing", default=None)
+    an.add_argument("--fit-count", type=int, default=CONFIG_KEYS["sqa"]["fit_count"])
     an.add_argument("--out", required=True)
     an.set_defaults(func=_cmd_analyze)
 

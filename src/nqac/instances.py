@@ -35,12 +35,6 @@ def k4_antiferromagnet(alpha: float = 1.0) -> IsingProblem:
     return IsingProblem.from_couplings(4, couplings=coup, alpha=alpha)
 
 
-def complete_antiferromagnet(n: int, j: float = 1.0, alpha: float = 1.0) -> IsingProblem:
-    """Uniform antiferromagnet on K_n."""
-    coup = {(i, k): float(j) for i in range(n) for k in range(i + 1, n)}
-    return IsingProblem.from_couplings(n, couplings=coup, alpha=alpha)
-
-
 def dead8_mask() -> dict:
     """The bundled synthetic 8-dead-qubit mask for the 8x8 hardware graph."""
     import json

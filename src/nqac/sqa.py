@@ -77,11 +77,6 @@ class Schedule:
     def b_of(self, x: float) -> float:
         return float(np.interp(x, self.s, self.B))
 
-    def to_csv(self) -> str:
-        lines = ["s,A,B"]
-        lines += [f"{si:.10g},{ai:.10g},{bi:.10g}" for si, ai, bi in zip(self.s, self.A, self.B)]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str) -> "Schedule":
         rows = []
@@ -329,9 +324,9 @@ def run_sqa_chain(
 # the programming-cycle protocol
 
 
-def cycle_anneal_seed(master_seed: int, cycle: int) -> int:
-    """Anneal-stream seed for one programming cycle of a protocol run."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(cycle, 1))
+def unit_seed(master: int, *idx: int) -> int:
+    """A 64-bit seed derived from a master seed and a tuple of indices."""
+    ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(idx))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -382,7 +377,7 @@ def run_protocol_cycle(
     gauge = (setup.integers(0, 2, size=noisy.n) * 2 - 1).astype(np.int8)
     programmed = apply_gauge(noisy, gauge)
 
-    aseed = cycle_anneal_seed(params.seed, cycle)
+    aseed = unit_seed(params.seed, cycle, 1)  # the cycle's anneal stream
     configs = _anneal_batch(
         programmed, sch, replace(params, seed=aseed), runs, np.random.default_rng(aseed)
     )

@@ -11,6 +11,7 @@ from nqac.analysis import (
     estimate_success,
     fit_eta,
     optimize_gamma,
+    read_curves,
     repetition_count,
 )
 from nqac.errors import DomainError
@@ -190,6 +191,13 @@ def test_boost_requires_reference():
         compute_boost(collapse_curves({2: 2.0}, alphas, f_sigmoid), p0=0.6)
 
 
+def test_boost_requires_two_alphas_per_curve():
+    curves = collapse_curves({1: 1.0}, np.geomspace(0.01, 1.0, 10), f_sigmoid)
+    curves += collapse_curves({2: 2.0}, np.array([0.5]), f_sigmoid)
+    with pytest.raises(DomainError):
+        compute_boost(curves, p0=0.6)
+
+
 def test_fit_eta_exact_power_laws():
     def boost_from(mu):
         return BoostResult(mu={C: (m, m, m) for C, m in mu.items()}, p0=0.5)
@@ -249,3 +257,13 @@ def test_csv_emission():
     btext = boost_csv(boost)
     assert "1,1,0.9,1.1" in btext
     assert "2,,," in btext
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "C,alpha,P,stderr\n1,0.1,0.4,0.01\n", "C,alpha,gamma_star,P,stderr\n1,0.1,0.4,0.01\n",
+     "C,alpha,gamma_star,P,stderr\n1,0.1,,high,0.01\n"],
+)
+def test_read_curves_rejects_malformed_text(text):
+    with pytest.raises(DomainError):
+        read_curves(text)

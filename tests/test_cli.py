@@ -215,6 +215,10 @@ def test_run_unread_engine_param_is_config_error(
         ("sqa", {"cycles": 0}),
         ("sqa", {"gammas": [0]}),
         ("sqa", {"C": [0, 1]}),
+        ("sqa", {"fit_count": 1}),
+        ("pt", {"fit_count": 1}),
+        ("sqa", {"p0": 7}),
+        ("pt", {"p0": 0}),
     ],
 )
 def test_run_config_is_config_error(tmp_path, k4_file, capsys, engine, overrides):
@@ -240,6 +244,30 @@ def test_analyze_without_reference_curve_is_compute_error(tmp_path):
     curves.write_text("C,alpha,gamma_star,P,stderr\n2,0.1,0.3,0.4,0.01\n2,1,0.3,0.9,0.01\n")
     rc = main(["analyze", "--curves", str(curves), "--out", str(tmp_path / "a")])
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "flags", [["--fit-count", "0"], ["--fit-count", "-3"], ["--fit-count", "1"], ["--p0", "7"],
+              ["--p0", "0"], ["--p0", "nan"]],
+)
+def test_analyze_bad_flag_is_config_error(tmp_path, capsys, flags):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("C,alpha,gamma_star,P,stderr\n1,0.1,0.3,0.4,0.01\n1,1,0.3,0.9,0.01\n")
+    out = tmp_path / "a"
+    assert main(["analyze", "--curves", str(curves), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("[config] ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_analyze_reproduces_the_run(tmp_path, k4_file, engine):
+    cfg = tiny_config(tmp_path, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+    run = tmp_path / "exp"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+    out = tmp_path / "a"
+    assert main(["analyze", "--curves", str(run / "curves.csv"), "--out", str(out)]) == 0
+    for name in ("boost.csv", "eta.txt"):
+        assert (out / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_run_with_choi_embedding(tmp_path, k4_file):

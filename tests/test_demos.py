@@ -1,4 +1,4 @@
-"""The demos that finish in about a second run to completion as scripts."""
+"""The demos that finish in seconds run to completion as scripts."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_encoding_and_decoding.py", "02_chimera_embedding.py", "05_meanfield_landscape.py"],
+    ["01_encoding_and_decoding.py", "02_chimera_embedding.py", "04_thermal_boost.py",
+     "05_meanfield_landscape.py"],
 )
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -1,11 +1,12 @@
 """Property tests on random inputs: the decode -> count path, gauge
-invariance of the energy, and embedding validity on damaged hardware."""
+invariance of the energy, embedding validity on damaged hardware, and the
+curves.csv round trip."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nqac.analysis import count_ground_hits
+from nqac.analysis import SuccessCurve, count_ground_hits, curves_csv, read_curves
 from nqac.chimera import apply_embedding, build_chimera, heuristic_embed, validate_embedding
 from nqac.errors import EmbeddingNotFound
 from nqac.ising import IsingProblem, apply_gauge, energies
@@ -85,3 +86,30 @@ def test_heuristic_embed_is_valid_or_raises_on_dead_graphs(rows, cols, n, dead_s
     assert validate_embedding(emb, pairs, g).ok
     npr = encode_nested(IsingProblem.from_couplings(n, couplings=dict.fromkeys(pairs, 1.0)), 1, 0.5)
     assert apply_embedding(npr, emb, g).problem.n == len(emb.qubits)
+
+
+@st.composite
+def success_curves(draw):
+    """Curves at distinct levels holding arbitrary floats, each with no
+    gamma map or one covering some or all of its alphas."""
+    curves = []
+    for C in sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4))):
+        alphas = draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8, unique=True))
+        k = len(alphas)
+        P = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+        se = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+        gammas = draw(st.lists(st.none() | st.floats(1e-6, 10.0), min_size=k, max_size=k))
+        gamma_used = {a: g for a, g in zip(alphas, gammas) if g is not None} or None
+        curves.append(SuccessCurve(C=C, alphas=alphas, P=P, stderr=se, gamma_used=gamma_used))
+    return curves
+
+
+@settings(max_examples=200, deadline=None)
+@given(success_curves())
+def test_curves_csv_reads_back_exactly(curves):
+    back = read_curves(curves_csv(curves))
+    assert [c.C for c in back] == [c.C for c in curves]
+    for got, want in zip(back, curves):
+        for field in ("alphas", "P", "stderr"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.gamma_used == want.gamma_used

@@ -47,8 +47,10 @@ def test_device_schedule_monotone():
 
 def test_schedule_csv_round_trip():
     sch = device_like_schedule()
-    again = Schedule.from_csv(sch.to_csv())
-    assert np.allclose(again.A, sch.A) and np.allclose(again.B, sch.B)
+    rows = [f"{s:.17g},{a:.17g},{b:.17g}" for s, a, b in zip(sch.s, sch.A, sch.B)]
+    again = Schedule.from_csv("s,A,B\n" + "\n".join(rows) + "\n")
+    for got, want in ((again.s, sch.s), (again.A, sch.A), (again.B, sch.B)):
+        assert np.array_equal(got, want)
 
 
 def test_schedule_rejects_non_monotone():
