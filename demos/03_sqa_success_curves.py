@@ -6,7 +6,7 @@ state, using the full programming-cycle protocol (fresh coupler noise, gauge
 and vertex permutation per cycle). Nesting visibly rescues the success
 probability at small alpha, where control noise and temperature dominate.
 
-Runtime: about a minute.
+Runtime: about a minute and a half.
 """
 
 import numpy as np

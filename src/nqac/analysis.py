@@ -40,6 +40,8 @@ class SuccessCurve:
         a = np.asarray(self.alphas, dtype=np.float64)
         p = np.asarray(self.P, dtype=np.float64)
         se = np.asarray(self.stderr, dtype=np.float64)
+        if not (np.isfinite(a).all() and np.isfinite(p).all() and np.isfinite(se).all()):
+            raise DomainError("alphas, P and stderr must be finite")
         order = np.argsort(a)
         a, p, se = a[order], p[order], se[order]
         if np.any(np.diff(a) <= 0):

@@ -286,11 +286,24 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     if cfg["engine"] == "sqa":
         table = {}
         for key, np_prob in nested.items():
-            ss = load_sampleset(sample_path(*key))
+            path = sample_path(*key)
+            try:
+                ss = load_sampleset(path)
+            except DomainError as exc:
+                raise ConfigError(f"{exc}; run the sample stage again") from None
             if ss.problem_digest != programmed_digest(np_prob, embeddings[key[0]], graph):
                 raise ConfigError(
-                    f"{sample_path(*key)} holds samples of another problem than this "
+                    f"{path} holds samples of another problem than this "
                     "config programs at its grid point; run the sample stage again"
+                )
+            ids, counts = np.unique(ss.cycle_ids, return_counts=True)
+            want = list(range(cfg["cycles"]))
+            if ([c.cycle for c in ss.cycles] != want or ids.tolist() != want
+                    or np.any(counts != cfg["runs_per_cycle"])):
+                raise ConfigError(
+                    f"{path} holds cycles {ids.tolist()} with {counts.tolist()} records, "
+                    f"where this config runs {cfg['runs_per_cycle']} anneals in each of "
+                    f"cycles {want}; run the sample stage again"
                 )
             table[key] = analysis.estimate_success(
                 ss, np_prob, embeddings[key[0]], ground_states,

@@ -2,14 +2,21 @@
 
 Serialized as newline-delimited JSON. The first line is a header object with
 the problem digest and the per-cycle metadata (gauge vector, nested-vertex
-permutation, anneal seed); each following line is one measurement record
-referencing its cycle by id.
+permutation, anneal seed); each following line is one measurement record,
+``{"config": [...], "cycle": id}`` with its keys sorted, referencing its cycle
+by id. Blank lines are skipped.
+
+The writer formats each distinct configuration once and the reader parses all
+records with one ``json.loads``; a record that is not a valid JSON object, or
+whose config is not a row of +-1 spins as wide as the cycles' gauges, is
+rejected with a ``DomainError`` naming its line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -73,31 +80,59 @@ class SampleSet:
 
 
 def save_sampleset(ss: SampleSet, path) -> None:
+    header = {
+        "type": "header",
+        "problem_digest": ss.problem_digest,
+        "cycles": [
+            {
+                "cycle": c.cycle,
+                "gauge": c.gauge.tolist(),
+                "permutation": c.permutation.tolist(),
+                "seed": int(c.seed),
+            }
+            for c in ss.cycles
+        ],
+    }
+    # each distinct row is formatted once; a line is the bytes of
+    # json.dumps({"cycle": c, "config": row}, sort_keys=True)
+    rows = np.ascontiguousarray(ss.configs)
+    _, first, which = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    heads = ['{"config": [' + ", ".join(map(str, row)) + '], "cycle": '
+             for row in rows[first].tolist()]
     with open(path, "w") as fh:
-        header = {
-            "type": "header",
-            "problem_digest": ss.problem_digest,
-            "cycles": [
-                {
-                    "cycle": c.cycle,
-                    "gauge": c.gauge.tolist(),
-                    "permutation": c.permutation.tolist(),
-                    "seed": int(c.seed),
-                }
-                for c in ss.cycles
-            ],
-        }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for cfg, cid in zip(ss.configs, ss.cycle_ids):
-            rec = {"cycle": int(cid), "config": cfg.tolist()}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(f"{heads[k]}{c}}}\n" for k, c in zip(which.tolist(), ss.cycle_ids.tolist()))
+
+
+def _records(recs: list, cycles: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle ids and configs of parsed records: each config is as wide as the
+    cycles' gauges, and each id is one of theirs. ValueError says what is not."""
+    n = cycles[0].gauge.size if cycles else 0
+    if not recs:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int8)
+    try:
+        ids = np.array([r["cycle"] for r in recs])
+        configs = np.array([r["config"] for r in recs])
+    except (TypeError, KeyError, ValueError):
+        raise ValueError('a record is {"config": [spins], "cycle": id}') from None
+    if ids.shape != (len(recs),) or ids.dtype.kind != "i" or not np.isin(
+            ids, [c.cycle for c in cycles]).all():
+        raise ValueError("a record's cycle is the id of a cycle in the header")
+    if configs.shape != (len(recs), n) or configs.dtype.kind != "i" or np.any(
+            np.abs(configs) != 1):
+        raise ValueError(f"a record's config is a list of {n} spins, each -1 or 1")
+    return ids.astype(np.int64), configs.astype(np.int8)
 
 
 def load_sampleset(path) -> SampleSet:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
+    lines = Path(path).read_text().split("\n")
+    try:
+        header = json.loads(lines[0])
         if header.get("type") != "header":
-            raise DomainError(f"{path}: missing sample set header line")
+            raise ValueError
         cycles = tuple(
             CycleRecord(
                 cycle=int(c["cycle"]),
@@ -107,17 +142,23 @@ def load_sampleset(path) -> SampleSet:
             )
             for c in header["cycles"]
         )
-        configs = []
-        ids = []
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            configs.append(rec["config"])
-            ids.append(rec["cycle"])
-    return SampleSet(
-        configs=np.asarray(configs, dtype=np.int8),
-        cycle_ids=np.asarray(ids, dtype=np.int64),
-        cycles=cycles,
-        problem_digest=header["problem_digest"],
-    )
+        digest = header["problem_digest"]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        raise DomainError(f"{path}: line 1 is not a sample set header") from None
+    body = [(no, line) for no, line in enumerate(lines[1:], 2) if line.strip()]
+    try:
+        recs = json.loads("[" + ",".join(line for _, line in body) + "]")
+        if len(recs) != len(body):
+            raise ValueError("a record spans more than one line")
+        ids, configs = _records(recs, cycles)
+    except ValueError as exc:
+        # find the first bad line; the whole-body parse above only says there is one
+        for no, line in body:
+            try:
+                _records([json.loads(line)], cycles)
+            except ValueError as bad:
+                if isinstance(bad, json.JSONDecodeError):
+                    bad = f"{bad.msg} at column {bad.colno}"
+                raise DomainError(f"{path}: line {no}: bad record: {bad}") from None
+        raise DomainError(f"{path}: {exc}") from None
+    return SampleSet(configs=configs, cycle_ids=ids, cycles=cycles, problem_digest=digest)

@@ -20,7 +20,12 @@ At A(s) = 0 the bond probability is 1, the ring locks into a single cluster
 and the dynamics reduces to classical Metropolis sampling.
 
 Anneals run as one vectorized batch per seed stream; results are ordered by
-run index, so identical parameters and seed give identical sample sets.
+run index, so identical parameters and seed give identical sample sets. The
+batch state is held slice-major, (n, K, batch), so a site update works on
+contiguous (K, batch) rows. Each sweep draws, in this order, bond uniforms of
+shape (n, batch, K), seed slices (n, batch) and acceptance uniforms
+(n, batch); these shapes fix the random stream, so they do not follow the
+state's layout.
 """
 
 from __future__ import annotations
@@ -165,27 +170,6 @@ def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> Isi
 # the sweep kernel
 
 
-def _ring_members(active: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Cluster membership of the seed slice on each periodic bond ring.
-
-    ``active[b, k]`` marks an activated bond between slices k and k+1 mod K.
-    Segments are labeled by counting inactive bonds left of each slice; the
-    seed's segment is selected, and the wrap bond K-1 -> 0 merges the first
-    and last segments when active.
-    """
-    Bn, K = active.shape
-    comp = np.zeros((Bn, K), dtype=np.int32)
-    np.cumsum(~active[:, :-1], axis=1, out=comp[:, 1:])
-    seed_comp = comp[np.arange(Bn), seed]
-    member = comp == seed_comp[:, None]
-    if K > 1:
-        wrap = active[:, -1]
-        last_comp = comp[:, -1]
-        member |= ((wrap & (seed_comp == 0))[:, None]) & (comp == last_comp[:, None])
-        member |= ((wrap & (seed_comp == last_comp))[:, None]) & (comp == 0)
-    return member
-
-
 class _Lattice:
     """Preprocessed problem arrays for the sweep kernel.
 
@@ -206,39 +190,69 @@ class _Lattice:
 def _sweep(S, lat: _Lattice, p_bond: float, coup_scale: float, rng: np.random.Generator):
     """One full sweep: per site in index order, one ring-cluster update.
 
-    The state S has layout (n, batch, K) so per-site slices are contiguous.
-    All randomness for the sweep is drawn up front in site-major order. Every
-    site is updated, so a problem should hold only the spins it samples (an
-    embedded one holds its chain qubits; see ``apply_embedding``).
+    The state S has layout (n, K, batch), so each site update works on
+    contiguous (K, batch) rows. All randomness for the sweep is drawn up
+    front, site-major, in this order and these shapes: bond uniforms
+    (n, batch, K), seed slices (n, batch), acceptance uniforms (n, batch).
+    Every site is updated, so a problem should hold only the spins it samples
+    (an embedded one holds its chain qubits; see ``apply_embedding``).
+
+    Bond k joins slices k and k+1 mod K. A ring's segments are labeled by
+    counting the broken bonds below each slice; the cluster is the seed
+    slice's segment, joined across the wrap bond K-1 -> 0 with the segment on
+    its other side when that bond is active.
     """
-    n, Bn, K = S.shape
-    bond_u = rng.random((n, Bn, K))
+    n, K, Bn = S.shape
+    no_bond = (rng.random((n, Bn, K)) >= p_bond).transpose(0, 2, 1).copy()
     seeds = rng.integers(0, K, size=(n, Bn))
     accept_u = rng.random((n, Bn))
-    S2 = S.reshape(n, Bn * K)
+    # Labels run up to K - 1. Each row is padded to whole 64-bit words, and
+    # the running count along K adds a word of labels at a time; no label
+    # overflows its lane, so no carry crosses lanes.
+    label = np.min_scalar_type(K - 1)
+    row = -(-Bn * label.itemsize // 8) * 8 // label.itemsize
+    cut_w = np.zeros((K - 1, row), dtype=label).view(np.uint64)
+    comp_w = np.zeros((K, row), dtype=label).view(np.uint64)
+    cut = cut_w.view(label)[:, :Bn]
+    comp = comp_w.view(label)[:, :Bn]
+    seed_at = seeds * row + np.arange(Bn)
+    S2 = S.reshape(n, K * Bn)
+    scale = 2.0 * coup_scale
     for i in range(lat.n):
         spins = S[i]
         if lat.dense_rows is not None:
-            X = (lat.dense_rows[i] @ S2).reshape(Bn, K)
+            X = (lat.dense_rows[i] @ S2).reshape(K, Bn)
         else:
             X = np.tensordot(lat.nbr_val[i], S[lat.nbr_idx[i]], axes=(0, 0))
         if lat.h[i] != 0.0:
             X += lat.h[i]
-        aligned = np.empty((Bn, K), dtype=bool)
-        np.equal(spins[:, 1:], spins[:, :-1], out=aligned[:, :-1])
-        np.equal(spins[:, 0], spins[:, -1], out=aligned[:, -1])
-        active = aligned & (bond_u[i] < p_bond)
-        member = _ring_members(active, seeds[i])
-        dE = -2.0 * coup_scale * np.einsum("bk,bk,bk->b", spins, X, member)
-        accept = accept_u[i] < np.exp(-np.clip(dE, -700.0, 700.0))
-        flip = member & accept[:, None]
-        np.multiply(spins, np.where(flip, -1.0, 1.0), out=spins)
+        np.not_equal(spins[1:], spins[:-1], out=cut)
+        cut |= no_bond[i, :-1]
+        np.add.accumulate(cut_w, axis=0, out=comp_w[1:])
+        a = comp_w.view(label).take(seed_at[i])
+        last = comp[-1]
+        # an active wrap bond joins segment 0 and the last segment, so a seed
+        # segment at either end takes in the other: label last - a
+        end = (a == 0) | (a == last)
+        end &= spins[0] == spins[-1]
+        end &= ~no_bond[i, -1]
+        member = comp == a
+        member |= comp == a + end * (last - a - a)
+        # Metropolis on the spatial action change of the cluster flip, with
+        # x = -dE = 2 coup_scale * sum over the cluster of spins * X
+        x = np.einsum("kb,kb,kb->b", spins, X, member)
+        x *= scale
+        np.minimum(x, 700.0, out=x)
+        np.maximum(x, -700.0, out=x)
+        member &= accept_u[i] < np.exp(x, out=x)
+        spins *= 1 - 2 * member.view(np.int8)
 
 
 def _init_state(n: int, K: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """K Trotter replicas of a uniformly random spin vector, per anneal."""
+    """K Trotter replicas of a uniformly random spin vector, per anneal;
+    layout (n, K, batch)."""
     base = (rng.integers(0, 2, size=(batch, n)) * 2 - 1).astype(np.float64)
-    return np.repeat(base.T[:, :, None], K, axis=2)
+    return np.repeat(base.T[:, None, :], K, axis=1)
 
 
 def _anneal_batch(
@@ -257,7 +271,7 @@ def _anneal_batch(
         p_bond = 1.0 - np.tanh(params.beta * sch.a_of(s) / K)
         coup_scale = params.beta * sch.b_of(s) * lat.alpha / K
         _sweep(S, lat, p_bond, coup_scale, rng)
-    return S[:, :, 0].T.astype(np.int8)
+    return S[:, 0, :].T.astype(np.int8)
 
 
 def run_sqa(
@@ -316,7 +330,7 @@ def run_sqa_chain(
     for r in range(n_records):
         for t in range(thin):
             _sweep(S, lat, p_bond, coup_scale, rng)
-        out[r] = S[:, :, 0].T.astype(np.int8)
+        out[r] = S[:, 0, :].T.astype(np.int8)
     return out.reshape(n_records * n_chains, p.n)
 
 

@@ -198,6 +198,15 @@ def test_boost_requires_two_alphas_per_curve():
         compute_boost(curves, p0=0.6)
 
 
+@pytest.mark.parametrize("field", ["alphas", "P", "stderr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_success_curve_rejects_non_finite(field, bad):
+    values = {"alphas": [0.1, 0.5, 1.0], "P": [0.3, 0.6, 0.9], "stderr": [0.01, 0.01, 0.01]}
+    values[field][1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        SuccessCurve(C=1, **values)
+
+
 def test_fit_eta_exact_power_laws():
     def boost_from(mu):
         return BoostResult(mu={C: (m, m, m) for C, m in mu.items()}, p0=0.5)

@@ -319,6 +319,41 @@ def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, caps
     assert not (out / "curves.csv").exists()
 
 
+def _cut_mid_record(text):
+    return text[:-7]
+
+
+def _drop_last_records(text):
+    return "".join(text.splitlines(keepends=True)[:-3])
+
+
+def _renumber_cycle_1(text):
+    return text.replace(', "cycle": 1}', ', "cycle": 0}')
+
+
+@pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1])
+def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage):
+    # 2 cycles x 10 records: a cut record, 7 records in cycle 1, or no cycle 1
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    path = out / "samples" / "C2_a1_g0.ndjson"
+    path.write_text(damage(path.read_text()))
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(path) in err
+    assert "run the sample stage again" in err
+    assert not (out / "curves.csv").exists()
+
+
+def test_analyze_nan_curve_is_compute_error(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("C,alpha,gamma_star,P,stderr\n1,0.1,0.3,nan,0.01\n1,1,0.3,0.9,0.01\n"
+                      "2,0.1,0.3,0.5,0.01\n2,1,0.3,0.95,0.01\n")
+    assert main(["analyze", "--curves", str(curves), "--out", str(tmp_path / "a")]) == 4
+    assert capsys.readouterr().err.startswith("[compute] ")
+
+
 def test_staged_run_matches_single_run(tmp_path, k4_file):
     cfg = tiny_config(tmp_path, k4_file)
     whole = tmp_path / "whole"

@@ -1,6 +1,8 @@
 """Property tests on random inputs: the decode -> count path, gauge
-invariance of the energy, embedding validity on damaged hardware, and the
-curves.csv round trip."""
+invariance of the energy, embedding validity on damaged hardware, the
+curves.csv round trip and the sample-set file format."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from nqac.chimera import apply_embedding, build_chimera, heuristic_embed, valida
 from nqac.errors import EmbeddingNotFound
 from nqac.ising import IsingProblem, apply_gauge, energies
 from nqac.nesting import decode_batch, encode_nested, permute_nested
+from nqac.sampleset import CycleRecord, SampleSet, load_sampleset, save_sampleset
 
 
 @st.composite
@@ -113,3 +116,43 @@ def test_curves_csv_reads_back_exactly(curves):
         for field in ("alphas", "P", "stderr"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.gamma_used == want.gamma_used
+
+
+@st.composite
+def samplesets(draw):
+    """A sample set 1-64 spins wide with 0-40 records drawn from a small pool
+    of rows (so rows repeat), over 1-4 arbitrary cycle ids."""
+    n = draw(st.integers(1, 64))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4, unique=True))
+    records = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(draw(st.integers(1, 8)), n))
+    cycles = tuple(CycleRecord(cycle=c, gauge=rng.choice([-1, 1], n),
+                               permutation=rng.permutation(n), seed=int(rng.integers(2**63)))
+                   for c in ids)
+    return SampleSet(configs=pool[rng.integers(0, len(pool), records)],
+                     cycle_ids=rng.choice(ids, records), cycles=cycles, problem_digest="p")
+
+
+@settings(max_examples=150, deadline=None)
+@given(samplesets(), st.lists(st.sampled_from(["\n", " \n", "\t\n"]), max_size=3), st.data())
+def test_sampleset_file_format(tmp_path_factory, ss, blanks, data):
+    path = tmp_path_factory.mktemp("ss") / "s.ndjson"
+    save_sampleset(ss, path)
+    header, body = path.read_text().split("\n", 1)
+    assert json.loads(header)["problem_digest"] == "p"
+    assert body == "".join(
+        json.dumps({"cycle": int(c), "config": row.tolist()}, sort_keys=True) + "\n"
+        for row, c in zip(ss.configs, ss.cycle_ids)
+    )
+    lines = body.splitlines(keepends=True)
+    for blank in blanks:
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    path.write_text(header + "\n" + "".join(lines))
+    back = load_sampleset(path)
+    assert back.configs.shape == ss.configs.shape
+    assert np.array_equal(back.configs, ss.configs)
+    assert np.array_equal(back.cycle_ids, ss.cycle_ids)
+    assert back.problem_digest == ss.problem_digest
+    assert [(c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in back.cycles] == [
+        (c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in ss.cycles]

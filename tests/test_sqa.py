@@ -1,15 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nqac.errors import DomainError, ScheduleError
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import IsingProblem, rescale
-from nqac.nesting import encode_nested
+from nqac.nesting import encode_for_scale, encode_nested
 from nqac.sqa import (
     Schedule,
     SqaParams,
     _init_state,
     _Lattice,
+    _anneal_batch,
     _sweep,
     default_schedule,
     device_like_schedule,
@@ -174,6 +177,104 @@ def test_dense_and_sparse_fields_give_the_same_sweeps():
             _sweep(S, lat, 0.4, 0.3, rng)
         states.append(S)
     assert np.array_equal(*states)
+
+
+def _loop_sweep(S, J, h, p_bond, coup_scale, rng):
+    """Reference sweep, one ring at a time: the same draws, the cluster grown
+    from the seed slice along active bonds, the same Metropolis test."""
+    n, K, Bn = S.shape
+    bond_u = rng.random((n, Bn, K))
+    seeds = rng.integers(0, K, size=(n, Bn))
+    accept_u = rng.random((n, Bn))
+    for i in range(n):
+        X = np.tensordot(J[i], S, axes=(0, 0)) + h[i]
+        for b in range(Bn):
+            s = S[i, :, b]
+            active = [s[k] == s[(k + 1) % K] and bond_u[i, b, k] < p_bond for k in range(K)]
+            cluster = {int(seeds[i, b])}
+            for step in (1, -1):
+                k = int(seeds[i, b])
+                while active[k if step == 1 else (k - 1) % K] and (k + step) % K not in cluster:
+                    k = (k + step) % K
+                    cluster.add(k)
+            dE = -2.0 * coup_scale * sum(s[k] * X[k, b] for k in sorted(cluster))
+            if accept_u[i, b] < np.exp(-np.clip(dE, -700.0, 700.0)):
+                S[i, sorted(cluster), b] *= -1
+
+
+@pytest.mark.parametrize("K, p_bond", [(2, 0.7), (3, 0.5), (8, 0.9), (8, 1.0), (64, 0.8),
+                                       (300, 0.02)])
+def test_sweep_matches_loop_reference(K, p_bond):
+    # couplings and fields are multiples of 1/8, so every local field and
+    # cluster energy is exact and the two sweeps take the same decisions
+    rng = np.random.default_rng(K)
+    J = rng.integers(-8, 9, size=(6, 6)) / 8
+    J = np.triu(J, 1) + np.triu(J, 1).T
+    h = rng.integers(-8, 9, 6) / 8
+    p = IsingProblem.from_couplings(
+        6, couplings={(i, j): J[i, j] for i in range(6) for j in range(i + 1, 6)}, h=h)
+    S = _init_state(6, K, 5, np.random.default_rng(1))
+    want = S.copy()
+    fast, slow = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(4):
+        _sweep(S, _Lattice(p), p_bond, 0.3, fast)
+        _loop_sweep(want, J, h, p_bond, 0.3, slow)
+    assert np.array_equal(S, want)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# digests of the outputs of the (n, batch, K) kernel; the slice-major kernel
+# reproduces them bit for bit
+PINNED_SQA = {
+    "c3_k8": "4a1216cd583d92cdc7945fe8d1f2f8261db6aef329031249b99504afd671ff0a",
+    "c3_k8_chain": "060b8be34d5c3799966628452c0f675972113ce5710b18cf16806e49ff6dc1cc",
+    "c2_k64": "717066b56fd25ce412e8c07025f8719bf649ac5c77abbb4738b397711909dda6",
+    "c2_k64_chain": "0ee3fceb43e2c35b6ded39757602694a7d90188ad8a52ea240709ee8ce45e053",
+    "sparse_k8": "1b965e7f3900b4c696e426bb62f5c93a7326618da3363f006dfb5fe3b53ccf6c",
+    "sparse_k8_chain": "c544b8b9200082ac90e6c7398584c1f585b9e8748f196814b673cb1871ce70fd",
+    "pair_k130": "c210fdb368b2bb93ef7ed6543dffe2f912bd1b737c0ab822ddae1ff65f183ef7",
+    "pair_k300": "b36cc3cf5472a292c49d8e175420dd622814cf971e6aebd70591e9bce80c7991",
+}
+
+
+def test_sqa_stream_is_pinned(k4):
+    # final states hashed on shapes that reach both field paths, K = 8 and 64,
+    # and ring labels past 127 and past 255 (K = 130 and 300 with most bonds
+    # broken); a change to the draws, their order or the cluster rule changes
+    # a digest
+    dev = device_like_schedule()
+    noisy = sample_noise(encode_for_scale(k4, 3, 0.5, 0.1).nested, 0.05, np.random.default_rng(11))
+    k4c2 = encode_for_scale(k4, 2, 0.5, 0.3).nested
+    rng = np.random.default_rng(12)
+    ring = {(i, (i + 1) % 140): rng.normal() for i in range(140)}
+    ring.update({(i, (i + 37) % 140): rng.normal() for i in range(0, 140, 3)})
+    sparse = IsingProblem.from_couplings(140, couplings=ring, h=rng.normal(size=140) / 2)
+    broken = Schedule(s=[0.0, 1.0], A=[5000.0, 5000.0], B=[1.0, 1.0])
+    pair = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0}, h={0: 0.25})
+
+    def anneal(p, sch, sweeps, K, batch, seed):
+        params = SqaParams(sweeps=sweeps, trotter_slices=K, noise_sigma=0.0)
+        return _anneal_batch(p, sch, params, batch, np.random.default_rng(seed))
+
+    def chain(p, sch, K, seed):
+        params = SqaParams(sweeps=1, trotter_slices=K, noise_sigma=0.0, seed=seed)
+        return run_sqa_chain(p, sch, params, n_chains=8, n_records=5, thin=2, burn_in=3,
+                             s_freeze=0.5)
+
+    got = {
+        "c3_k8": _sha(anneal(noisy, dev, 25, 8, 64, 1)),
+        "c3_k8_chain": _sha(chain(noisy, dev, 8, 2)),
+        "c2_k64": _sha(anneal(k4c2, dev, 20, 64, 16, 3)),
+        "c2_k64_chain": _sha(chain(k4c2, dev, 64, 4)),
+        "sparse_k8": _sha(anneal(sparse, dev, 5, 8, 8, 5)),
+        "sparse_k8_chain": _sha(chain(sparse, dev, 8, 6)),
+        "pair_k130": _sha(anneal(pair, broken, 30, 130, 4, 7)),
+        "pair_k300": _sha(anneal(pair, broken, 40, 300, 8, 8)),
+    }
+    assert got == PINNED_SQA
 
 
 def test_monotone_hardness_trend(k4, k4_ground_keys):
