@@ -6,6 +6,12 @@ annealing or parallel tempering, decode by majority vote, and quantify the
 resulting energy boost / effective temperature reduction.
 """
 
+# Every run draws from numpy.random and np.unique reaches numpy.ma; numpy
+# does not load either on its own import, so load them with the package
+# rather than partway through the first run.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .ising import (
     IsingProblem,
     apply_gauge,

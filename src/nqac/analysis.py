@@ -8,17 +8,25 @@ with a reference probability P0, and mu_C is the ratio of the C=1 and
 level-C crossing points. Interpolants of P +- stderr give the uncertainty
 band; the band is the envelope (min/max) of the crossing-point ratios over
 the shifted-curve combinations.
+
+The interpolant is PCHIP, the shape-preserving piecewise cubic Hermite one
+(Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980)), with Moler's
+one-sided end slopes; the crossing is found by Brent's method (Brent,
+*Algorithms for Minimization without Derivatives*, 1973). Both are written
+here in NumPy and Python and reproduce SciPy's ``PchipInterpolator(...,
+extrapolate=False)`` and ``brentq(..., xtol=1e-14)`` bit for bit, operation
+by operation, so numpy is the package's only runtime dependency.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .nesting import NestedProblem, decode_batch, permute_nested
@@ -135,21 +143,106 @@ def optimize_gamma(results: dict) -> tuple[float, float]:
 _BAND_Z = 1.96  #: the band's curve shift in stderrs, the two-sided ~95 % normal quantile
 
 
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """The PCHIP interpolant of (x, y) as a function of one float, NaN outside
+    [x[0], x[-1]]; every operation is the one SciPy's ``PchipInterpolator``
+    (``_find_derivatives``, ``_edge_case``, ``CubicHermiteSpline``) and its
+    ``PPoly`` evaluation perform, in the same order."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # one-sided three-point end slopes, limited to keep the data's shape
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, e))
+        d = np.concatenate(([e[0]], inner, [e[1]]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # per interval, the power-basis coefficients from the constant term up
+    coef = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h), axis=1).tolist()
+    xs = x.tolist()
+
+    def f(a: float) -> float:
+        if not xs[0] <= a <= xs[-1]:
+            return math.nan
+        i = min(bisect.bisect_right(xs, a), len(xs) - 1) - 1
+        s = a - xs[i]
+        value, z = 0.0, 1.0
+        for c in coef[i]:
+            value += c * z
+            z *= s
+        return value
+
+    return f
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb], where f(xa) < 0 <= f(xb), by Brent's method:
+    a line-for-line port of SciPy's C ``brentq`` at ``xtol=1e-14`` and its
+    default ``rtol`` and ``maxiter`` (the bracket is the caller's, so its
+    sign check is left out)."""
+    xtol, rtol, maxiter = 1e-14, 4 * sys.float_info.epsilon, 100
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _crossing(x: np.ndarray, y: np.ndarray, p0: float) -> float | None:
     """Smallest upward crossing of the interpolated curve with p0."""
-    f = PchipInterpolator(x, y, extrapolate=False)
+    f = _pchip(x, y)
 
     def g(a):
-        return float(f(a)) - p0
+        return f(a) - p0
 
-    for i in range(x.size - 1):
-        ga, gb = g(x[i]), g(x[i + 1])
+    xs = x.tolist()
+    for a, b in zip(xs, xs[1:]):
+        ga, gb = g(a), g(b)
         if ga == 0.0:
-            return float(x[i])
+            return a
         if ga < 0.0 <= gb:
-            return float(brentq(g, x[i], x[i + 1], xtol=1e-14))
-    if g(x[-1]) == 0.0:
-        return float(x[-1])
+            return _brentq(g, a, b)
+    if g(xs[-1]) == 0.0:
+        return xs[-1]
     return None
 
 
@@ -158,7 +251,7 @@ def compute_boost(curves: list[SuccessCurve], p0: float | None = None) -> BoostR
 
     ``p0`` defaults to the midpoint of the C=1 curve's span. Each curve and
     its +-1.96*stderr shifts are interpolated (shape-preserving cubic) and
-    crossed with p0 by bisection. The uncertainty band is the envelope of the
+    crossed with p0 by Brent's method. The uncertainty band is the envelope of the
     shifted-curve crossing ratios: pairing only same-direction shifts would
     cancel exactly on data-collapsing families and cover the truth almost
     never, so the envelope with a ~95% shift quantile is used to make the

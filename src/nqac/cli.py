@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401  (argparse's gettext loads it when main builds its parser)
+import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -228,6 +229,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     manifest = {
         "config": cfg,
         "code_digest": code_digest(),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "problem_digest": base.digest(),
         "ground_energy": ground_energy,
     }
@@ -257,6 +259,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 for key, cycle in units
             ]
             if jobs > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     done = list(pool.map(run_protocol_cycle, *zip(*args)))
             else:

@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +311,54 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, k4_file):
     out2 = tmp_path / "exp2"
     assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_manifest_records_versions_and_reruns(tmp_path, k4_file, engine):
+    cfg = tiny_config(tmp_path, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+    out1, out2 = tmp_path / "exp1", tmp_path / "exp2"
+    assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__}
+    assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+    assert {"boost.csv", "curves.csv", "eta.txt", "manifest.json"} <= {str(f) for f in files}
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    for f in files:
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+_IMPORT_GUARD = """
+import json, sys
+import nqac.cli
+loaded = set(sys.modules)
+rcs = [nqac.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"rcs": rcs, "scipy": sorted(m for m in loaded if m.split(".")[0] == "scipy"),
+                  "new": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+def test_runs_import_nothing_beyond_the_cli(tmp_path, k4_file):
+    """Importing the CLI loads no scipy, and a run or an analysis loads no
+    module the import had not, so no import cost lands inside a run."""
+    runs = []
+    for engine in ("sqa", "pt"):
+        (tmp_path / engine).mkdir()
+        cfg = tiny_config(tmp_path / engine, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+        runs.append(["run", "--config", str(cfg), "--out", str(tmp_path / engine / "out"),
+                     "--jobs", "1"])
+    runs.append(["analyze", "--curves", str(tmp_path / "sqa" / "out" / "curves.csv"),
+                 "--out", str(tmp_path / "analyzed")])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(runs)], capture_output=True, text=True,
+        timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"rcs": [0, 0, 0], "scipy": [], "new": []}
 
 
 def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, capsys):
