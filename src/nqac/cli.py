@@ -271,15 +271,14 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 ss = assemble_sampleset(np_prob, embeddings[key[0]], parts, graph=graph)
                 save_sampleset(ss, sample_path(*key))
         else:  # pt engine
-            rows = []
-            for ci, C in enumerate(cfg["C"]):
-                scans = thermal_boost_scan(
-                    base, C, cfg["gammas"], cfg["alphas"], params, ground_states,
-                    n_samples=cfg["engine_params"]["n_samples"],
-                    seeds=[unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))],
-                )
-                rows += [(ci, ai, gi, *pt) for gi, pts in enumerate(scans)
-                         for ai, pt in enumerate(pts)]
+            scans = thermal_boost_scan(
+                base, cfg["C"], cfg["gammas"], cfg["alphas"], params, ground_states,
+                n_samples=cfg["engine_params"]["n_samples"],
+                seeds=[[unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))]
+                       for ci in range(len(cfg["C"]))],
+            )
+            rows = [(ci, ai, gi, *pt) for ci, per_gamma in enumerate(scans)
+                    for gi, pts in enumerate(per_gamma) for ai, pt in enumerate(pts)]
             (samples_dir / "pt_scan.json").write_text(json.dumps(rows, sort_keys=True))
 
     if stage not in ("all", "analyze"):
@@ -314,8 +313,17 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 decode_seed=unit_seed(cfg["seed"], 0xDEC, *key),
             )
     else:
-        rows = json.loads((samples_dir / "pt_scan.json").read_text())
+        path = samples_dir / "pt_scan.json"
+        rows = json.loads(path.read_text())
         table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
+        grid = {(ci, ai, gi) for ci in range(len(cfg["C"])) for ai in range(len(cfg["alphas"]))
+                for gi in range(len(cfg["gammas"]))}
+        if (len(rows) != len(table) or set(table) != grid
+                or any(alpha != cfg["alphas"][ai] for _, ai, _, alpha, _, _ in rows)):
+            raise ConfigError(
+                f"{path} holds another (C, alpha, gamma) grid than this config scans; "
+                "run the sample stage again"
+            )
     curves = []
     for ci, C in enumerate(cfg["C"]):
         Ps = []

@@ -14,10 +14,13 @@ can achieve at a given temperature.
 
 The engine is vectorized over a batch of rows, each one problem with its own
 effective (already scaled) couplings and fields held as a dense ``[J | h]``
-row; the state carries a last spin fixed at +1, so a site update is one
-matrix product and a few whole-batch passes. A scan puts every (gamma, alpha)
-point of one nesting level in a single batch. Each gamma's block of rows
-draws from its own generator, so a batch reproduces the per-gamma runs.
+row; the state carries a spin fixed at +1 after the row's own spins, so a
+site update is one matrix product and a few whole-batch passes. A scan puts
+every (C, gamma, alpha) point in a single batch. Each (C, gamma) block of
+rows draws from its own generator, so a batch reproduces the per-block runs.
+Blocks may differ in size: the batch orders them by descending n and pads
+each row to the largest n with +1 spins of zero coupling, so the rows still
+updating at site i are a prefix of the batch and no padded site is swept.
 """
 
 from __future__ import annotations
@@ -85,58 +88,87 @@ def _dense_rows(problems) -> np.ndarray:
 
 
 def _pt_sample(
-    W: np.ndarray,
-    betas: np.ndarray,
-    sweeps: int,
-    swap_interval: int,
-    rngs: list[np.random.Generator],
-) -> np.ndarray:
-    """Core sampler over a batch of rows, each row its own ``[J | h]`` in ``W``
-    (rows, n, n+1). The state is (rows, rungs, n+1) with a last spin fixed at
-    +1, so a site's local field is one matrix product. ``rngs`` split the rows
-    into equal consecutive blocks; each block draws its initial spins, site
-    uniforms and swap uniforms from its own generator, exactly as a batch of
-    that block alone would. Returns recorded configs (rows, rungs, records, n).
+    blocks: list[tuple[np.ndarray, np.random.Generator]],
+    params: PtParams,
+    n_samples: int,
+    rungs: slice,
+) -> list[np.ndarray]:
+    """Core sampler over blocks of rows, each block a (rows, n, n+1) stack of
+    ``[J | h]`` rows with its own generator. Each block draws its initial
+    spins, site uniforms and swap uniforms from its generator, exactly as a
+    batch of that block alone would, so the blocks may differ in n.
+
+    The blocks run as one batch, sorted by descending n (stably) and padded
+    to the largest: a row's spins past its own n hold +1 with zero couplings,
+    and the first of them reads the row's fields. The rows still updating at
+    site i are then the prefix with n > i, so no padded site is swept. Returns,
+    per block in the given order, the last ``n_samples`` records at ``rungs``
+    as int8 (rows, kept rungs, n_samples, n).
     """
-    B, n = W.shape[:2]
+    betas = np.asarray(params.betas)
     R = betas.size
-    A = B // len(rngs)
+    sweeps = _run_sweeps(params, n_samples)
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0].shape[1])
+    sizes = [blocks[b][0].shape[1] for b in order]
+    bounds = np.cumsum([0] + [blocks[b][0].shape[0] for b in order])
+    spans = list(zip(bounds[:-1], bounds[1:], sizes))  # (first row, end row, n) per block
+    rngs = [blocks[b][1] for b in order]
+    B, n = bounds[-1], sizes[0]
+    active = [bounds[sum(m > i for m in sizes)] for i in range(n)]  # rows updating at site i
+    W = np.zeros((B, n, n + 1))
+    for b, (a, z, m) in zip(order, spans):
+        W[a:z, :m, :m + 1] = blocks[b][0]
+    half = W.copy()  # E = s . ([J/2 | h] [s | 1])
+    for a, z, m in spans:
+        half[a:z, :, :m] /= 2
     cols = np.ascontiguousarray(W.transpose(1, 0, 2))[..., None]  # site i: (rows, n+1, 1)
-    half = W.copy()
-    half[:, :, :n] /= 2  # E = s . ([J/2 | h] [s | 1])
+    half_t = np.ascontiguousarray(half.transpose(0, 2, 1))
     S = np.ones((B, R, n + 1))
-    S[:, :, :n] = np.concatenate([rng.integers(0, 2, size=(A, R, n)) * 2 - 1 for rng in rngs])
+    for (a, z, m), rng in zip(spans, rngs):
+        S[a:z, :, :m] = rng.integers(0, 2, size=(z - a, R, m)) * 2 - 1
+    U = np.ones((n, B, R))  # a padded site keeps u = 1 and is never read
     X = np.empty((B, R, 1))
-    burn = sweeps // 2
-    records = []
+    rows = np.arange(B)[:, None]
+    recs = np.empty((B, len(range(R)[rungs]), n_samples, n), dtype=np.int8)
+    # the last n_samples records, all after the half-run burn-in (see _run_sweeps)
+    first = sweeps // params.swap_interval - n_samples + 1
     for t in range(1, sweeps + 1):
+        for (a, z, m), rng in zip(spans, rngs):
+            U[:m, a:z] = rng.random((m, z - a, R))
         # Metropolis flips s_i when u < exp(2 beta s_i X_i), i.e. when
         # log(u) / (2 beta) < s_i X_i; log(0) = -inf flips
         with np.errstate(divide="ignore"):
-            thr = np.log(np.concatenate([rng.random((n, A, R)) for rng in rngs], axis=1))
+            thr = np.log(U)
         thr /= 2.0 * betas
-        for i in range(n):
-            np.matmul(S, cols[i], out=X)
-            s = S[:, :, i]
-            np.negative(s, out=s, where=thr[i] < s * X[:, :, 0])
-        if t % swap_interval:
+        for i, a in enumerate(active):
+            x = X[:a]
+            np.matmul(S[:a], cols[i, :a], out=x)
+            s = S[:a, :, i]
+            np.negative(s, out=s, where=thr[i, :a] < s * x[:, :, 0])
+        if t % params.swap_interval:
             continue
         if R > 1:
-            E = np.einsum("bri,bij,brj->br", S[:, :, :n], half, S)
-            u_swap = np.concatenate([rng.random((R - 1, A)) for rng in rngs], axis=1)
-            perm = np.tile(np.arange(R), (B, 1))
+            E = np.einsum("brj,brj->rb", S[:, :, :n], np.matmul(S, half_t))
+            u = np.concatenate([rng.random((R - 1, z - a)) for (a, z, _), rng in zip(spans, rngs)],
+                               axis=1)
+            # walk the replica on rung k up the ladder: src[k] is the rung whose
+            # configuration lands on rung k, e the energy of the walking one
+            src = np.empty((R, B), dtype=np.intp)
+            walk, e = np.zeros(B, dtype=np.intp), E[0]
             for k in range(R - 1):
-                acc = u_swap[k] < swap_probability(betas[k], E[:, k], betas[k + 1], E[:, k + 1])
-                E[acc, k], E[acc, k + 1] = E[acc, k + 1], E[acc, k]
-                perm[acc, k], perm[acc, k + 1] = perm[acc, k + 1], perm[acc, k]
-            S = np.take_along_axis(S, perm[:, :, None], axis=1)
-        if t > burn:
-            records.append(S[:, :, :n].astype(np.int8))
-    if not records:
-        raise DomainError(
-            "no samples recorded; increase sweeps (need > 2*swap_interval)"
-        )
-    return np.stack(records, axis=2)  # (rows, rungs, records, n)
+                acc = u[k] < swap_probability(betas[k], e, betas[k + 1], E[k + 1])
+                src[k] = np.where(acc, k + 1, walk)
+                walk = np.where(acc, walk, k + 1)
+                e = np.where(acc, e, E[k + 1])
+            src[-1] = walk
+            S = S[rows, src.T]
+        slot = t // params.swap_interval - first
+        if slot >= 0:
+            recs[:, :, slot] = S[:, rungs, :n]
+    out = [None] * len(blocks)
+    for b, (a, z, m) in zip(order, spans):
+        out[b] = recs[a:z, :, :, :m]
+    return out
 
 
 def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, SampleSet]:
@@ -146,11 +178,8 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     recorded per rung after burn-in (the last ``n_samples`` are kept), and
     returns one sample set per beta.
     """
-    sweeps = _run_sweeps(params, n_samples)
-    recs = _pt_sample(
-        _dense_rows([p]), np.asarray(params.betas), sweeps, params.swap_interval,
-        [np.random.default_rng(params.seed)],
-    )
+    [recs] = _pt_sample([(_dense_rows([p]), np.random.default_rng(params.seed))], params,
+                        n_samples, rungs=slice(None))
     out = {}
     cyc = CycleRecord(
         cycle=0,
@@ -160,7 +189,7 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     )
     digest = p.digest()
     for r, beta in enumerate(params.betas):
-        configs = recs[0, r, -n_samples:, :]
+        configs = recs[0, r]
         out[beta] = SampleSet(
             configs=configs,
             cycle_ids=np.zeros(configs.shape[0], dtype=np.int64),
@@ -172,44 +201,47 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
 
 def thermal_boost_scan(
     base: IsingProblem,
-    C: int,
+    Cs,
     gammas,
     alphas,
     params: PtParams,
     ground_states: np.ndarray,
     n_samples: int,
     seeds,
-) -> list[list[tuple[float, float, float]]]:
-    """Success of the top-rung thermal state over a (gamma, alpha) grid at level ``C``.
+) -> list[list[list[tuple[float, float, float]]]]:
+    """Success of the top-rung thermal state over a (C, gamma, alpha) grid.
 
     Each penalty is held at its gamma in device units for every scan point
     (the stored penalty is ``gamma / alpha``), matching the protocol in which
     the penalty is never rescaled with the problem. All grid points are rows
-    of one batch. The rows of ``gammas[g]`` sample and decode with generators
-    seeded by ``seeds[g]`` (``params.seed`` is not read), so each gamma gets
-    the result a one-gamma call with its seed gives. Returns one
-    ``[(alpha, P, stderr), ...]`` list per gamma, for the largest ladder beta.
+    of one batch. The rows of ``Cs[c]`` at ``gammas[g]`` sample and decode
+    with generators seeded by ``seeds[c][g]`` (``params.seed`` is not read),
+    so each (C, gamma) block gets the result a one-block call with its seed
+    gives. Returns ``out[c][g] = [(alpha, P, stderr), ...]`` for the largest
+    ladder beta.
     """
     alphas = [float(a) for a in alphas]
-    if not alphas or len(gammas) == 0:
-        raise DomainError("empty alpha or gamma grid")
-    if len(seeds) != len(gammas):
-        raise DomainError(f"need one seed per gamma, got {len(seeds)} for {len(gammas)}")
-    sweeps = _run_sweeps(params, n_samples)
-    nested = [encode_for_scale(base, C, gamma, a) for gamma in gammas for a in alphas]
+    if not alphas or len(gammas) == 0 or len(Cs) == 0:
+        raise DomainError("empty C, alpha or gamma grid")
+    if len(seeds) != len(Cs) or any(len(row) != len(gammas) for row in seeds):
+        raise DomainError(
+            f"need one seed per gamma for each C, got {[len(row) for row in seeds]} "
+            f"for {len(Cs)} C x {len(gammas)} gammas"
+        )
+    grid = [(C, gamma, seed) for C, row in zip(Cs, seeds) for gamma, seed in zip(gammas, row)]
+    nested = [[encode_for_scale(base, C, gamma, a) for a in alphas] for C, gamma, _ in grid]
     recs = _pt_sample(
-        _dense_rows([npx.nested for npx in nested]), np.asarray(params.betas), sweeps,
-        params.swap_interval, [np.random.default_rng(s) for s in seeds],
+        [(_dense_rows([npx.nested for npx in block]), np.random.default_rng(seed))
+         for block, (_, _, seed) in zip(nested, grid)],
+        params, n_samples, rungs=slice(-1, None),
     )
-    out = []
-    for gi, seed in enumerate(seeds):
+    pts = []
+    for block, block_recs, (_, _, seed) in zip(nested, recs, grid):
         decode_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(0xDEC0DE, 1))
         )
-        pts = []
-        for ai, alpha in enumerate(alphas):
-            configs = recs[gi * len(alphas) + ai, -1, -n_samples:, :]
-            hits = count_ground_hits(nested[0], None, configs, ground_states, decode_rng)
-            pts.append((alpha, *binomial_success(hits, configs.shape[0])))
-        out.append(pts)
-    return out
+        hits = [count_ground_hits(block[0], None, configs, ground_states, decode_rng)
+                for configs in block_recs[:, 0]]
+        pts.append([(alpha, *binomial_success(h, n_samples)) for alpha, h in zip(alphas, hits)])
+    G = len(gammas)
+    return [pts[ci * G:(ci + 1) * G] for ci in range(len(Cs))]

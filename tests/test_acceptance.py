@@ -123,18 +123,18 @@ def test_criterion_05_thermal_boost_scaling():
     _, gs = brute_force_ground(k4)
     alphas = np.geomspace(0.004, 1.0, 16)
     params = PtParams(betas=geometric_ladder(2.0, 12, 0.1), sweeps=12_000, swap_interval=5)
-    curves = []
-    for C in (1, 2, 3, 4):
-        [pts] = thermal_boost_scan(k4, C, [1.0], alphas, params, gs, n_samples=1000,
-                                   seeds=[505])
-        curves.append(
-            SuccessCurve(
-                C=C,
-                alphas=[a for a, _, _ in pts],
-                P=[p for _, p, _ in pts],
-                stderr=[se for _, _, se in pts],
-            )
+    Cs = (1, 2, 3, 4)
+    scans = thermal_boost_scan(k4, Cs, [1.0], alphas, params, gs, n_samples=1000,
+                               seeds=[[505]] * 4)
+    curves = [
+        SuccessCurve(
+            C=C,
+            alphas=[a for a, _, _ in pts],
+            P=[p for _, p, _ in pts],
+            stderr=[se for _, _, se in pts],
         )
+        for C, [pts] in zip(Cs, scans)
+    ]
     boost = compute_boost(curves)
     mus = {C: v[0] for C, v in boost.mu.items() if v is not None}
     assert set(mus) == {1, 2, 3, 4}, boost.mu

@@ -371,6 +371,24 @@ def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, caps
     assert not (out / "curves.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"C": [1, 2, 3]}, {"C": [1]}, {"gammas": [0.3, 0.5]}, {"alphas": [0.2, 1]},
+     {"alphas": [0.1, 0.5, 1]}],
+)
+def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
+                                                          overrides):
+    # pt_scan.json was sampled at C [1, 2], alphas [0.1, 1], gammas [0.3]
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file, engine="pt", alphas=[0.1, 1])
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    cfg = tiny_config(tmp_path, k4_file, engine="pt", **{"alphas": [0.1, 1], **overrides})
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and "run the sample stage again" in err
+    assert not (out / "curves.csv").exists()
+
+
 def _cut_mid_record(text):
     return text[:-7]
 

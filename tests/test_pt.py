@@ -108,13 +108,45 @@ def test_determinism():
 def test_pt_sample_stream_is_pinned(k4):
     # the records of a two-gamma-block K4 batch, hashed; a change to the
     # random stream or the acceptance rule changes the digest
-    nested = [encode_for_scale(k4, 2, g, a).nested for g in (0.5, 1.0) for a in (0.1, 0.4, 1.0)]
-    recs = _pt_sample(_dense_rows(nested), np.array([0.2, 0.5, 1.0, 2.0]), 300, 5,
-                      [np.random.default_rng(7), np.random.default_rng(8)])
+    nested = [[encode_for_scale(k4, 2, g, a).nested for a in (0.1, 0.4, 1.0)] for g in (0.5, 1.0)]
+    params = PtParams(betas=(0.2, 0.5, 1.0, 2.0), sweeps=300, swap_interval=5)
+    recs = np.concatenate(_pt_sample(
+        [(_dense_rows(nested[0]), np.random.default_rng(7)),
+         (_dense_rows(nested[1]), np.random.default_rng(8))],
+        params, 30, rungs=slice(None),
+    ))
     assert recs.shape == (6, 4, 30, 8) and recs.dtype == np.int8
     assert hashlib.sha256(recs.tobytes()).hexdigest() == (
         "5f7a740e4a3014e97244f9dd29e22359dae7efda693cb4669bbd019a6ff8d30e"
     )
+
+
+def test_pt_sample_stream_is_pinned_for_blocks_of_unequal_size(k4):
+    # K4 at C = 1 (4 spins) before C = 3 (12 spins): the batch runs the larger
+    # block first and pads the smaller one, yet each block's records equal
+    # those of that block sampled alone (the digest of the one-block runs)
+    params = PtParams(betas=(0.5, 2.0), sweeps=200, swap_interval=5)
+    recs = _pt_sample(
+        [(_dense_rows([encode_for_scale(k4, C, 1.0, a).nested for a in (0.2, 1.0)]),
+          np.random.default_rng(seed)) for C, seed in ((1, 3), (3, 4))],
+        params, 20, rungs=slice(None),
+    )
+    assert [r.shape for r in recs] == [(2, 2, 20, 4), (2, 2, 20, 12)]
+    assert hashlib.sha256(b"".join(r.tobytes() for r in recs)).hexdigest() == (
+        "7af7255665358a1a612ec4dd497338f26677f53810296dee8926b8dd653ce7d0"
+    )
+
+
+def test_pt_sample_keeps_the_requested_rungs(k4):
+    # the top rung alone is the top rung of the all-rung run
+    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=200, swap_interval=5)
+
+    def sample(rungs):
+        W = _dense_rows([encode_for_scale(k4, 2, 1.0, a).nested for a in (0.2, 1.0)])
+        [recs] = _pt_sample([(W, np.random.default_rng(5))], params, 20, rungs=rungs)
+        return recs
+
+    assert np.array_equal(sample(slice(-1, None)), sample(slice(None))[:, -1:])
 
 
 def test_thermal_boost_scan_batches_gammas(k4, k4_ground):
@@ -122,23 +154,43 @@ def test_thermal_boost_scan_batches_gammas(k4, k4_ground):
     _, gs = k4_ground
     params = PtParams(betas=geometric_ladder(2.0, 4, 0.1), sweeps=400, swap_interval=5)
     alphas = [0.05, 0.2, 1.0]
-    both = thermal_boost_scan(k4, 2, [0.5, 1.0], alphas, params, gs, n_samples=100, seeds=[7, 8])
-    one = [thermal_boost_scan(k4, 2, [g], alphas, params, gs, n_samples=100, seeds=[s])[0]
+    [both] = thermal_boost_scan(k4, [2], [0.5, 1.0], alphas, params, gs, n_samples=100,
+                                seeds=[[7, 8]])
+    one = [thermal_boost_scan(k4, [2], [g], alphas, params, gs, n_samples=100, seeds=[[s]])[0][0]
            for g, s in ((0.5, 7), (1.0, 8))]
     assert both == one
+
+
+def test_thermal_boost_scan_batches_levels(k4, k4_ground):
+    # a multi-level call gives each (C, gamma) block what a one-level call
+    # with its seeds gives, row for row, whatever the order of the levels
+    _, gs = k4_ground
+    params = PtParams(betas=geometric_ladder(2.0, 4, 0.1), sweeps=400, swap_interval=5)
+    alphas = [0.05, 0.2, 1.0]
+    Cs, seeds = [2, 1, 3], [[7, 8], [9, 10], [11, 12]]
+    levels = thermal_boost_scan(k4, Cs, [0.5, 1.0], alphas, params, gs, n_samples=100,
+                                seeds=seeds)
+    one = [thermal_boost_scan(k4, [C], [0.5, 1.0], alphas, params, gs, n_samples=100,
+                              seeds=[row])[0] for C, row in zip(Cs, seeds)]
+    assert levels == one
+    assert len(levels) == 3 and all(len(per_gamma) == 2 for per_gamma in levels)
 
 
 def test_thermal_boost_scan_rejects_no_samples(k4, k4_ground):
     params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
     with pytest.raises(DomainError):
-        thermal_boost_scan(k4, 2, [0.5], [1.0], params, k4_ground[1], n_samples=0, seeds=[0])
+        thermal_boost_scan(k4, [2], [0.5], [1.0], params, k4_ground[1], n_samples=0,
+                           seeds=[[0]])
 
 
 def test_thermal_boost_scan_needs_one_seed_per_gamma(k4, k4_ground):
     params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
     with pytest.raises(DomainError, match="one seed per gamma"):
-        thermal_boost_scan(k4, 2, [0.5, 1.0], [1.0], params, k4_ground[1], n_samples=4,
-                           seeds=[0])
+        thermal_boost_scan(k4, [2], [0.5, 1.0], [1.0], params, k4_ground[1], n_samples=4,
+                           seeds=[[0]])
+    with pytest.raises(DomainError, match="one seed per gamma"):
+        thermal_boost_scan(k4, [1, 2], [0.5], [1.0], params, k4_ground[1], n_samples=4,
+                           seeds=[[0]])
 
 
 def test_thermal_boost_scan_limits(k4, k4_ground):
@@ -148,8 +200,8 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 
     def top_rung(betas):
         params = PtParams(betas=betas, sweeps=6000, swap_interval=5)
-        [[(_, P, se)]] = thermal_boost_scan(k4, 2, [1.0], [1.0], params, gs, n_samples=2000,
-                                            seeds=[21])
+        [[[(_, P, se)]]] = thermal_boost_scan(k4, [2], [1.0], [1.0], params, gs, n_samples=2000,
+                                              seeds=[[21]])
         return P, se
 
     p_cold, _ = top_rung((0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
@@ -162,8 +214,8 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 def test_thermal_boost_scan_shapes(k4, k4_ground):
     _, gs = k4_ground
     params = PtParams(betas=geometric_ladder(2.0, 6, 0.1), sweeps=1500, swap_interval=5)
-    [pts] = thermal_boost_scan(k4, 2, [1.0], [0.1, 0.4, 1.0], params, gs, n_samples=300,
-                               seeds=[4])
+    [[pts]] = thermal_boost_scan(k4, [2], [1.0], [0.1, 0.4, 1.0], params, gs, n_samples=300,
+                                 seeds=[[4]])
     assert [a for a, _, _ in pts] == [0.1, 0.4, 1.0]
     assert all(0 <= p <= 1 for _, p, _ in pts)
     # monotone trend in alpha at fixed C
