@@ -3,7 +3,8 @@
 The triangular layout maps a complete graph K_n onto a perfect Chimera grid
 with chains of exactly ceil(n/4)+1 qubits; the randomized heuristic handles
 graphs with dead qubits and reports failure rather than ever returning an
-invalid embedding.
+invalid embedding. An embedding carries its graph, so validating and
+compiling take no graph argument.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ print(f"\ngraph with {len(mask['dead'])} dead qubits "
 pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
 try:
     emb = heuristic_embed(pairs, dead_graph, np.random.default_rng(1))
-    report = validate_embedding(emb, pairs, dead_graph)
+    report = validate_embedding(emb, pairs)
     nq, mx, mean = embedding_stats(emb)
     print(f"  found: {nq} qubits, chains up to {mx} (mean {mean:.1f}); "
           f"verifier clean: {report.ok}")
@@ -46,7 +47,7 @@ except EmbeddingNotFound as exc:
 
 print("\ncompiling a nested problem onto hardware")
 npr = encode_nested(k4_antiferromagnet(), 2, gamma=0.4)
-phys = apply_embedding(npr, choi_embed(8, perfect), perfect)
+phys = apply_embedding(npr, choi_embed(8, perfect))
 vals = list(phys.problem.coupling_dict().values())
 n_penalty = sum(1 for v in vals if v == -phys.chain_gamma)
 n_logical = sum(1 for v in vals if v > 0)

@@ -9,10 +9,15 @@ Side 0 qubits couple vertically (same column, adjacent rows, same k); side 1
 qubits couple horizontally. Dead qubits stay in the index space but lose all
 incident couplers.
 
-Two embedders are provided: the deterministic triangular complete-graph
-layout for perfect graphs (each vertex becomes an L-shaped path of exactly
-``ceil(n/cell_size) + 1`` qubits), and a randomized chain-growth heuristic
-with restarts for graphs with dead qubits.
+An ``Embedding`` maps source vertices to chains of qubits and carries the
+graph it was made for, so compiling and validating need nothing else. Two
+embedders are provided. ``choi_embed`` places the triangular complete-graph
+layout on a perfect graph: each vertex becomes an L-shaped path of exactly
+``ceil(n/cell_size) + 1`` qubits. ``heuristic_embed`` handles graphs with dead
+qubits by restarts: a randomly displaced, reflected and relabelled placement
+of the same layout, then randomized chain growth. Protocol runs embed the
+complete graph K_{C*N}, so every pair of chains is adjacent and the nested
+vertices can be reassigned to chains by any permutation.
 """
 
 from __future__ import annotations
@@ -97,9 +102,6 @@ class ChimeraGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_set
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edge_set)
-
     @property
     def edge_count(self) -> int:
         return len(self._edge_set)
@@ -129,9 +131,11 @@ def load_graph(path) -> ChimeraGraph:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Map from source vertices to disjoint connected chains of qubits."""
+    """Map from source vertices to disjoint connected chains of qubits of
+    ``graph``."""
 
     chains: dict
+    graph: ChimeraGraph
 
     def __post_init__(self):
         object.__setattr__(
@@ -147,19 +151,20 @@ class Embedding:
         return tuple(sorted(q for qs in self.chains.values() for q in qs))
 
     def to_dict(self) -> dict:
+        """The chains only; the graph is saved, and loaded, on its own."""
         return {"chains": {str(v): list(qs) for v, qs in sorted(self.chains.items())}}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Embedding":
-        return cls(chains={int(v): list(qs) for v, qs in d["chains"].items()})
+    def from_dict(cls, d: dict, graph: ChimeraGraph) -> "Embedding":
+        return cls(chains={int(v): list(qs) for v, qs in d["chains"].items()}, graph=graph)
 
 
 def save_embedding(e: Embedding, path) -> None:
     Path(path).write_text(json.dumps(e.to_dict(), indent=2, sort_keys=True))
 
 
-def load_embedding(path) -> Embedding:
-    return Embedding.from_dict(json.loads(Path(path).read_text()))
+def load_embedding(path, graph: ChimeraGraph) -> Embedding:
+    return Embedding.from_dict(json.loads(Path(path).read_text()), graph)
 
 
 def embedding_stats(e: Embedding) -> tuple[int, int, float]:
@@ -181,20 +186,22 @@ class EmbeddingReport:
         return not self.violations
 
 
-def _source_pairs(source) -> list[tuple[int, int]]:
-    """Accept an IsingProblem, NestedProblem or iterable of vertex pairs."""
+def _source(source) -> tuple[list[int], list[tuple[int, int]]]:
+    """(vertices, pairs) of a NestedProblem, whose every nested vertex needs a
+    chain, or of an iterable of vertex pairs."""
     if isinstance(source, NestedProblem):
-        source = source.nested
-    if isinstance(source, IsingProblem):
-        return [(int(i), int(j)) for i, j in source.pairs]
-    return [(int(u), int(v)) for u, v in source]
+        return list(range(source.n_nested)), [(int(i), int(j)) for i, j in source.nested.pairs]
+    pairs = [(int(u), int(v)) for u, v in source]
+    return sorted({u for uv in pairs for u in uv}), pairs
 
 
-def validate_embedding(e: Embedding, source, g: ChimeraGraph) -> EmbeddingReport:
-    """Check disjointness, connectivity, dead-qubit avoidance and coverage."""
+def validate_embedding(e: Embedding, source) -> EmbeddingReport:
+    """Check disjointness, connectivity, dead-qubit avoidance and coverage on
+    the embedding's graph."""
     violations: list[str] = []
-    pairs = _source_pairs(source)
-    vertices = sorted({u for uv in pairs for u in uv} | set(e.chains))
+    g = e.graph
+    vertices, pairs = _source(source)
+    vertices = sorted(set(vertices) | set(e.chains))
 
     seen: dict[int, int] = {}
     for v in vertices:
@@ -235,29 +242,60 @@ def validate_embedding(e: Embedding, source, g: ChimeraGraph) -> EmbeddingReport
     return EmbeddingReport(violations=tuple(violations))
 
 
-def choi_embed(n: int, g: ChimeraGraph) -> Embedding:
-    """Triangular complete-graph embedding on a perfect Chimera graph.
+def _triangular_layout(
+    n: int, g: ChimeraGraph, rng: np.random.Generator | None = None
+) -> dict | None:
+    """Chains of the triangular complete-graph layout of K_n, or None if it
+    does not fit or would claim a dead qubit.
 
-    Vertex v (group b = v // cell_size, offset k = v % cell_size) becomes an
-    L-shaped path: horizontal qubits of row b across columns 0..b, then
-    vertical qubits of column b down rows b..t-1, with t = ceil(n/cell_size).
-    Every chain has exactly t + 1 qubits.
+    Vertex v (group b = v // cell_size, offset j = v % cell_size) becomes an
+    L-shaped path on qubit offset k: horizontal qubits of block row b across
+    block columns 0..b, then vertical qubits of block column b down block rows
+    b..t-1, in a t x t block with t = ceil(n/cell_size). Every chain has
+    exactly t + 1 qubits. Without ``rng`` the block sits at the origin and
+    k = j. With it the block is displaced to a random position, each axis is
+    randomly reflected and each group's offsets are permuted, drawn in that
+    order.
     """
-    if g.dead:
-        raise DomainError("triangular layout requires a perfect graph; use heuristic_embed")
     m = g.cell_size
     t = -(-n // m)
     if t > min(g.rows, g.cols):
-        raise CapacityExceeded(
-            f"K_{n} needs a {t}x{t} block; graph is {g.rows}x{g.cols}"
-        )
+        return None
+    dr = dc = 0
+    flip_r = flip_c = False
+    offsets = [range(m)] * t
+    if rng is not None:
+        dr = int(rng.integers(0, g.rows - t + 1))
+        dc = int(rng.integers(0, g.cols - t + 1))
+        flip_r = bool(rng.integers(0, 2))
+        flip_c = bool(rng.integers(0, 2))
+        offsets = [rng.permutation(m) for _ in range(t)]
+
+    rows = [dr + (t - 1 - b if flip_r else b) for b in range(t)]
+    cols = [dc + (t - 1 - b if flip_c else b) for b in range(t)]
     chains = {}
     for v in range(n):
-        b, k = divmod(v, m)
-        path = [g.index(b, c, 1, k) for c in range(b + 1)]
-        path += [g.index(r, b, 0, k) for r in range(b, t)]
+        b, j = divmod(v, m)
+        k = int(offsets[b][j])
+        # along block row b to the elbow cell (b, b), then down block column b
+        path = [g.index(rows[b], c, 1, k) for c in cols[: b + 1]]
+        path += [g.index(r, cols[b], 0, k) for r in rows[b:]]
+        if any(q in g.dead for q in path):
+            return None
         chains[v] = path
-    return Embedding(chains=chains)
+    return chains
+
+
+def choi_embed(n: int, g: ChimeraGraph) -> Embedding:
+    """Triangular complete-graph embedding on a perfect Chimera graph: the
+    layout of ``_triangular_layout`` at the origin, unreflected."""
+    if g.dead:
+        raise DomainError("triangular layout requires a perfect graph; use heuristic_embed")
+    chains = _triangular_layout(n, g)
+    if chains is None:
+        t = -(-n // g.cell_size)
+        raise CapacityExceeded(f"K_{n} needs a {t}x{t} block; graph is {g.rows}x{g.cols}")
+    return Embedding(chains=chains, graph=g)
 
 
 def _bfs_path(
@@ -414,50 +452,6 @@ def _grow_chain(
     return chain
 
 
-def _triangular_variant(
-    n: int, g: ChimeraGraph, rng: np.random.Generator
-) -> dict | None:
-    """One randomized dead-avoiding placement of the triangular wire layout.
-
-    The standard complete-graph layout is displaced to a random position,
-    randomly reflected, and the per-group qubit offsets are permuted; any
-    variant that would claim a dead qubit is rejected (None).
-    """
-    m = g.cell_size
-    t = -(-n // m)
-    if t > min(g.rows, g.cols):
-        return None
-    dr = int(rng.integers(0, g.rows - t + 1))
-    dc = int(rng.integers(0, g.cols - t + 1))
-    flip_r = bool(rng.integers(0, 2))
-    flip_c = bool(rng.integers(0, 2))
-
-    def row_of(b):
-        return dr + (t - 1 - b if flip_r else b)
-
-    def col_of(b):
-        return dc + (t - 1 - b if flip_c else b)
-
-    offsets = {b: rng.permutation(m) for b in range(t)}
-    chains = {}
-    for v in range(n):
-        b, j = divmod(v, m)
-        k = int(offsets[b][j])
-        cols = sorted(col_of(i) for i in range(b + 1))
-        rows = sorted(row_of(i) for i in range(b, t))
-        path = [g.index(row_of(b), c, 1, k) for c in cols]
-        vert = [g.index(r, col_of(b), 0, k) for r in rows]
-        if flip_c:
-            path.reverse()  # keep the elbow cell adjacent to the wire ends
-        if flip_r:
-            vert.reverse()
-        path += vert
-        if any(q in g.dead for q in path):
-            return None
-        chains[v] = path
-    return chains
-
-
 def heuristic_embed(
     source,
     g: ChimeraGraph,
@@ -476,8 +470,7 @@ def heuristic_embed(
     before it is returned; after ``max_tries`` failed restarts an
     ``EmbeddingNotFound`` is raised.
     """
-    pairs = _source_pairs(source)
-    vertices = sorted({u for uv in pairs for u in uv})
+    vertices, pairs = _source(source)
     nbrs: dict[int, set] = {v: set() for v in vertices}
     for u, v in pairs:
         nbrs[u].add(v)
@@ -487,10 +480,10 @@ def heuristic_embed(
     n_vertices = (max(vertices) + 1) if vertices else 0
     for _ in range(max_tries):
         if n_vertices > g.cell_size:
-            tri = _triangular_variant(n_vertices, g, rng)
+            tri = _triangular_layout(n_vertices, g, rng)
             if tri is not None:
-                emb = Embedding(chains={v: tri[v] for v in vertices})
-                if validate_embedding(emb, pairs, g).ok:
+                emb = Embedding(chains={v: tri[v] for v in vertices}, graph=g)
+                if validate_embedding(emb, pairs).ok:
                     return emb
         order = list(vertices)
         rng.shuffle(order)
@@ -526,8 +519,8 @@ def heuristic_embed(
             chains[v] = chain
         if not ok:
             continue
-        emb = Embedding(chains=chains)
-        if validate_embedding(emb, pairs, g).ok:
+        emb = Embedding(chains=chains, graph=g)
+        if validate_embedding(emb, pairs).ok:
             return emb
     raise EmbeddingNotFound(
         f"no embedding found after {max_tries} restarts; retry with another seed"
@@ -571,14 +564,17 @@ def _chain_tree_edges(qs: Sequence[int], g: ChimeraGraph) -> list[tuple[int, int
     return edges
 
 
-def apply_embedding(np_prob: NestedProblem, e: Embedding, g: ChimeraGraph) -> PhysicalProblem:
-    """Compile a nested problem into a physical Ising problem.
+def apply_embedding(np_prob: NestedProblem, e: Embedding) -> PhysicalProblem:
+    """Compile a nested problem onto the embedding's graph.
 
     Chains are bound at the nesting penalty ``np_prob.gamma`` (the
     shared-penalty protocol); each nested field goes on the first qubit of
-    its chain. Spins are indexed by position in ``e.qubits``.
+    its chain. Spins are indexed by position in ``e.qubits``. An embedding
+    that does not give every nested vertex a chain, or every nested coupling
+    a hardware edge, raises ``InvalidEmbedding``.
     """
-    report = validate_embedding(e, np_prob, g)
+    g = e.graph
+    report = validate_embedding(e, np_prob)
     if not report.ok:
         raise InvalidEmbedding(report)
     chain_gamma = np_prob.gamma

@@ -206,12 +206,16 @@ def load_config(path) -> dict:
 
 
 def _build_embedding(cfg: dict, C: int, base, graph):
+    """An embedding of the complete graph K_{C*n}, or None if the run is not
+    embedded: each programming cycle assigns nested vertices to chains by a
+    random permutation, so every pair of chains must be adjacent."""
     if cfg["embedding"] == "none":
         return None
+    n = C * base.n
     if cfg["embedding"] == "choi":
-        return choi_embed(C * base.n, graph)
+        return choi_embed(n, graph)
     rng = np.random.default_rng(unit_seed(cfg["seed"], 0xE0BED, C))
-    return heuristic_embed(encode_nested(base, C, 1.0), graph, rng)
+    return heuristic_embed([(i, j) for i in range(n) for j in range(i + 1, n)], graph, rng)
 
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
@@ -248,6 +252,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             for ai, alpha in enumerate(cfg["alphas"])
             for gi, gamma in enumerate(cfg["gammas"])
         }
+        digests = {key: programmed_digest(np_prob, embeddings[key[0]])
+                   for key, np_prob in nested.items()}
 
     if stage in ("all", "sample"):
         if cfg["engine"] == "sqa":
@@ -255,7 +261,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             args = [
                 (nested[key], embeddings[key[0]], sch,
                  replace(params, seed=unit_seed(cfg["seed"], *key)),
-                 cfg["runs_per_cycle"], cycle, graph)
+                 cfg["runs_per_cycle"], cycle)
                 for key, cycle in units
             ]
             if jobs > 1:
@@ -266,10 +272,9 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             else:
                 done = [run_protocol_cycle(*a) for a in args]
             results = dict(zip(units, done))
-            for key, np_prob in nested.items():
+            for key in nested:
                 parts = [results[key, cycle] for cycle in range(cfg["cycles"])]
-                ss = assemble_sampleset(np_prob, embeddings[key[0]], parts, graph=graph)
-                save_sampleset(ss, sample_path(*key))
+                save_sampleset(assemble_sampleset(parts, digests[key]), sample_path(*key))
         else:  # pt engine
             scans = thermal_boost_scan(
                 base, cfg["C"], cfg["gammas"], cfg["alphas"], params, ground_states,
@@ -294,7 +299,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 ss = load_sampleset(path)
             except DomainError as exc:
                 raise ConfigError(f"{exc}; run the sample stage again") from None
-            if ss.problem_digest != programmed_digest(np_prob, embeddings[key[0]], graph):
+            if ss.problem_digest != digests[key]:
                 raise ConfigError(
                     f"{path} holds samples of another problem than this "
                     "config programs at its grid point; run the sample stage again"
@@ -314,7 +319,15 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             )
     else:
         path = samples_dir / "pt_scan.json"
-        rows = json.loads(path.read_text())
+        try:
+            rows = json.loads(path.read_text())
+        except ValueError:  # not JSON, or not text
+            rows = None
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == 6 and all(type(x) in (int, float) for x in r)
+                for r in rows)):
+            raise ConfigError(f"{path} is not a list of [ci, ai, gi, alpha, P, se] rows of "
+                              "numbers; run the sample stage again")
         table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
         grid = {(ci, ai, gi) for ci in range(len(cfg["C"])) for ai in range(len(cfg["alphas"]))
                 for gi in range(len(cfg["gammas"]))}
@@ -384,7 +397,7 @@ def _cmd_embed(args) -> int:
     except (EmbeddingNotFound, NqacError) as exc:
         print(f"[embed] {exc}", file=sys.stderr)
         return EXIT_EMBEDDING
-    report = validate_embedding(emb, np_prob, graph)
+    report = validate_embedding(emb, np_prob)
     if not report.ok:
         print(f"[embed] produced invalid embedding: {report.violations}", file=sys.stderr)
         return EXIT_EMBEDDING

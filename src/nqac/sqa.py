@@ -26,6 +26,11 @@ contiguous (K, batch) rows. Each sweep draws, in this order, bond uniforms of
 shape (n, batch, K), seed slices (n, batch) and acceptance uniforms
 (n, batch); these shapes fix the random stream, so they do not follow the
 state's layout.
+
+A programming cycle permutes the nested vertices before it compiles them, so
+an embedded run needs an embedding in which every pair of chains is adjacent:
+an embedding of the complete graph on all nested vertices. The embedding
+carries its hardware graph, so nothing here takes one.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chimera import ChimeraGraph, Embedding, apply_embedding
-from .errors import DomainError, EmbeddingNotFound, InvalidEmbedding, ScheduleError
+from .chimera import Embedding, apply_embedding
+from .errors import DomainError, ScheduleError
 from .ising import IsingProblem, apply_gauge
 from .instances import device_like_schedule_text
 from .nesting import NestedProblem, permute_nested, random_permutation
@@ -350,10 +355,6 @@ def _cycle_setup_rng(master_seed: int, cycle: int) -> np.random.Generator:
     )
 
 
-#: fresh permutations tried per cycle before an embedding counts as unusable
-_EMBED_RETRIES = 10
-
-
 def run_protocol_cycle(
     np_prob: NestedProblem,
     emb: Embedding | None,
@@ -361,31 +362,18 @@ def run_protocol_cycle(
     params: SqaParams,
     runs: int,
     cycle: int,
-    graph: ChimeraGraph | None = None,
 ) -> tuple[np.ndarray, CycleRecord]:
     """One programming cycle: permute, embed, add noise, gauge, anneal.
 
     Draw order within the cycle's setup stream is fixed: permutation, then
     coupler noise, then gauge. Recorded configurations have the gauge undone.
+    An embedding that does not cover the permuted problem raises
+    ``InvalidEmbedding``.
     """
-    if emb is not None and graph is None:
-        raise DomainError("embedded protocol runs need the hardware graph")
     setup = _cycle_setup_rng(params.seed, cycle)
-    for _ in range(_EMBED_RETRIES):
-        perm = random_permutation(np_prob.n_nested, setup)
-        permuted = permute_nested(np_prob, perm)
-        if emb is None:
-            phys_problem = permuted.nested
-            break
-        try:
-            phys_problem = apply_embedding(permuted, emb, graph).problem
-            break
-        except InvalidEmbedding:
-            pass
-    else:
-        raise EmbeddingNotFound(
-            f"embedding invalid after {_EMBED_RETRIES} permutation retries in cycle {cycle}"
-        )
+    perm = random_permutation(np_prob.n_nested, setup)
+    permuted = permute_nested(np_prob, perm)
+    phys_problem = permuted.nested if emb is None else apply_embedding(permuted, emb).problem
 
     noisy = sample_noise(phys_problem, params.noise_sigma, setup)
     gauge = (setup.integers(0, 2, size=noisy.n) * 2 - 1).astype(np.int8)
@@ -400,33 +388,24 @@ def run_protocol_cycle(
     return configs, rec
 
 
-def programmed_digest(
-    np_prob: NestedProblem, emb: Embedding | None, graph: ChimeraGraph | None = None
-) -> str:
+def programmed_digest(np_prob: NestedProblem, emb: Embedding | None) -> str:
     """Digest of the unpermuted, noise-free programmed problem: the nested
-    problem itself, or its compilation onto ``graph``. Sample sets carry it."""
+    problem itself, or its compilation through ``emb``. Sample sets carry it."""
     if emb is None:
         return np_prob.nested.digest()
-    if graph is None:
-        raise DomainError("embedded protocol runs need the hardware graph")
-    return apply_embedding(np_prob, emb, graph).problem.digest()
+    return apply_embedding(np_prob, emb).problem.digest()
 
 
-def assemble_sampleset(
-    np_prob: NestedProblem,
-    emb: Embedding | None,
-    parts: list[tuple[np.ndarray, CycleRecord]],
-    graph: ChimeraGraph | None = None,
-) -> SampleSet:
+def assemble_sampleset(parts: list[tuple[np.ndarray, CycleRecord]], digest: str) -> SampleSet:
     """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set
-    whose digest is ``programmed_digest``."""
+    that carries ``digest``, the ``programmed_digest`` of its grid point."""
     return SampleSet(
         configs=np.vstack([configs for configs, _ in parts]),
         cycle_ids=np.concatenate(
             [np.full(configs.shape[0], rec.cycle, dtype=np.int64) for configs, rec in parts]
         ),
         cycles=tuple(rec for _, rec in parts),
-        problem_digest=programmed_digest(np_prob, emb, graph),
+        problem_digest=digest,
     )
 
 
@@ -437,7 +416,6 @@ def run_protocol(
     params: SqaParams,
     cycles: int,
     runs_per_cycle: int,
-    graph: ChimeraGraph | None = None,
 ) -> SampleSet:
     """Run ``cycles`` programming cycles of ``runs_per_cycle`` anneals each.
 
@@ -448,8 +426,6 @@ def run_protocol(
     """
     if cycles < 1:
         raise DomainError("cycles must be >= 1")
-    parts = [
-        run_protocol_cycle(np_prob, emb, sch, params, runs_per_cycle, c, graph=graph)
-        for c in range(cycles)
-    ]
-    return assemble_sampleset(np_prob, emb, parts, graph=graph)
+    parts = [run_protocol_cycle(np_prob, emb, sch, params, runs_per_cycle, c)
+             for c in range(cycles)]
+    return assemble_sampleset(parts, programmed_digest(np_prob, emb))

@@ -168,7 +168,7 @@ def test_criterion_07_embedding_suite():
         emb = choi_embed(n, g)
         L = -(-n // 4) + 1
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert validate_embedding(emb, pairs, g).ok
+        assert validate_embedding(emb, pairs).ok
         nq, mx, _ = embedding_stats(emb)
         assert mx == L and all(len(qs) == L for qs in emb.chains.values())
         assert nq == n * L
@@ -179,7 +179,7 @@ def test_criterion_07_embedding_suite():
     pairs16 = [(i, j) for i in range(16) for j in range(i + 1, 16)]
     try:
         emb = heuristic_embed(pairs16, gdead, np.random.default_rng(707), max_tries=64)
-        assert validate_embedding(emb, pairs16, gdead).ok
+        assert validate_embedding(emb, pairs16).ok
         outcome = f"heuristic K16 embedded ({embedding_stats(emb)[0]} qubits)"
     except EmbeddingNotFound:
         outcome = "heuristic K16 reported failure (no invalid embedding)"

@@ -70,7 +70,7 @@ def test_choi_embedding_suite(n):
     nq, mx, mean = embedding_stats(emb)
     assert nq == n * L
     assert mx == L
-    report = validate_embedding(emb, complete_pairs(n), g)
+    report = validate_embedding(emb, complete_pairs(n))
     assert report.ok, report.violations
 
 
@@ -99,45 +99,57 @@ def test_choi_capacity():
 
 
 def test_embedding_stats_empty():
-    assert embedding_stats(Embedding(chains={})) == (0, 0, 0.0)
+    assert embedding_stats(Embedding(chains={}, graph=build_chimera(1, 1))) == (0, 0, 0.0)
 
 
 def test_validate_flags_shared_qubit():
     g = build_chimera(1, 1)
-    emb = Embedding(chains={0: [0], 1: [0]})
-    report = validate_embedding(emb, [(0, 1)], g)
+    emb = Embedding(chains={0: [0], 1: [0]}, graph=g)
+    report = validate_embedding(emb, [(0, 1)])
     assert any("disjointness" in v for v in report.violations)
 
 
 def test_validate_flags_disconnected_chain():
     g = build_chimera(1, 2)
     # two side-0 qubits of different cells are not coupled
-    emb = Embedding(chains={0: [0, 8], 1: [4]})
-    report = validate_embedding(emb, [(0, 1)], g)
+    emb = Embedding(chains={0: [0, 8], 1: [4]}, graph=g)
+    report = validate_embedding(emb, [(0, 1)])
     assert any("connectivity" in v for v in report.violations)
 
 
 def test_validate_flags_dead_and_coverage():
     g = build_chimera(1, 1, dead=[7])
-    emb = Embedding(chains={0: [0], 1: [7]})
-    report = validate_embedding(emb, [(0, 1)], g)
+    emb = Embedding(chains={0: [0], 1: [7]}, graph=g)
+    report = validate_embedding(emb, [(0, 1)])
     assert any("dead" in v for v in report.violations)
-    emb2 = Embedding(chains={0: [0], 1: [1]})  # same side: no edge
-    report2 = validate_embedding(emb2, [(0, 1)], g)
+    emb2 = Embedding(chains={0: [0], 1: [1]}, graph=g)  # same side: no edge
+    report2 = validate_embedding(emb2, [(0, 1)])
     assert any("coverage" in v for v in report2.violations)
 
 
 def test_heuristic_k4_perfect_graph():
     g = build_chimera(8, 8)
     emb = heuristic_embed(complete_pairs(4), g, np.random.default_rng(0))
-    assert validate_embedding(emb, complete_pairs(4), g).ok
+    assert validate_embedding(emb, complete_pairs(4)).ok
 
 
 def test_heuristic_k2_single_cell():
     g = build_chimera(1, 1)
     emb = heuristic_embed([(0, 1)], g, np.random.default_rng(1))
-    assert validate_embedding(emb, [(0, 1)], g).ok
+    assert validate_embedding(emb, [(0, 1)]).ok
     assert len(emb.chains[0]) == 1 and len(emb.chains[1]) == 1
+
+
+def test_nested_source_gives_every_vertex_a_chain():
+    # nested vertex 2 has a field and no coupling
+    base = IsingProblem.from_couplings(3, couplings={(0, 1): 1.0}, h=[0.0, 0.0, 0.5])
+    npr = encode_nested(base, 1, 0.5)
+    g = build_chimera(2, 2)
+    emb = heuristic_embed(npr, g, np.random.default_rng(3))
+    assert sorted(emb.chains) == [0, 1, 2]
+    assert validate_embedding(emb, npr).ok
+    missing = Embedding(chains={0: emb.chains[0], 1: emb.chains[1]}, graph=g)
+    assert validate_embedding(missing, npr).violations == ("missing chain for vertex 2",)
 
 
 def test_heuristic_never_returns_invalid_on_dead_graph():
@@ -148,7 +160,7 @@ def test_heuristic_never_returns_invalid_on_dead_graph():
         emb = heuristic_embed(pairs, g, np.random.default_rng(7), max_tries=32)
     except EmbeddingNotFound:
         return
-    assert validate_embedding(emb, pairs, g).ok
+    assert validate_embedding(emb, pairs).ok
 
 
 def test_heuristic_impossible_raises():
@@ -161,13 +173,13 @@ def test_embedding_round_trip(tmp_path):
     emb = choi_embed(8, build_chimera(8, 8))
     path = tmp_path / "emb.json"
     save_embedding(emb, path)
-    assert load_embedding(path).chains == emb.chains
+    assert load_embedding(path, emb.graph).chains == emb.chains
 
 
 def test_apply_embedding_k4_structure(k4):
     g = build_chimera(8, 8)
     npr = encode_nested(k4, 1, 0.5)
-    phys = apply_embedding(npr, choi_embed(4, g), g)
+    phys = apply_embedding(npr, choi_embed(4, g))
     vals = list(phys.problem.coupling_dict().values())
     assert sum(1 for v in vals if v == -0.5) == 4      # one tree edge per chain
     assert sum(1 for v in vals if v == 1.0) == 6       # each J on one canonical edge
@@ -177,16 +189,16 @@ def test_apply_embedding_k4_structure(k4):
 def test_apply_embedding_default_gamma(k4):
     g = build_chimera(8, 8)
     npr = encode_nested(k4, 2, 0.7)
-    phys = apply_embedding(npr, choi_embed(8, g), g)
+    phys = apply_embedding(npr, choi_embed(8, g))
     assert phys.chain_gamma == pytest.approx(0.7)
 
 
 def test_apply_embedding_rejects_invalid(k4):
     g = build_chimera(8, 8)
     npr = encode_nested(k4, 1, 0.5)
-    bad = Embedding(chains={0: [0], 1: [0], 2: [1], 3: [2]})
+    bad = Embedding(chains={0: [0], 1: [0], 2: [1], 3: [2]}, graph=g)
     with pytest.raises(InvalidEmbedding):
-        apply_embedding(npr, bad, g)
+        apply_embedding(npr, bad)
 
 
 def test_aligned_energy_identity_through_embedding(k4):
@@ -194,7 +206,7 @@ def test_aligned_energy_identity_through_embedding(k4):
     for C, gamma in ((1, 0.5), (2, 0.3)):
         npr = encode_nested(k4, C, gamma)
         emb = choi_embed(4 * C, g)
-        phys = apply_embedding(npr, emb, g)
+        phys = apply_embedding(npr, emb)
         overhead = sum(len(qs) - 1 for qs in emb.chains.values())
         rng = np.random.default_rng(4)
         for _ in range(8):
@@ -211,7 +223,7 @@ def test_apply_embedding_zero_couplings_leave_only_chains():
     base = IsingProblem.from_couplings(3, couplings={(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0})
     g = build_chimera(8, 8)
     npr = encode_nested(base, 1, 0.5)
-    phys = apply_embedding(npr, choi_embed(3, g), g)
+    phys = apply_embedding(npr, choi_embed(3, g))
     nonzero = {k: v for k, v in phys.problem.coupling_dict().items() if v != 0.0}
     assert set(nonzero.values()) == {-0.5}
     assert len(nonzero) == sum(len(qs) - 1 for qs in phys.embedding.chains.values())
@@ -224,7 +236,7 @@ def test_apply_embedding_fields_on_first_qubit():
     g = build_chimera(8, 8)
     npr = encode_nested(base, 2, 0.4)
     emb = choi_embed(6, g)
-    phys = apply_embedding(npr, emb, g)
+    phys = apply_embedding(npr, emb)
     for v in range(6):
         first = emb.qubits.index(emb.chains[v][0])
         assert phys.problem.h[first] == pytest.approx(npr.nested.h[v])

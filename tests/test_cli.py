@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from nqac.chimera import build_chimera, choi_embed
-from nqac.cli import main
-from nqac.instances import k4_antiferromagnet
-from nqac.ising import save_problem
+from nqac.cli import _build_embedding, main
+from nqac.instances import dead8_mask, k4_antiferromagnet
+from nqac.ising import IsingProblem, save_problem
 from nqac.nesting import load_nested
 from nqac.sampleset import load_sampleset
 
@@ -304,6 +305,59 @@ def test_run_embedding_failure_exit_code(tmp_path, k4_file):
     assert rc == 3
 
 
+def _dead8_config(tmp_path, problem, **overrides):
+    """A tiny heuristic-embedded config on the bundled 8-dead-qubit graph."""
+    graph = tmp_path / "dead8.json"
+    graph.write_text(json.dumps(dead8_mask()))
+    problem_file = tmp_path / "problem.json"
+    save_problem(problem, problem_file)
+    return tiny_config(
+        tmp_path, problem_file, embedding="heuristic", graph=str(graph),
+        engine_params={"sweeps": 20, "trotter_slices": 4, "beta": 0.5, "noise_sigma": 0.05},
+        runs_per_cycle=5, **overrides,
+    )
+
+
+def test_ring_on_dead_graph_runs_at_any_jobs(tmp_path):
+    # every cycle permutes the nested vertices, so the embedding must be of
+    # K_{C*n}; an embedding of the ring's own graph failed on most seeds
+    ring = IsingProblem.from_couplings(8, couplings={(i, (i + 1) % 8): 1.0 for i in range(8)})
+    cfg = _dead8_config(tmp_path, ring, seed=1)
+    outs = [tmp_path / "j1", tmp_path / "j2"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for f in files:
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
+
+
+def test_uncoupled_vertex_gets_a_chain(tmp_path):
+    free = IsingProblem.from_couplings(3, couplings={(0, 1): 1.0}, h=[0.0, 0.0, 0.5])
+    cfg = _dead8_config(tmp_path, free)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 0
+
+
+#: sha256 of the chains for K4 at C = 1, 2, 3 and seeds 1, 2, 3: choi on the
+#: perfect 8x8 graph, heuristic on the bundled 8-dead-qubit graph
+_EMBEDDING_DIGESTS = {
+    "choi": "0dd213ceb4781ad590760bce25516d0436a1ab5344a5ffff55ee13c2554c747a",
+    "heuristic": "59b7d7c487c55ed2f5265b748da809f22cf4aba40580a531092b09fc70f4195b",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_EMBEDDING_DIGESTS))
+def test_run_embeddings_are_pinned(mode):
+    mask = dead8_mask()
+    graph = (build_chimera(8, 8) if mode == "choi"
+             else build_chimera(mask["rows"], mask["cols"], mask["dead"]))
+    chains = [_build_embedding({"embedding": mode, "seed": seed}, C, k4_antiferromagnet(),
+                               graph).to_dict()
+              for seed in (1, 2, 3) for C in (1, 2, 3)]
+    digest = hashlib.sha256(json.dumps(chains, sort_keys=True).encode()).hexdigest()
+    assert digest == _EMBEDDING_DIGESTS[mode]
+
+
 def test_manifest_rerun_reproduces_outputs(tmp_path, k4_file):
     cfg = tiny_config(tmp_path, k4_file)
     out1 = tmp_path / "exp1"
@@ -386,6 +440,26 @@ def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, cap
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and "run the sample stage again" in err
+    assert not (out / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:-7],  # truncated
+    lambda text: text.replace("[0, 1, 0, ", "[0, 1, ", 1),  # a row of 5 fields
+    lambda text: json.dumps({"rows": json.loads(text)}),  # not a list
+], ids=["truncated", "short-row", "not-a-list"])
+def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage):
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file, engine="pt")
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    path = out / "samples" / "pt_scan.json"
+    damaged = damage(path.read_text())
+    assert damaged != path.read_text()
+    path.write_text(damaged)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(path) in err
+    assert "run the sample stage again" in err
     assert not (out / "curves.csv").exists()
 
 

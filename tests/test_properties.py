@@ -86,9 +86,9 @@ def test_heuristic_embed_is_valid_or_raises_on_dead_graphs(rows, cols, n, dead_s
         emb = heuristic_embed(pairs, g, rng, max_tries=4)
     except EmbeddingNotFound:
         return
-    assert validate_embedding(emb, pairs, g).ok
+    assert validate_embedding(emb, pairs).ok
     npr = encode_nested(IsingProblem.from_couplings(n, couplings=dict.fromkeys(pairs, 1.0)), 1, 0.5)
-    assert apply_embedding(npr, emb, g).problem.n == len(emb.qubits)
+    assert apply_embedding(npr, emb).problem.n == len(emb.qubits)
 
 
 @st.composite

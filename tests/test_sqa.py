@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from nqac.errors import DomainError, ScheduleError
+from nqac.errors import DomainError, InvalidEmbedding, ScheduleError
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import IsingProblem, rescale
 from nqac.nesting import encode_for_scale, encode_nested
@@ -322,9 +322,23 @@ def test_protocol_with_embedding_smoke(k4):
     npr = encode_nested(k4, 2, 0.5)
     emb = choi_embed(8, g)
     params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5, noise_sigma=0.02, seed=8)
-    ss = run_protocol(npr, emb, default_schedule(), params, 2, 4, graph=g)
+    ss = run_protocol(npr, emb, default_schedule(), params, 2, 4)
     assert ss.n_records == 8
     assert ss.n_spins == len(emb.qubits)
+
+
+@pytest.mark.parametrize("chains", [
+    {v: [v] for v in range(4)},  # no chain for nested vertices 4..7
+    {0: [0], 1: [4], 2: [1], 3: [5], 4: [2], 5: [6], 6: [3], 7: [7]},  # K_{4,4}, not K8
+], ids=["missing-chains", "sparse"])
+def test_protocol_with_uncovering_embedding_raises(k4, chains):
+    from nqac.chimera import Embedding, build_chimera
+
+    emb = Embedding(chains=chains, graph=build_chimera(1, 1))
+    npr = encode_nested(k4, 2, 0.5)
+    params = SqaParams(sweeps=5, trotter_slices=4, beta=0.5, noise_sigma=0.0, seed=9)
+    with pytest.raises(InvalidEmbedding):
+        run_protocol(npr, emb, default_schedule(), params, 1, 2)
 
 
 def test_zero_problem_samples_uniformly(k4, k4_ground_keys):
@@ -351,6 +365,6 @@ def test_embedded_solver_and_estimate(k4, k4_ground):
     npr = encode_nested(k4, 1, 2.0)
     emb = choi_embed(4, g)
     params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1, noise_sigma=0.0, seed=15)
-    ss = run_protocol(npr, emb, device_like_schedule(), params, 2, 50, graph=g)
+    ss = run_protocol(npr, emb, device_like_schedule(), params, 2, 50)
     P, se = estimate_success(ss, npr, emb, gs)
     assert P >= 0.9, (P, se)
