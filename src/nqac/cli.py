@@ -4,7 +4,10 @@ One experiment = one output directory with curves.csv, boost.csv, eta.txt,
 raw sample sets and a manifest. Everything is seeded from the config; results
 are byte-identical across reruns and across worker counts, because each
 (C, alpha, gamma, cycle) work unit derives its own seed from the master seed
-and indices, and aggregation is ordered by unit index.
+and indices, and aggregation is ordered by unit index. Units of one C level
+anneal in stacks (see ``sqa.stack_size``), and the pool maps stacks, but
+determinism is per unit: a unit programs and anneals on its own streams, so
+its samples do not depend on the stack it shares or on the worker count.
 
 Exit codes: 0 ok, 2 config error, 3 embedding failure, 4 compute failure.
 """
@@ -45,8 +48,9 @@ from .sqa import (
     device_like_schedule,
     load_schedule,
     programmed_digest,
-    run_protocol_cycle,
+    run_protocol_cycles,
     run_sqa,
+    stack_size,
     unit_seed,
 )
 
@@ -152,15 +156,24 @@ def _sampler(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: a number that is not finite is a config error."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read and check an experiment config.
 
     Returns it with every default filled in: the keys its engine reads and no
     other, which is what the manifest records. A key the engine does not
-    read, or a value it cannot use, raises ConfigError.
+    read, a value it cannot use, or a problem file that does not hold a
+    problem, raises ConfigError.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -201,6 +214,10 @@ def load_config(path) -> dict:
     for key in ("problem", "graph") if cfg.get("graph") is not None else ("problem",):
         if not (isinstance(cfg[key], str) and Path(cfg[key]).is_file()):
             raise ConfigError(f"{key} file not found: {cfg[key]}")
+    try:
+        load_problem(cfg["problem"])
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"problem file {cfg['problem']} does not hold a problem: {exc}") from exc
     _sampler(cfg)
     return cfg
 
@@ -257,21 +274,27 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
     if stage in ("all", "sample"):
         if cfg["engine"] == "sqa":
-            units = [(key, cycle) for key in nested for cycle in range(cfg["cycles"])]
+            # the (ai, gi, cycle) units of one C level share n and the embedding;
+            # they anneal in stacks of stack_size units, in unit order
+            size = stack_size(params.trotter_slices, cfg["runs_per_cycle"])
+            levels = [[(key, cycle) for key in nested if key[0] == ci
+                       for cycle in range(cfg["cycles"])] for ci in range(len(cfg["C"]))]
+            stacks = [(ci, level[i:i + size]) for ci, level in enumerate(levels)
+                      for i in range(0, len(level), size)]
             args = [
-                (nested[key], embeddings[key[0]], sch,
-                 replace(params, seed=unit_seed(cfg["seed"], *key)),
-                 cfg["runs_per_cycle"], cycle)
-                for key, cycle in units
+                ([(nested[key], unit_seed(cfg["seed"], *key), cycle) for key, cycle in units],
+                 embeddings[ci], sch, params, cfg["runs_per_cycle"])
+                for ci, units in stacks
             ]
             if jobs > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    done = list(pool.map(run_protocol_cycle, *zip(*args)))
+                    done = list(pool.map(run_protocol_cycles, *zip(*args)))
             else:
-                done = [run_protocol_cycle(*a) for a in args]
-            results = dict(zip(units, done))
+                done = [run_protocol_cycles(*a) for a in args]
+            results = dict(zip((unit for _, units in stacks for unit in units),
+                               (part for parts in done for part in parts)))
             for key in nested:
                 parts = [results[key, cycle] for cycle in range(cfg["cycles"])]
                 save_sampleset(assemble_sampleset(parts, digests[key]), sample_path(*key))

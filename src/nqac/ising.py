@@ -72,8 +72,8 @@ class IsingProblem:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("vertex count must be non-negative")
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         h = np.asarray(self.h, dtype=np.float64).reshape(-1)
         if h.shape != (self.n,):
             raise DimensionMismatch(f"h has shape {h.shape}, expected ({self.n},)")
@@ -81,6 +81,8 @@ class IsingProblem:
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if pairs.shape[0] != values.shape[0]:
             raise DimensionMismatch("pairs and values length mismatch")
+        if not (np.isfinite(h).all() and np.isfinite(values).all()):
+            raise DomainError("fields and couplings must be finite")
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= self.n:
                 raise DomainError("coupling endpoint out of range")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nqac import sqa
 from nqac.chimera import build_chimera, choi_embed
 from nqac.cli import _build_embedding, main
 from nqac.instances import dead8_mask, k4_antiferromagnet
@@ -186,6 +187,42 @@ def test_run_bad_engine_is_config_error(tmp_path, k4_file):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
 
 
+@pytest.mark.parametrize("engine, old, new", [
+    ("sqa", '"gammas": [0.3]', '"gammas": [Infinity]'),
+    ("sqa", '"gammas": [0.3]', '"gammas": [1e999]'),
+    ("sqa", '"beta": 0.5', '"beta": Infinity'),
+    ("sqa", '"beta": 0.5', '"beta": NaN'),
+    ("pt", '"n_betas": 4', '"n_betas": 4, "beta_max": Infinity'),
+])
+def test_run_non_finite_number_is_config_error(tmp_path, k4_file, capsys, engine, old, new):
+    cfg = tiny_config(tmp_path, k4_file, engine=engine)
+    text = cfg.read_text()
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and "finite" in err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 4, "J": {"0,1": 1.0, "0,2"',
+    '{"n": 4, "J": {"0,9": 1.0}}',
+    '{"n": 4, "J": {"0,1": Infinity}}',
+    '{"n": 4, "h": {"2": "-inf"}}',
+    '[4]',
+], ids=["truncated", "endpoint-out-of-range", "infinite-coupling", "infinite-field",
+        "not-an-object"])
+def test_run_bad_problem_file_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    cfg = tiny_config(tmp_path, bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(bad) in err
+    assert not (tmp_path / "exp").exists()
+
+
 def test_run_pt_with_embedding_is_config_error(tmp_path, k4_file, capsys):
     cfg = tiny_config(tmp_path, k4_file, engine="pt", embedding="choi")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
@@ -330,6 +367,34 @@ def test_ring_on_dead_graph_runs_at_any_jobs(tmp_path):
     assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     for f in files:
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_embedded_stacks_give_the_same_files_at_any_jobs(tmp_path, k4_file, monkeypatch):
+    # 100 anneals of 8 slices fill a stack at 5 units, so each C level's
+    # 2 alphas x 2 gammas x 3 cycles = 12 units run as stacks of 5, 5 and 2;
+    # with --jobs 2 the pool maps those stacks. Every unit alone gives the
+    # same files too.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
+    cfg = tiny_config(
+        tmp_path, k4_file, gammas=[0.3, 0.6], embedding="choi", graph=str(graph),
+        engine_params={"sweeps": 5, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.05},
+        cycles=3, runs_per_cycle=100,
+    )
+    assert sqa.stack_size(8, 100) == 5
+    for jobs in ("1", "2"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    monkeypatch.setattr(sqa, "STACK_SPIN_SLICES", 0)
+    assert sqa.stack_size(8, 100) == 1
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "alone")]) == 0
+    files = _files(tmp_path / "1")
+    assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
+    assert files == _files(tmp_path / "2") == _files(tmp_path / "alone")
 
 
 def test_uncoupled_vertex_gets_a_chain(tmp_path):

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from nqac.chimera import build_chimera, choi_embed
 from nqac.errors import DomainError, InvalidEmbedding, ScheduleError
-from nqac.instances import k4_antiferromagnet
+from nqac.instances import k4_antiferromagnet, load_instance
 from nqac.ising import IsingProblem, rescale
 from nqac.nesting import encode_for_scale, encode_nested
 from nqac.sqa import (
@@ -17,9 +18,11 @@ from nqac.sqa import (
     default_schedule,
     device_like_schedule,
     run_protocol,
+    run_protocol_cycles,
     run_sqa,
     run_sqa_chain,
     sample_noise,
+    stack_size,
 )
 
 
@@ -169,12 +172,12 @@ def test_dense_and_sparse_fields_give_the_same_sweeps():
     p = IsingProblem.from_couplings(10, couplings=couplings, h=rng.integers(-8, 9, 10) / 8)
     states = []
     for dense in (True, False):
-        lat = _Lattice(p)
+        lat = _Lattice([p])
         lat.dense_rows = lat.dense_rows if dense else None
-        rng = np.random.default_rng(7)
-        S = _init_state(p.n, 8, 16, rng)
+        rngs = [np.random.default_rng(7)]
+        S = _init_state(p.n, 8, 16, rngs)
         for _ in range(20):
-            _sweep(S, lat, 0.4, 0.3, rng)
+            _sweep(S, lat, 0.4, np.array([0.3]), rngs)
         states.append(S)
     assert np.array_equal(*states)
 
@@ -213,13 +216,13 @@ def test_sweep_matches_loop_reference(K, p_bond):
     h = rng.integers(-8, 9, 6) / 8
     p = IsingProblem.from_couplings(
         6, couplings={(i, j): J[i, j] for i in range(6) for j in range(i + 1, 6)}, h=h)
-    S = _init_state(6, K, 5, np.random.default_rng(1))
-    want = S.copy()
+    S = _init_state(6, K, 5, [np.random.default_rng(1)])
+    want = S[:, 0].copy()
     fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(4):
-        _sweep(S, _Lattice(p), p_bond, 0.3, fast)
+        _sweep(S, _Lattice([p]), p_bond, np.array([0.3]), [fast])
         _loop_sweep(want, J, h, p_bond, 0.3, slow)
-    assert np.array_equal(S, want)
+    assert np.array_equal(S[:, 0], want)
 
 
 def _sha(a):
@@ -257,7 +260,7 @@ def test_sqa_stream_is_pinned(k4):
 
     def anneal(p, sch, sweeps, K, batch, seed):
         params = SqaParams(sweeps=sweeps, trotter_slices=K, noise_sigma=0.0)
-        return _anneal_batch(p, sch, params, batch, np.random.default_rng(seed))
+        return _anneal_batch([p], sch, params, batch, [np.random.default_rng(seed)])[0]
 
     def chain(p, sch, K, seed):
         params = SqaParams(sweeps=1, trotter_slices=K, noise_sigma=0.0, seed=seed)
@@ -275,6 +278,67 @@ def test_sqa_stream_is_pinned(k4):
         "pair_k300": _sha(anneal(pair, broken, 40, 300, 8, 8)),
     }
     assert got == PINNED_SQA
+
+
+def test_stacked_anneal_is_pinned():
+    # one stacked call over three units with their own alphas and streams;
+    # unit 1 carries noise, so a field on every site, beside two units without
+    # fields. The digest is that of the three units annealed one at a time by
+    # the single-batch kernel, concatenated.
+    k8 = load_instance("k8_harder")
+    probs = [encode_for_scale(k8, 2, 0.4, a).nested for a in (0.1, 0.5, 1.0)]
+    probs[1] = sample_noise(probs[1], 0.05, np.random.default_rng(21))
+    params = SqaParams(sweeps=15, trotter_slices=16, noise_sigma=0.0)
+    got = _anneal_batch(probs, device_like_schedule(), params, 12,
+                        [np.random.default_rng(31 + u) for u in range(3)])
+    assert got.shape == (3, 12, 16)
+    assert _sha(got) == "0c5e2984e19c1cfc1bab969c7ace9556a47db8b3791e0017e7ca38fccc4bfd18"
+
+
+def _stack_cases():
+    k8 = load_instance("k8_harder")
+    k4 = k4_antiferromagnet()
+    dev = device_like_schedule()
+    broken = Schedule(s=[0.0, 1.0], A=[5000.0, 5000.0], B=[1.0, 1.0])
+    # noise puts a field on every site of k8_harder's programmed problems
+    fields = [(encode_for_scale(k8, 2, g, a), 100 + i, c)
+              for i, (a, g, c) in enumerate([(0.2, 0.3, 0), (1.0, 0.3, 1), (0.2, 0.6, 3),
+                                             (0.5, 0.6, 0)])]
+    sparse = [(encode_for_scale(k8, 3, g, a), 200 + i, c)
+              for i, (a, g, c) in enumerate([(0.3, 0.5, 0), (1.0, 0.8, 2)])]
+    labels = [(encode_for_scale(k4, 1, 0.5, a), 300 + c, c) for a in (0.2, 1.0) for c in (0, 1)]
+    return {
+        "fields": (fields, None, dev, SqaParams(sweeps=6, trotter_slices=8, noise_sigma=0.05), 7),
+        # choi-embedded K8 at C = 3 compiles to 168 chain qubits: the sparse path
+        "sparse": (sparse, choi_embed(24, build_chimera(8, 8)), dev,
+                   SqaParams(sweeps=2, trotter_slices=8, noise_sigma=0.05), 4),
+        # K = 300 with most bonds broken: ring labels past 255
+        "k300": (labels, None, broken, SqaParams(sweeps=3, trotter_slices=300), 3),
+        "one": (fields[:1], None, dev, SqaParams(sweeps=6, trotter_slices=8), 5),
+    }
+
+
+@pytest.mark.parametrize("case", ["fields", "sparse", "k300", "one"])
+def test_stacked_cycles_equal_per_unit_cycles(case):
+    # a stack mixing alphas, gammas and cycles gives every unit the configs
+    # and record it gets annealed alone
+    units, emb, sch, params, runs = _stack_cases()[case]
+    if case == "sparse":
+        assert emb.graph is not None and sum(map(len, emb.chains.values())) == 168
+    stacked = run_protocol_cycles(units, emb, sch, params, runs)
+    alone = [run_protocol_cycles([u], emb, sch, params, runs)[0] for u in units]
+    assert len(stacked) == len(units)
+    for (configs, rec), (want, want_rec) in zip(stacked, alone):
+        assert configs.dtype == np.int8 and configs.tobytes() == want.tobytes()
+        assert (rec.cycle, rec.seed) == (want_rec.cycle, want_rec.seed)
+        assert np.array_equal(rec.gauge, want_rec.gauge)
+        assert np.array_equal(rec.permutation, want_rec.permutation)
+
+
+def test_stack_size_caps_spin_slices():
+    assert stack_size(8, 32) == 16  # 16 x 8 x 32 = 2^12 spin-slices
+    assert stack_size(8, 100) == 5
+    assert stack_size(8, 1000) == stack_size(64, 1000) == stack_size(64, 200) == 1
 
 
 def test_monotone_hardness_trend(k4, k4_ground_keys):
