@@ -10,7 +10,10 @@ qubits couple horizontally. Dead qubits stay in the index space but lose all
 incident couplers.
 
 An ``Embedding`` maps source vertices to chains of qubits and carries the
-graph it was made for, so compiling and validating need nothing else. Two
+graph it was made for, so compiling and validating need nothing else. It
+walks its chains once, when it is made, and keeps the layout both read:
+validation and compilation are lookups into it. The graph keeps one edge
+representation, the sorted neighbor lists. Two
 embedders are provided. ``choi_embed`` places the triangular complete-graph
 layout on a perfect graph: each vertex becomes an L-shaped path of exactly
 ``ceil(n/cell_size) + 1`` qubits. ``heuristic_embed`` handles graphs with dead
@@ -63,13 +66,6 @@ class ChimeraGraph:
         object.__setattr__(
             self, "_adj", {q: tuple(sorted(nbrs)) for q, nbrs in adj.items()}
         )
-        object.__setattr__(
-            self,
-            "_edge_set",
-            frozenset(
-                (min(u, v), max(u, v)) for u, nbrs in self._adj.items() for v in nbrs
-            ),
-        )
 
     @property
     def total_qubits(self) -> int:
@@ -99,12 +95,9 @@ class ChimeraGraph:
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
-
     @property
     def edge_count(self) -> int:
-        return len(self._edge_set)
+        return sum(map(len, self._adj.values())) // 2
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChimeraGraph":
@@ -132,23 +125,71 @@ def load_graph(path) -> ChimeraGraph:
 @dataclass(frozen=True)
 class Embedding:
     """Map from source vertices to disjoint connected chains of qubits of
-    ``graph``."""
+    ``graph``.
+
+    Construction walks the chains once, in ascending vertex order, and keeps
+    the layout that validation and compilation read: ``qubits``, the chain
+    qubits in ascending hardware-label order (position i of a compiled
+    problem, and of its sample records, is hardware qubit ``qubits[i]``);
+    each chain's shared, dead and out-of-range qubits; the chains that are
+    not connected; a depth-first spanning tree of each chain, rooted at its
+    first qubit; and, for each pair of chains (a chain with itself
+    included), the sorted hardware edges between them. Trees and edges are
+    position pairs ``(i, j)`` with i < j.
+    """
 
     chains: dict
     graph: ChimeraGraph
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "chains",
-            {int(v): tuple(int(q) for q in qs) for v, qs in self.chains.items()},
-        )
-
-    @property
-    def qubits(self) -> tuple:
-        """The chain qubits in ascending hardware-label order: position i of a
-        compiled problem, and of its sample records, is hardware qubit qubits[i]."""
-        return tuple(sorted(q for qs in self.chains.values() for q in qs))
+        g = self.graph
+        chains = {int(v): tuple(int(q) for q in qs) for v, qs in self.chains.items()}
+        qubits = tuple(sorted(q for qs in chains.values() for q in qs))
+        pos = {q: i for i, q in enumerate(qubits)}
+        seen: dict[int, int] = {}
+        owners: dict[int, list[int]] = {}
+        faults, disconnected, trees, couplers = {}, [], {}, {}
+        for v in sorted(chains):
+            qs = chains[v]
+            if not qs:
+                continue
+            faults[v] = []
+            for q in qs:
+                if q in seen and seen[q] != v:
+                    faults[v].append(f"disjointness: qubit {q} shared by {seen[q]} and {v}")
+                seen[q] = v
+                if q in g.dead:
+                    faults[v].append(f"dead qubit {q} used by chain {v}")
+                if not (0 <= q < g.total_qubits):
+                    faults[v].append(f"qubit {q} of chain {v} out of range")
+            qset = set(qs)
+            # the edges to the chains walked so far, this one included: an
+            # edge is met from whichever of its two ends is walked later
+            for a in qset:
+                owners.setdefault(a, []).append(v)
+                for b in g._adj.get(a, ()):
+                    for u in owners.get(b, ()):
+                        couplers.setdefault((min(u, v), max(u, v)), set()).add(
+                            (pos[min(a, b)], pos[max(a, b)]))
+            reached, stack, tree = {qs[0]}, [qs[0]], []
+            while stack:
+                q = stack.pop()
+                for nb in g._adj.get(q, ()):
+                    if nb in qset and nb not in reached:
+                        reached.add(nb)
+                        tree.append((pos[min(q, nb)], pos[max(q, nb)]))
+                        stack.append(nb)
+            trees[v] = (pos[qs[0]], tree)
+            # a chain holding a dead or out-of-range qubit is reported for
+            # those qubits, not for its connectivity
+            if reached != qset and not any(q in g.dead or q >= g.total_qubits for q in qs):
+                disconnected.append(v)
+        for name, value in (
+            ("chains", chains), ("qubits", qubits), ("_faults", faults),
+            ("_disconnected", disconnected), ("_trees", trees),
+            ("_couplers", {uv: sorted(edges) for uv, edges in couplers.items()}),
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """The chains only; the graph is saved, and loaded, on its own."""
@@ -190,55 +231,24 @@ def _source(source) -> tuple[list[int], list[tuple[int, int]]]:
     """(vertices, pairs) of a NestedProblem, whose every nested vertex needs a
     chain, or of an iterable of vertex pairs."""
     if isinstance(source, NestedProblem):
-        return list(range(source.n_nested)), [(int(i), int(j)) for i, j in source.nested.pairs]
+        return list(range(source.n_nested)), [(i, j) for i, j in source.nested.pairs.tolist()]
     pairs = [(int(u), int(v)) for u, v in source]
     return sorted({u for uv in pairs for u in uv}), pairs
 
 
 def validate_embedding(e: Embedding, source) -> EmbeddingReport:
     """Check disjointness, connectivity, dead-qubit avoidance and coverage on
-    the embedding's graph."""
-    violations: list[str] = []
-    g = e.graph
+    the embedding's graph, by lookups into the layout ``e`` keeps."""
     vertices, pairs = _source(source)
-    vertices = sorted(set(vertices) | set(e.chains))
-
-    seen: dict[int, int] = {}
-    for v in vertices:
-        if v not in e.chains or not e.chains[v]:
-            violations.append(f"missing chain for vertex {v}")
-            continue
-        for q in e.chains[v]:
-            if q in seen and seen[q] != v:
-                violations.append(f"disjointness: qubit {q} shared by {seen[q]} and {v}")
-            seen[q] = v
-            if q in g.dead:
-                violations.append(f"dead qubit {q} used by chain {v}")
-            if not (0 <= q < g.total_qubits):
-                violations.append(f"qubit {q} of chain {v} out of range")
-
-    for v in vertices:
-        qs = set(e.chains.get(v, ()))
-        if len(qs) <= 1 or any(q in g.dead or q >= g.total_qubits for q in qs):
-            continue
-        start = next(iter(qs))
-        stack, reached = [start], {start}
-        while stack:
-            q = stack.pop()
-            for nb in g.neighbors(q):
-                if nb in qs and nb not in reached:
-                    reached.add(nb)
-                    stack.append(nb)
-        if reached != qs:
-            violations.append(f"connectivity: chain {v} is not connected")
-
-    for u, v in pairs:
-        cu, cv = e.chains.get(u, ()), e.chains.get(v, ())
-        if not cu or not cv:
-            continue
-        if not any(g.has_edge(a, b) for a in cu for b in cv):
-            violations.append(f"coverage: no hardware edge between chains {u} and {v}")
-
+    violations: list[str] = []
+    for v in sorted(set(vertices) | set(e.chains)):
+        violations += e._faults[v] if e.chains.get(v) else [f"missing chain for vertex {v}"]
+    violations += [f"connectivity: chain {v} is not connected" for v in e._disconnected]
+    violations += [
+        f"coverage: no hardware edge between chains {u} and {v}"
+        for u, v in pairs
+        if e.chains.get(u) and e.chains.get(v) and (min(u, v), max(u, v)) not in e._couplers
+    ]
     return EmbeddingReport(violations=tuple(violations))
 
 
@@ -548,22 +558,6 @@ class PhysicalProblem:
     chain_gamma: float
 
 
-def _chain_tree_edges(qs: Sequence[int], g: ChimeraGraph) -> list[tuple[int, int]]:
-    qset = set(qs)
-    root = qs[0]
-    seen = {root}
-    stack = [root]
-    edges = []
-    while stack:
-        q = stack.pop()
-        for nb in g.neighbors(q):
-            if nb in qset and nb not in seen:
-                seen.add(nb)
-                edges.append((min(q, nb), max(q, nb)))
-                stack.append(nb)
-    return edges
-
-
 def apply_embedding(np_prob: NestedProblem, e: Embedding) -> PhysicalProblem:
     """Compile a nested problem onto the embedding's graph.
 
@@ -573,7 +567,6 @@ def apply_embedding(np_prob: NestedProblem, e: Embedding) -> PhysicalProblem:
     that does not give every nested vertex a chain, or every nested coupling
     a hardware edge, raises ``InvalidEmbedding``.
     """
-    g = e.graph
     report = validate_embedding(e, np_prob)
     if not report.ok:
         raise InvalidEmbedding(report)
@@ -582,27 +575,18 @@ def apply_embedding(np_prob: NestedProblem, e: Embedding) -> PhysicalProblem:
         raise DomainError(f"chain penalty must be positive, got {chain_gamma}")
 
     nested = np_prob.nested
-    # hardware label -> position; ascending, so it keeps every pair's order
-    pos = {q: i for i, q in enumerate(e.qubits)}
-    h = np.zeros(len(pos), dtype=np.float64)
+    h = np.zeros(len(e.qubits), dtype=np.float64)
     coup: dict[tuple[int, int], float] = {}
-
     for v in range(nested.n):
-        qs = e.chains[v]
-        h[pos[qs[0]]] += nested.h[v]
-        for a, b in _chain_tree_edges(qs, g):
-            coup[(pos[a], pos[b])] = -float(chain_gamma)
+        root, tree = e._trees[v]
+        h[root] += nested.h[v]
+        coup.update(dict.fromkeys(tree, -float(chain_gamma)))
 
-    for (u, v), val in zip(nested.pairs, nested.values):
-        hw = sorted(
-            (pos[min(a, b)], pos[max(a, b)])
-            for a in e.chains[int(u)]
-            for b in e.chains[int(v)]
-            if g.has_edge(a, b)
-        )
-        coup[hw[0]] = coup.get(hw[0], 0.0) + float(val)
-        for extra in hw[1:]:
+    for (u, v), val in zip(nested.pairs.tolist(), nested.values.tolist()):
+        first, *parallel = e._couplers[min(u, v), max(u, v)]
+        coup[first] = coup.get(first, 0.0) + val
+        for extra in parallel:
             coup.setdefault(extra, 0.0)
 
-    problem = IsingProblem.from_couplings(len(pos), couplings=coup, h=h, alpha=nested.alpha)
+    problem = IsingProblem.from_couplings(len(e.qubits), couplings=coup, h=h, alpha=nested.alpha)
     return PhysicalProblem(problem=problem, embedding=e, chain_gamma=float(chain_gamma))

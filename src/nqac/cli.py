@@ -164,13 +164,21 @@ def _finite(text: str) -> float:
     return value
 
 
+def _read(load, path, what: str):
+    """``load(path)``; a file that does not hold a ``what`` is a config error."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"{what} file {path} does not hold a {what}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     """Read and check an experiment config.
 
     Returns it with every default filled in: the keys its engine reads and no
     other, which is what the manifest records. A key the engine does not
-    read, a value it cannot use, or a problem file that does not hold a
-    problem, raises ConfigError.
+    read, a value it cannot use, or a problem or graph file that does not
+    hold a problem or a Chimera graph, raises ConfigError.
     """
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
@@ -211,13 +219,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown embedding mode {cfg['embedding']!r}")
     if engine == "sqa" and (cfg["embedding"] == "none") != (cfg["graph"] is None):
         raise ConfigError("embedded runs, and only they, read a hardware graph file")
-    for key in ("problem", "graph") if cfg.get("graph") is not None else ("problem",):
+    loaders = {"problem": load_problem}
+    if cfg.get("graph") is not None:
+        loaders["graph"] = load_graph
+    for key, load in loaders.items():
         if not (isinstance(cfg[key], str) and Path(cfg[key]).is_file()):
             raise ConfigError(f"{key} file not found: {cfg[key]}")
-    try:
-        load_problem(cfg["problem"])
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"problem file {cfg['problem']} does not hold a problem: {exc}") from exc
+        _read(load, cfg[key], key)
     _sampler(cfg)
     return cfg
 
@@ -397,7 +405,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    base = load_problem(args.problem)
+    base = _read(load_problem, args.problem, "problem")
     if args.alpha is not None:
         np_prob = encode_for_scale(base, args.C, args.gamma, args.alpha)
     else:
@@ -409,8 +417,9 @@ def _cmd_encode(args) -> int:
 
 def _cmd_embed(args) -> int:
     seed = _seed(args.seed)
-    graph = load_graph(args.graph) if args.graph else build_chimera(args.rows, args.cols)
-    np_prob = load_nested(args.source)
+    graph = (_read(load_graph, args.graph, "graph") if args.graph
+             else build_chimera(args.rows, args.cols))
+    np_prob = _read(load_nested, args.source, "nested problem")
     try:
         if args.mode == "choi":
             emb = choi_embed(np_prob.n_nested, graph)
@@ -445,7 +454,7 @@ def _count(flag: str, value: int) -> int:
 
 
 def _cmd_sqa(args) -> int:
-    p = load_problem(args.problem)
+    p = _read(load_problem, args.problem, "problem")
     params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params": {
         "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta,
         "noise_sigma": 0.0}})
@@ -456,7 +465,7 @@ def _cmd_sqa(args) -> int:
 
 
 def _cmd_pt(args) -> int:
-    p = load_problem(args.problem)
+    p = _read(load_problem, args.problem, "problem")
     ladder = ({"betas": args.betas.split(",")} if args.betas else
               {"beta_max": args.beta_max, "n_betas": args.n_betas, "beta_min": args.beta_min})
     params, _ = _sampler({"engine": "pt", "engine_params": {
@@ -496,7 +505,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bruteforce(args) -> int:
-    p = load_problem(args.problem)
+    p = _read(load_problem, args.problem, "problem")
     energy, states = brute_force_ground(p)
     print(f"ground energy {energy:.12g}, {states.shape[0]} ground states")
     if args.out:

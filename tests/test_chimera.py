@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,9 +17,9 @@ from nqac.chimera import (
     save_embedding,
     validate_embedding,
 )
-from nqac.instances import dead8_mask
+from nqac.instances import dead8_mask, load_instance
 from nqac.ising import IsingProblem, energy
-from nqac.nesting import encode_nested, lift_logical
+from nqac.nesting import encode_for_scale, encode_nested, lift_logical, permute_nested
 
 
 def complete_pairs(n):
@@ -240,3 +241,38 @@ def test_apply_embedding_fields_on_first_qubit():
     for v in range(6):
         first = emb.qubits.index(emb.chains[v][0])
         assert phys.problem.h[first] == pytest.approx(npr.nested.h[v])
+
+
+#: (instance, C) compiled by each embedder: choi on the perfect 8x8 graph and
+#: heuristic on the bundled 8-dead-qubit graph, where K_24 does not fit
+_COMPILED_CASES = {
+    "choi": [("k4_af", 1), ("k4_af", 2), ("k4_af", 3),
+             ("k8_harder", 1), ("k8_harder", 2), ("k8_harder", 3)],
+    "heuristic": [("k4_af", 1), ("k4_af", 2), ("k4_af", 3), ("k8_harder", 1), ("k8_harder", 2)],
+}
+#: sha256 over the digests of the compiled problems, three permutations a case
+_COMPILED_DIGESTS = {
+    "choi": "e0a0df2bc52aa3e8bdeeca33651087a191f06cbe2bf99537b6fa3963f72381ce",
+    "heuristic": "2dc5e674979c7a1a825b445eebec945649b9fc04b4a52bd691cd0080a39e3b81",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_COMPILED_DIGESTS))
+def test_compiled_problems_are_pinned(mode):
+    mask = dead8_mask()
+    graph = (build_chimera(8, 8) if mode == "choi"
+             else build_chimera(mask["rows"], mask["cols"], mask["dead"]))
+    digests = []
+    for name, C in _COMPILED_CASES[mode]:
+        base = load_instance(name)
+        n = C * base.n
+        if mode == "choi":
+            emb = choi_embed(n, graph)
+        else:
+            emb = heuristic_embed(complete_pairs(n), graph, np.random.default_rng(C))
+        npr = encode_for_scale(base, C, 0.5, 0.3)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            digests.append(apply_embedding(permute_nested(npr, perm), emb).problem.digest())
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == _COMPILED_DIGESTS[mode]

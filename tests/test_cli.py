@@ -122,6 +122,24 @@ def test_negative_seed_is_config_error(k4_file, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sqa", "--problem"],
+    ["pt", "--problem"],
+    ["bruteforce", "--problem"],
+    ["encode", "--C", "2", "--gamma", "0.4", "--problem"],
+    ["embed", "--source"],
+], ids=lambda argv: argv[0])
+def test_subcommand_truncated_problem_file_is_config_error(k4_file, tmp_path, capsys, argv):
+    bad = tmp_path / "truncated.json"
+    bad.write_text(k4_file.read_text()[:40])
+    out = tmp_path / "out"
+    flags = [] if argv[0] == "bruteforce" else ["--out", str(out)]
+    assert main([*argv, str(bad), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(bad) in err
+    assert not out.exists()
+
+
 def test_pt_subcommand(k4_file, tmp_path):
     out = tmp_path / "thermal"
     rc = main(["pt", "--problem", str(k4_file), "--betas", "0.5,2.0", "--sweeps", "400",
@@ -220,6 +238,22 @@ def test_run_bad_problem_file_is_config_error(tmp_path, capsys, text):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(bad) in err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": 8, "co',
+    '[8, 8]',
+    '{"cols": 8}',
+    '{"rows": 8, "cols": 8, "dead": [9999]}',
+], ids=["truncated", "list", "no-rows", "dead-out-of-range"])
+def test_run_bad_graph_file_is_config_error(tmp_path, k4_file, capsys, text):
+    graph = tmp_path / "graph.json"
+    graph.write_text(text)
+    cfg = tiny_config(tmp_path, k4_file, embedding="choi", graph=str(graph))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(graph) in err
     assert not (tmp_path / "exp").exists()
 
 

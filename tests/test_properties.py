@@ -1,15 +1,23 @@
 """Property tests on random inputs: the decode -> count path, gauge
-invariance of the energy, embedding validity on damaged hardware, the
-curves.csv round trip and the sample-set file format."""
+invariance of the energy, embedding validity on damaged hardware, embedding
+validation against a chain-walking reference, the curves.csv round trip and
+the sample-set file format."""
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nqac.analysis import SuccessCurve, count_ground_hits, curves_csv, read_curves
-from nqac.chimera import apply_embedding, build_chimera, heuristic_embed, validate_embedding
+from nqac.chimera import (
+    Embedding,
+    _source,
+    apply_embedding,
+    build_chimera,
+    heuristic_embed,
+    validate_embedding,
+)
 from nqac.errors import EmbeddingNotFound
 from nqac.ising import IsingProblem, apply_gauge, energies
 from nqac.nesting import decode_batch, encode_nested, permute_nested
@@ -89,6 +97,93 @@ def test_heuristic_embed_is_valid_or_raises_on_dead_graphs(rows, cols, n, dead_s
     assert validate_embedding(emb, pairs).ok
     npr = encode_nested(IsingProblem.from_couplings(n, couplings=dict.fromkeys(pairs, 1.0)), 1, 0.5)
     assert apply_embedding(npr, emb).problem.n == len(emb.qubits)
+
+
+def _walked_validation(e, source):
+    """Reference validation that walks every chain and scans the qubit pairs
+    of every source pair on each call, as ``validate_embedding`` did before
+    embeddings kept their layout. A qubit pair is a hardware edge when one
+    end is an in-range qubit listing the other as its neighbor."""
+    violations = []
+    g = e.graph
+    vertices, pairs = _source(source)
+    vertices = sorted(set(vertices) | set(e.chains))
+
+    seen = {}
+    for v in vertices:
+        if v not in e.chains or not e.chains[v]:
+            violations.append(f"missing chain for vertex {v}")
+            continue
+        for q in e.chains[v]:
+            if q in seen and seen[q] != v:
+                violations.append(f"disjointness: qubit {q} shared by {seen[q]} and {v}")
+            seen[q] = v
+            if q in g.dead:
+                violations.append(f"dead qubit {q} used by chain {v}")
+            if not (0 <= q < g.total_qubits):
+                violations.append(f"qubit {q} of chain {v} out of range")
+
+    for v in vertices:
+        qs = set(e.chains.get(v, ()))
+        if len(qs) <= 1 or any(q in g.dead or q >= g.total_qubits for q in qs):
+            continue
+        start = next(iter(qs))
+        stack, reached = [start], {start}
+        while stack:
+            q = stack.pop()
+            for nb in g.neighbors(q):
+                if nb in qs and nb not in reached:
+                    reached.add(nb)
+                    stack.append(nb)
+        if reached != qs:
+            violations.append(f"connectivity: chain {v} is not connected")
+
+    def edge(a, b):
+        return 0 <= a < g.total_qubits and b in g.neighbors(a)
+
+    for u, v in pairs:
+        cu, cv = e.chains.get(u, ()), e.chains.get(v, ())
+        if not cu or not cv:
+            continue
+        if not any(edge(a, b) for a in cu for b in cv):
+            violations.append(f"coverage: no hardware edge between chains {u} and {v}")
+    return tuple(violations)
+
+
+@st.composite
+def chain_maps(draw):
+    """A 1-3 x 1-3 graph with a random dead mask, chains of up to 4 qubits on
+    vertices 0..5 (empty ones, and qubits below and above the index range,
+    included) and source pairs on vertices 0..6, self-pairs included."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    total = rows * cols * 8
+    dead = draw(st.sets(st.integers(0, total - 1), max_size=total // 4))
+    g = build_chimera(rows, cols, dead)
+    # half the chains are grown along hardware edges, so connected ones are common
+    chains = {}
+    for v in draw(st.sets(st.integers(0, 5), max_size=6)):
+        qs = draw(st.lists(st.integers(-1, total + 1), max_size=4))
+        if qs and draw(st.booleans()):
+            for _ in range(draw(st.integers(0, 3))):
+                nbrs = g.neighbors(qs[-1]) if 0 <= qs[-1] < total else ()
+                if nbrs:
+                    qs.append(draw(st.sampled_from(nbrs)))
+        chains[v] = qs
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8))
+    return Embedding(chains=chains, graph=g), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_maps())
+def test_validation_matches_the_chain_walking_reference(case):
+    emb, pairs = case
+    try:
+        want = _walked_validation(emb, pairs)
+    except KeyError:
+        # the reference walks from an arbitrary qubit of a chain and fails
+        # when that is a negative label
+        assume(False)
+    assert validate_embedding(emb, pairs).violations == want
 
 
 @st.composite
