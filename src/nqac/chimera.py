@@ -131,9 +131,9 @@ class Embedding:
     the layout that validation and compilation read: ``qubits``, the chain
     qubits in ascending hardware-label order (position i of a compiled
     problem, and of its sample records, is hardware qubit ``qubits[i]``);
-    each chain's shared, dead and out-of-range qubits; the chains that are
-    not connected; a depth-first spanning tree of each chain, rooted at its
-    first qubit; and, for each pair of chains (a chain with itself
+    each chain's shared, repeated, dead and out-of-range qubits; the chains
+    that are not connected; a depth-first spanning tree of each chain, rooted
+    at its first qubit; and, for each pair of chains (a chain with itself
     included), the sorted hardware edges between them. Trees and edges are
     position pairs ``(i, j)`` with i < j.
     """
@@ -157,6 +157,8 @@ class Embedding:
             for q in qs:
                 if q in seen and seen[q] != v:
                     faults[v].append(f"disjointness: qubit {q} shared by {seen[q]} and {v}")
+                elif q in seen:
+                    faults[v].append(f"repeated qubit {q} in chain {v}")
                 seen[q] = v
                 if q in g.dead:
                     faults[v].append(f"dead qubit {q} used by chain {v}")
@@ -237,8 +239,9 @@ def _source(source) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def validate_embedding(e: Embedding, source) -> EmbeddingReport:
-    """Check disjointness, connectivity, dead-qubit avoidance and coverage on
-    the embedding's graph, by lookups into the layout ``e`` keeps."""
+    """Check disjointness, repeated qubits, connectivity, dead-qubit
+    avoidance and coverage on the embedding's graph, by lookups into the
+    layout ``e`` keeps."""
     vertices, pairs = _source(source)
     violations: list[str] = []
     for v in sorted(set(vertices) | set(e.chains)):

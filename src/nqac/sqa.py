@@ -22,22 +22,40 @@ and the dynamics reduces to classical Metropolis sampling.
 Anneals run as one vectorized stack of U units that share n, K, sweeps, beta
 and schedule; each unit is a batch of anneals of its own problem, with its
 own fields and alpha (a per-unit coupling scale), on its own generator. A lone
-batch is a stack of one. The state is held slice-major, (n, U, K, batch), so
-a site update works on contiguous (U, K, batch) rows: the local fields are one
-stacked gemv, np.matmul((U, 1, n), (U, n, K * batch)), and ring labelling,
-cluster and Metropolis run elementwise over the leading U axis. Each sweep,
-unit by unit, draws from the unit's generator, in this order, bond uniforms
-of shape (n, batch, K), seed slices (n, batch) and acceptance uniforms
-(n, batch); these shapes fix each unit's stream, so they follow neither the
-state's layout nor the stack, and a unit's samples are the same in any stack.
+batch is a stack of one. Each sweep, unit by unit, draws from the unit's
+generator, in this order, bond uniforms of shape (n, batch, K), seed slices
+(n, batch) and acceptance uniforms (n, batch); these shapes fix each unit's
+stream, so they follow neither the state's layout nor the stack, and a unit's
+samples are the same in any stack.
 
-A site update costs tens of microseconds of fixed NumPy overhead whatever
-its size, so units join a stack while U * K * batch stays at or below
-STACK_SPIN_SLICES = 2^12 spin-slices per site row (``stack_size``). Per
-spin-slice update on one core (n = 8, 24, 48, K = 8, batch 32) that measured
-208-283 ns at 256 spin-slices, 67-92 ns at 1024 and 36-65 ns at 4096; past
-4096 only n = 8 gains, and n = 48 slows again (58-75 ns at 8192 and 16384).
-Batches of 1000 anneals stay stacks of one.
+The rings are bit-packed (multi-spin coding; Jacobs & Rebbi, J. Comput.
+Phys. 41, 203 (1981)). A ring is W words: one word of the smallest unsigned
+type holding K bits for K <= 64, ceil(K / 64) uint64 words above. The state
+has layout (n, W, U, batch); slice k is bit k % 64 of word k // 64, and a set
+bit is spin -1. Bond k joins slices k and k+1 mod K and is broken where they
+differ or its uniform is at least p(s); a multiply-shift gathers the bits of
+``u >= p(s)`` into words. The cluster grown from the seed slice is the
+circular interval (p, q], where q is the first broken bond at or after the
+seed and p the last one before it, both wrapping; with at most one broken
+bond it is the whole ring. With m the cluster mask, the Metropolis exponent is
+
+    2 * coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
+                      + h_i (|m| - 2 popcount(s_i & m))],
+
+and the flip is one xor of m. A site update thus handles W words per ring
+where one float per slice takes K numbers; the draws and the cluster rule
+are those of one float per slice, and so are the samples.
+
+A site update carries tens of microseconds of fixed NumPy overhead whatever
+its size, so units join a stack while U * batch * W stays at or below
+STACK_RING_WORDS = 2^12 ring words per site row (``stack_size``). Per
+spin-slice update on one core (nested K4 with coupler noise at n = 8, 24 and
+48, K = 8, batch 32, four sweeps with their setup, median of five) that
+measured 83-115 ns at 256 words, 54-94 ns at 1024, 45-89 ns at 4096 and
+43-91 ns at 8192 and 16384. Batches of 1000 anneals (n = 8, 12 and 48) measured
+29-48 ns alone and 18-42 ns at 4000 words with K = 8, and 8-11 ns alone and
+7-12 ns at 4000 words with K = 64; at 8000 words n = 48 slowed again (13 ns
+at K = 64). Batches of 1000 anneals therefore stack by four.
 
 A programming cycle permutes the nested vertices before it compiles them, so
 an embedded run needs an embedding in which every pair of chains is adjacent:
@@ -186,103 +204,193 @@ def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> Isi
 # ---------------------------------------------------------------------------
 # the sweep kernel
 
-#: the most spin-slices (units x Trotter slices x anneals) in one site row of
-#: a stacked anneal; see the module docstring for the measurement behind it
-STACK_SPIN_SLICES = 2**12
+#: the most ring words (units x anneals x words per ring) in one site row of a
+#: stacked anneal; see the module docstring for the measurement behind it
+STACK_RING_WORDS = 2**12
+
+
+def _ring_layout(K: int) -> tuple[np.dtype, int]:
+    """Word type and words per ring for K Trotter slices: one word of the
+    smallest unsigned type holding K bits up to K = 64, ceil(K / 64) uint64
+    words above."""
+    if K <= 64:
+        return np.min_scalar_type((1 << K) - 1), 1
+    return np.dtype(np.uint64), -(-K // 64)
+
+
+class _Rings:
+    """The bit-packed Trotter rings of a stack, ``bits`` in layout
+    (n, W, U, batch). Slice k of a ring is bit k % 64 of word k // 64, a set
+    bit is spin -1, and the bits past slice K - 1 stay clear.
+
+    ``down`` (n, U, batch) marks the spins that start at -1 on every slice.
+    """
+
+    def __init__(self, K: int, down: np.ndarray):
+        self.K = K
+        dtype, W = _ring_layout(K)
+        self.width = 8 * dtype.itemsize
+        self.full = np.array([(1 << min(self.width, K - w * self.width)) - 1 for w in range(W)],
+                             dtype=dtype)[:, None, None]
+        self.bits = np.where(down[:, None], self.full, dtype.type(0))
+
+    def slice0(self) -> np.ndarray:
+        """Slice 0 of every ring as spins, (n, U, batch) int8."""
+        return 1 - 2 * (self.bits[:, 0] & 1).astype(np.int8)
+
+    def no_bond(self, u: np.ndarray, p_bond: float) -> np.ndarray:
+        """Words (..., W) whose bit k is set where bond k is not drawn active,
+        ``u[..., k] >= p_bond``, from bond uniforms u (..., K). The flags sit
+        one per byte, 8 to a uint64, and a multiply moves byte j's low bit to
+        bit 56 + j, so each uint64 becomes one byte of the words."""
+        flags = np.zeros(u.shape[:-1] + (self.full.shape[0] * self.width,), dtype=bool)
+        np.greater_equal(u, p_bond, out=flags[..., :self.K])
+        octets = flags.view(np.uint64) * 0x0102040810204080
+        octets >>= 56
+        return octets.astype(np.uint8).view(self.bits.dtype)
+
+    def clusters(self, no_bond: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Cluster masks (n, W, U, batch) of every ring, from the broken-bond
+        words and the seed slices (n, U, batch).
+
+        Bond k joins slices k and k+1 mod K; it is broken where those slices
+        differ or ``no_bond`` is set. The cluster is the circular interval
+        (p, q]: q is the first broken bond at or after the seed, p the last
+        one before it, both wrapping; with at most one broken bond it is the
+        whole ring.
+        """
+        b, width, W = self.bits, self.width, self.bits.shape[1]
+        rot = b >> 1  # bit k of rot is slice k + 1 mod K
+        rot[:, :-1] |= b[:, 1:] << (width - 1)
+        rot[:, -1:] |= (b[:, :1] & 1) << ((self.K - 1) % width)
+        broken = (b ^ rot) | no_bond
+        # the broken bonds at or after the seed; word w holds slices from
+        # width * w, and one word needs no clip (slow on int64)
+        if W == 1:
+            shift = seeds[:, None]
+        else:
+            shift = np.clip(seeds[:, None] - width * np.arange(W)[:, None, None], 0, width)
+        hi = broken & (self.full << shift.astype(b.dtype))
+        lo = broken ^ hi
+        hi_any = hi.any(axis=1, keepdims=True)
+        lo_any = lo.any(axis=1, keepdims=True)
+        # slices 0..q, where x's lowest set bit is q (all slices when x = 0)
+        x = hi | broken * ~hi_any
+        through_q = x ^ (x - 1)
+        for w in range(1, W):
+            through_q[:, w] *= ~x[:, :w].any(axis=1)
+        # slices 0..p, where y's highest set bit is p (none when y = 0)
+        through_p = lo | hi * ~lo_any
+        sh = 1
+        while sh < width:
+            through_p |= through_p >> sh
+            sh *= 2
+        for w in range(W - 1):
+            through_p[:, w] |= through_p[:, w + 1:].any(axis=1) * ~b.dtype.type(0)
+        # p < q: the slices p+1..q; otherwise the interval wraps and takes
+        # the complement of q+1..p
+        m = through_q ^ through_p
+        m ^= self.full * (hi_any != lo_any)
+        m &= self.full
+        return m
+
+
+def _count(words: np.ndarray) -> np.ndarray:
+    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) int16."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int16)
 
 
 class _Lattice:
     """Preprocessed arrays of a stack of U problems that share n.
 
-    Each unit keeps its own alpha (U,) and fields; ``fields[i]`` holds site
-    i's fields as (U, 1, 1), or None where no unit has one. Small problems use
-    dense coupling rows (U, n, n), one stacked BLAS gemv per site update;
-    large sparse ones gather neighbor slices from per-unit lists instead.
+    Each unit keeps its own alpha (U,), fields ``h`` (n, U, 1), None where no
+    unit has one, and coupling sums ``coupling_sum`` (n, U, 1) per site.
+    ``sites[i]`` groups the units by their degree D at site i, one (units,
+    neighbors (U_g, D), coupling values (U_g, 1, D)) triple per degree;
+    ``units`` is a slice over the whole stack when all units share D.
     """
 
     def __init__(self, problems: list[IsingProblem]):
         self.n = problems[0].n
-        self.fields = [h[:, None, None] if h.any() else None
-                       for h in np.array([p.h for p in problems]).T]
+        h = np.array([p.h for p in problems])
+        self.h = h.T[:, :, None] if h.any() else None
         self.alpha = np.array([p.alpha for p in problems])
-        self.nbrs = [p.neighbor_lists() for p in problems]
-        self.dense_rows = (np.array([p.dense_couplings() for p in problems])
-                           if self.n <= 128 else None)
+        lists = [p.neighbor_lists() for p in problems]
+        self.sites = []
+        self.coupling_sum = np.zeros((self.n, len(problems), 1))
+        for i in range(self.n):
+            degree = np.array([len(idx[i]) for idx, _ in lists])
+            groups = []
+            for D in np.unique(degree):
+                idx = np.flatnonzero(degree == D)
+                nbr = np.array([lists[u][0][i] for u in idx]).reshape(idx.size, D)
+                val = np.array([lists[u][1][i] for u in idx]).reshape(idx.size, 1, D)
+                groups.append((slice(None) if idx.size == len(problems) else idx, nbr, val))
+                self.coupling_sum[i, idx] = val.sum(axis=2)
+            self.sites.append(groups)
 
 
-def _sweep(S, lat: _Lattice, p_bond: float, coup_scale: np.ndarray,
+def _sweep(S: _Rings, lat: _Lattice, p_bond: float, coup_scale: np.ndarray,
            rngs: list[np.random.Generator]):
     """One full sweep of a stack: per site in index order, one ring-cluster
     update of every ring of every unit.
 
-    The state S has layout (n, U, K, batch); ``coup_scale`` holds one scale
-    per unit. Unit u draws the sweep's randomness from ``rngs[u]`` up front,
-    in the order and shapes the module docstring fixes. Every site is updated,
-    so a problem should hold only the spins it samples (an embedded one holds
-    its chain qubits; see ``apply_embedding``).
+    ``coup_scale`` holds one scale per unit. Unit u draws the sweep's
+    randomness from ``rngs[u]`` up front, in the order and shapes the module
+    docstring fixes. Every site is updated, so a problem should hold only the
+    spins it samples (an embedded one holds its chain qubits; see
+    ``apply_embedding``).
 
-    Bond k joins slices k and k+1 mod K. A ring's segments are labeled by
-    counting the broken bonds below each slice; the cluster is the seed
-    slice's segment, joined across the wrap bond K-1 -> 0 with the segment on
-    its other side when that bond is active.
+    A site's ring changes only at its own update, so every cluster, its size
+    |m| and the exponent's terms that need no neighbor, |m| sum_j J_ij and
+    the field's, are found for all sites before the site loop. There, one
+    matrix product per group of units with the same degree weighs the
+    neighbors' disagreements, popcount((s_i xor s_j) & m), with -2 J_ij. No
+    neighbor list is padded, so a unit's sums are the ones it gets alone.
     """
-    n, U, K, Bn = S.shape
-    # Labels run up to K - 1. Each row is padded to whole 64-bit words, and
-    # the running count along K adds a word of labels at a time; no label
-    # overflows its lane, so no carry crosses lanes.
-    label = np.min_scalar_type(K - 1)
-    row = -(-Bn * label.itemsize // 8) * 8 // label.itemsize
-    no_bond = np.empty((n, U, K, Bn), dtype=bool)
-    seed_at = np.empty((U, n, Bn), dtype=np.int64)  # seed slices, as flat indices of labels
+    n, W, U, Bn = S.bits.shape
+    K = S.K
+    no_bond = np.empty_like(S.bits)
+    seeds = np.empty((n, U, Bn), dtype=np.int64)
     accept_u = np.empty((U, n, Bn))
     for u, rng in enumerate(rngs):
-        no_bond[:, u] = (rng.random((n, Bn, K)) >= p_bond).transpose(0, 2, 1)
-        np.multiply(rng.integers(0, K, size=(n, Bn)), row, out=seed_at[u])
+        no_bond[:, :, u] = S.no_bond(rng.random((n, Bn, K)), p_bond).transpose(0, 2, 1)
+        seeds[:, u] = rng.integers(0, K, size=(n, Bn))
         rng.random((n, Bn), out=accept_u[u])
-    seed_at += np.arange(U)[:, None, None] * (K * row) + np.arange(Bn)
-    cut_w = np.zeros((U, K - 1, row), dtype=label).view(np.uint64)
-    comp_w = np.zeros((U, K, row), dtype=label).view(np.uint64)
-    cut = cut_w.view(label)[..., :Bn]
-    comp = comp_w.view(label)[..., :Bn]
-    units = S.transpose(1, 0, 2, 3).reshape(U, n, K * Bn)  # a view: unit u's (n, K*batch)
+    m = S.clusters(no_bond, seeds)
+    # Metropolis on the spatial action change of the cluster flip, with
+    # x = -dE = 2 coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
+    #                           + h_i (|m| - 2 popcount(s_i & m))]
     scale = 2.0 * coup_scale[:, None]
-    for i in range(lat.n):
-        spins = S[i]
-        if lat.dense_rows is not None:
-            X = np.matmul(lat.dense_rows[:, i, None], units).reshape(U, K, Bn)
-        else:
-            X = np.array([np.tensordot(val[i], S[idx[i], u], axes=(0, 0))
-                          for u, (idx, val) in enumerate(lat.nbrs)])
-        if lat.fields[i] is not None:
-            X += lat.fields[i]
-        np.not_equal(spins[:, 1:], spins[:, :-1], out=cut)
-        cut |= no_bond[i, :, :-1]
-        np.add.accumulate(cut_w, axis=1, out=comp_w[:, 1:])
-        a = comp_w.view(label).take(seed_at[:, i])
-        last = comp[:, -1]
-        # an active wrap bond joins segment 0 and the last segment, so a seed
-        # segment at either end takes in the other: label last - a
-        end = (a == 0) | (a == last)
-        end &= spins[:, 0] == spins[:, -1]
-        end &= ~no_bond[i, :, -1]
-        member = comp == a[:, None]
-        member |= comp == (a + end * (last - a - a))[:, None]
-        # Metropolis on the spatial action change of the cluster flip, with
-        # x = -dE = 2 coup_scale * sum over the cluster of spins * X
-        x = np.einsum("ukb,ukb,ukb->ub", spins, X, member)
-        x *= scale
+    size = _count(m)
+    base = size * lat.coupling_sum
+    if lat.h is not None:
+        base += lat.h * (size - 2 * _count(S.bits & m))
+    base *= scale
+    weight = -2.0 * scale[:, :, None]
+    bits = S.bits.transpose(0, 2, 1, 3)  # a view, (n, U, W, batch)
+    masks = m.transpose(0, 2, 1, 3)
+    units = np.arange(U)[:, None]
+    x = np.empty((U, Bn))
+    for i, groups in enumerate(lat.sites):
+        for us, nbr, val in groups:
+            # (U_g, D, W, batch): the neighbors' rings, unit by unit
+            disagree = bits[nbr, units[us]]
+            disagree ^= bits[i, us, None]
+            disagree &= masks[i, us, None]
+            count = np.bitwise_count(disagree)
+            count = count[:, :, 0] if W == 1 else count.sum(axis=2, dtype=np.int16)
+            x[us] = base[i, us] + np.matmul(val * weight[us], count.astype(np.float64))[:, 0]
         np.minimum(x, 700.0, out=x)
         np.maximum(x, -700.0, out=x)
-        member &= (accept_u[:, i] < np.exp(x, out=x))[:, None]
-        spins *= 1 - 2 * member.view(np.int8)
+        bits[i] ^= masks[i] * (accept_u[:, i] < np.exp(x, out=x))[:, None]
 
 
-def _init_state(n: int, K: int, batch: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def _init_state(n: int, K: int, batch: int, rngs: list[np.random.Generator]) -> _Rings:
     """K Trotter replicas of a uniformly random spin vector, per anneal of
-    each unit; unit u draws from ``rngs[u]``. Layout (n, U, K, batch)."""
-    base = np.array([(rng.integers(0, 2, size=(batch, n)) * 2 - 1).T for rng in rngs],
-                    dtype=np.float64)
-    return np.repeat(base.transpose(1, 0, 2)[:, :, None, :], K, axis=2)
+    each unit; unit u draws from ``rngs[u]``."""
+    down = np.array([rng.integers(0, 2, size=(batch, n)).T == 0 for rng in rngs])
+    return _Rings(K, down.transpose(1, 0, 2))
 
 
 def _anneal_batch(
@@ -302,7 +410,7 @@ def _anneal_batch(
         p_bond = 1.0 - np.tanh(params.beta * sch.a_of(s) / K)
         coup_scale = params.beta * sch.b_of(s) * lat.alpha / K
         _sweep(S, lat, p_bond, coup_scale, rngs)
-    return S[:, :, 0, :].transpose(1, 2, 0).astype(np.int8)
+    return S.slice0().transpose(1, 2, 0)
 
 
 def run_sqa(
@@ -361,7 +469,7 @@ def run_sqa_chain(
     for r in range(n_records):
         for t in range(thin):
             _sweep(S, lat, p_bond, coup_scale, rngs)
-        out[r] = S[:, 0, 0, :].T.astype(np.int8)
+        out[r] = S.slice0()[:, 0].T
     return out.reshape(n_records * n_chains, p.n)
 
 
@@ -400,9 +508,9 @@ def _program_cycle(
 
 
 def stack_size(K: int, runs: int) -> int:
-    """Units per stacked anneal: as many as keep units x K x runs at or below
-    ``STACK_SPIN_SLICES``, and at least one."""
-    return max(1, STACK_SPIN_SLICES // (K * runs))
+    """Units per stacked anneal: as many as keep units x runs x words per ring
+    at or below ``STACK_RING_WORDS``, and at least one."""
+    return max(1, STACK_RING_WORDS // (runs * _ring_layout(K)[1]))
 
 
 def run_protocol_cycles(

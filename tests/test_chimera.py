@@ -110,6 +110,17 @@ def test_validate_flags_shared_qubit():
     assert any("disjointness" in v for v in report.violations)
 
 
+def test_validate_flags_repeated_qubit():
+    # a chain listing one qubit twice would compile a spurious position that
+    # no coupler or field reaches
+    g = build_chimera(1, 1)
+    emb = Embedding(chains={0: [0, 0, 4], 1: [5]}, graph=g)
+    assert validate_embedding(emb, [(0, 1)]).violations == ("repeated qubit 0 in chain 0",)
+    two = IsingProblem.from_couplings(2, couplings={(0, 1): 1.0})
+    with pytest.raises(InvalidEmbedding):
+        apply_embedding(encode_nested(two, 1, 0.5), emb)
+
+
 def test_validate_flags_disconnected_chain():
     g = build_chimera(1, 2)
     # two side-0 qubits of different cells are not coupled

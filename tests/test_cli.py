@@ -408,10 +408,10 @@ def _files(root):
 
 
 def test_embedded_stacks_give_the_same_files_at_any_jobs(tmp_path, k4_file, monkeypatch):
-    # 100 anneals of 8 slices fill a stack at 5 units, so each C level's
-    # 2 alphas x 2 gammas x 3 cycles = 12 units run as stacks of 5, 5 and 2;
-    # with --jobs 2 the pool maps those stacks. Every unit alone gives the
-    # same files too.
+    # a cap of 500 ring words fills a stack of 100-anneal units at 5, so each
+    # C level's 2 alphas x 2 gammas x 3 cycles = 12 units run as stacks of 5,
+    # 5 and 2; with --jobs 2 the pool maps those stacks. The default cap
+    # stacks all 12, and every unit alone gives the same files too.
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
     cfg = tiny_config(
@@ -419,16 +419,19 @@ def test_embedded_stacks_give_the_same_files_at_any_jobs(tmp_path, k4_file, monk
         engine_params={"sweeps": 5, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.05},
         cycles=3, runs_per_cycle=100,
     )
+    assert sqa.stack_size(8, 100) >= 12
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
+    monkeypatch.setattr(sqa, "STACK_RING_WORDS", 500)
     assert sqa.stack_size(8, 100) == 5
     for jobs in ("1", "2"):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / jobs),
                      "--jobs", jobs]) == 0
-    monkeypatch.setattr(sqa, "STACK_SPIN_SLICES", 0)
+    monkeypatch.setattr(sqa, "STACK_RING_WORDS", 0)
     assert sqa.stack_size(8, 100) == 1
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "alone")]) == 0
     files = _files(tmp_path / "1")
     assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
-    assert files == _files(tmp_path / "2") == _files(tmp_path / "alone")
+    assert files == _files(tmp_path / "2") == _files(tmp_path / "alone") == _files(tmp_path / "all")
 
 
 def test_uncoupled_vertex_gets_a_chain(tmp_path):

@@ -11,6 +11,7 @@ from nqac.nesting import encode_for_scale, encode_nested
 from nqac.sqa import (
     Schedule,
     SqaParams,
+    STACK_RING_WORDS,
     _init_state,
     _Lattice,
     _anneal_batch,
@@ -162,24 +163,29 @@ def test_determinism_byte_identical(k4):
     assert a.problem_digest == b.problem_digest
 
 
-def test_dense_and_sparse_fields_give_the_same_sweeps():
-    # _Lattice picks dense rows for n <= 128 and neighbour gathers above; both
-    # must produce the same chain. Couplings and fields are multiples of 1/8,
-    # so every local field is exact on either path. Site 5 is isolated.
+def test_units_of_mixed_degree_sweep_as_they_do_alone():
+    # units whose sites differ in degree form one group per degree at each
+    # site; every unit's rings end as they do when it is swept alone, fields
+    # and an isolated site (5 in unit 0) included
     rng = np.random.default_rng(3)
-    couplings = {(i, j): rng.integers(-8, 9) / 8 for i in range(10) for j in range(i + 1, 10)
-                 if 5 not in (i, j) and rng.random() < 0.4}
-    p = IsingProblem.from_couplings(10, couplings=couplings, h=rng.integers(-8, 9, 10) / 8)
-    states = []
-    for dense in (True, False):
-        lat = _Lattice([p])
-        lat.dense_rows = lat.dense_rows if dense else None
-        rngs = [np.random.default_rng(7)]
-        S = _init_state(p.n, 8, 16, rngs)
+    probs = []
+    for u, density in enumerate((0.3, 0.6, 0.9)):
+        couplings = {(i, j): rng.normal() for i in range(10) for j in range(i + 1, 10)
+                     if (u or 5 not in (i, j)) and rng.random() < density}
+        probs.append(IsingProblem.from_couplings(10, couplings=couplings,
+                                                 h=rng.normal(size=10) * (u != 1)))
+    lat = _Lattice(probs)
+    assert any(len(groups) > 1 for groups in lat.sites)
+    rngs = [np.random.default_rng(7 + u) for u in range(3)]
+    S = _init_state(10, 8, 16, rngs)
+    for _ in range(20):
+        _sweep(S, lat, 0.4, np.array([0.3, 0.2, 0.5]), rngs)
+    for u, p in enumerate(probs):
+        rngs = [np.random.default_rng(7 + u)]
+        alone = _init_state(10, 8, 16, rngs)
         for _ in range(20):
-            _sweep(S, lat, 0.4, np.array([0.3]), rngs)
-        states.append(S)
-    assert np.array_equal(*states)
+            _sweep(alone, _Lattice([p]), 0.4, np.array([(0.3, 0.2, 0.5)[u]]), rngs)
+        assert np.array_equal(S.bits[:, :, u], alone.bits[:, :, 0])
 
 
 def _loop_sweep(S, J, h, p_bond, coup_scale, rng):
@@ -205,11 +211,21 @@ def _loop_sweep(S, J, h, p_bond, coup_scale, rng):
                 S[i, sorted(cluster), b] *= -1
 
 
-@pytest.mark.parametrize("K, p_bond", [(2, 0.7), (3, 0.5), (8, 0.9), (8, 1.0), (64, 0.8),
-                                       (300, 0.02)])
+def _slices(S):
+    """Unit 0's rings as +-1 slices (n, K, batch), from the bit state."""
+    k = np.arange(S.K)
+    words = S.bits[:, k // 64, 0].astype(np.uint64)
+    return 1.0 - 2.0 * ((words >> (k % 64).astype(np.uint64)[:, None]) & 1)
+
+
+@pytest.mark.parametrize("K, p_bond", [
+    (2, 0.7), (3, 0.5), (7, 0.6), (8, 0.9), (8, 1.0), (9, 0.8), (16, 0.85), (17, 0.5),
+    (32, 0.9), (33, 0.7), (63, 0.8), (64, 0.8), (65, 0.95), (128, 0.98), (129, 0.5),
+    (300, 0.02)])
 def test_sweep_matches_loop_reference(K, p_bond):
     # couplings and fields are multiples of 1/8, so every local field and
-    # cluster energy is exact and the two sweeps take the same decisions
+    # cluster energy is exact and the two sweeps take the same decisions;
+    # K runs across every word size and word boundary of the ring layout
     rng = np.random.default_rng(K)
     J = rng.integers(-8, 9, size=(6, 6)) / 8
     J = np.triu(J, 1) + np.triu(J, 1).T
@@ -217,12 +233,26 @@ def test_sweep_matches_loop_reference(K, p_bond):
     p = IsingProblem.from_couplings(
         6, couplings={(i, j): J[i, j] for i in range(6) for j in range(i + 1, 6)}, h=h)
     S = _init_state(6, K, 5, [np.random.default_rng(1)])
-    want = S[:, 0].copy()
+    want = _slices(S)
     fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(4):
         _sweep(S, _Lattice([p]), p_bond, np.array([0.3]), [fast])
         _loop_sweep(want, J, h, p_bond, 0.3, slow)
-    assert np.array_equal(S[:, 0], want)
+    assert np.array_equal(_slices(S), want)
+
+
+@pytest.mark.parametrize("K", [3, 8, 9, 16, 33, 64, 65, 130])
+def test_bond_words_pack_the_bond_draws(K):
+    # bit k of a packed word (word k // 64 above K = 64) is u[..., k] >= p_bond,
+    # and no bit past slice K - 1 is set
+    u = np.random.default_rng(K).random((3, 5, K))
+    words = _init_state(3, K, 5, [np.random.default_rng(0)]).no_bond(u, 0.4)
+    k = np.arange(K)
+    bits = (words[..., k // 64].astype(np.uint64) >> (k % 64).astype(np.uint64)) & 1
+    assert np.array_equal(bits == 1, u >= 0.4)
+    assert words.shape == (3, 5, -(-K // 64)) and words.dtype.itemsize * 8 >= min(K, 64)
+    top = K - 64 * (words.shape[-1] - 1)
+    assert not (words[..., -1].astype(np.uint64) >> np.uint64(top)).any()
 
 
 def _sha(a):
@@ -335,10 +365,27 @@ def test_stacked_cycles_equal_per_unit_cycles(case):
         assert np.array_equal(rec.permutation, want_rec.permutation)
 
 
-def test_stack_size_caps_spin_slices():
-    assert stack_size(8, 32) == 16  # 16 x 8 x 32 = 2^12 spin-slices
-    assert stack_size(8, 100) == 5
-    assert stack_size(8, 1000) == stack_size(64, 1000) == stack_size(64, 200) == 1
+@pytest.mark.parametrize("K", [8, 64])
+def test_stacked_large_batches_equal_units_alone(K):
+    # the rule stacks batches of 1000 anneals, one ring word each up to
+    # K = 64; each unit of such a stack gives what it gives alone
+    assert stack_size(K, 1000) >= 3
+    k4 = k4_antiferromagnet()
+    units = [(encode_for_scale(k4, 3, g, a), 400 + i, i)
+             for i, (a, g) in enumerate([(0.01, 0.2), (0.1, 0.5), (1.0, 0.5)])]
+    params = SqaParams(sweeps=2, trotter_slices=K, noise_sigma=0.05)
+    stacked = run_protocol_cycles(units, None, device_like_schedule(), params, 1000)
+    for u, (configs, rec) in zip(units, stacked):
+        [(want, want_rec)] = run_protocol_cycles([u], None, device_like_schedule(), params, 1000)
+        assert configs.tobytes() == want.tobytes() and rec.seed == want_rec.seed
+
+
+def test_stack_size_caps_ring_words():
+    assert STACK_RING_WORDS == 2**12
+    assert stack_size(8, 1000) == stack_size(64, 1000) == 4  # 4 x 1000 x 1 word
+    assert stack_size(8, 32) == stack_size(2, 32) == 128
+    assert stack_size(65, 1000) == 2  # 2 words per ring
+    assert stack_size(130, 1000) == stack_size(8, 10_000) == 1
 
 
 def test_monotone_hardness_trend(k4, k4_ground_keys):
