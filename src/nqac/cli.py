@@ -8,6 +8,8 @@ and indices, and aggregation is ordered by unit index. Units of one C level
 anneal in stacks (see ``sqa.stack_size``), and the pool maps stacks, but
 determinism is per unit: a unit programs and anneals on its own streams, so
 its samples do not depend on the stack it shares or on the worker count.
+A whole SQA run analyses the sample sets it holds after writing them; only
+``--stage analyze`` reads them back from their files, and checks each first.
 
 Exit codes: 0 ok, 2 config error, 3 embedding failure, 4 compute failure.
 """
@@ -243,6 +245,36 @@ def _build_embedding(cfg: dict, C: int, base, graph):
     return heuristic_embed([(i, j) for i in range(n) for j in range(i + 1, n)], graph, rng)
 
 
+def _read_samples(path: Path, digest: str, cfg: dict):
+    """The sample set in ``path``, checked to hold the config's cycles and
+    records of the problem with ``digest``; otherwise a config error."""
+    try:
+        ss = load_sampleset(path)
+    except DomainError as exc:
+        raise ConfigError(f"{exc}; run the sample stage again") from None
+    if ss.problem_digest != digest:
+        raise ConfigError(
+            f"{path} holds samples of another problem than this "
+            "config programs at its grid point; run the sample stage again"
+        )
+    ids, counts = np.unique(ss.cycle_ids, return_counts=True)
+    want = list(range(cfg["cycles"]))
+    if ([c.cycle for c in ss.cycles] != want or ids.tolist() != want
+            or np.any(counts != cfg["runs_per_cycle"])):
+        raise ConfigError(
+            f"{path} holds cycles {ids.tolist()} with {counts.tolist()} records, "
+            f"where this config runs {cfg['runs_per_cycle']} anneals in each of "
+            f"cycles {want}; run the sample stage again"
+        )
+    return ss
+
+
+def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[float, float]:
+    """(P, se) of the sample set of grid point ``key``, decoded on its own seed."""
+    return analysis.estimate_success(ss, np_prob, emb, ground_states,
+                                     decode_seed=unit_seed(seed, 0xDEC, *key))
+
+
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
     returns the artifact directory."""
@@ -303,9 +335,16 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 done = [run_protocol_cycles(*a) for a in args]
             results = dict(zip((unit for _, units in stacks for unit in units),
                                (part for parts in done for part in parts)))
+            # stage all analyses the sample sets it holds; only the analyze
+            # stage reads sample files
+            table = {}
             for key in nested:
-                parts = [results[key, cycle] for cycle in range(cfg["cycles"])]
-                save_sampleset(assemble_sampleset(parts, digests[key]), sample_path(*key))
+                parts = [results.pop((key, cycle)) for cycle in range(cfg["cycles"])]
+                ss = assemble_sampleset(parts, digests[key])
+                save_sampleset(ss, sample_path(*key))
+                if stage == "all":
+                    table[key] = _estimate(ss, nested[key], embeddings[key[0]], ground_states,
+                                           cfg["seed"], key)
         else:  # pt engine
             scans = thermal_boost_scan(
                 base, cfg["C"], cfg["gammas"], cfg["alphas"], params, ground_states,
@@ -322,33 +361,11 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
     # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
     # gamma, then boost + exponent
-    if cfg["engine"] == "sqa":
-        table = {}
-        for key, np_prob in nested.items():
-            path = sample_path(*key)
-            try:
-                ss = load_sampleset(path)
-            except DomainError as exc:
-                raise ConfigError(f"{exc}; run the sample stage again") from None
-            if ss.problem_digest != digests[key]:
-                raise ConfigError(
-                    f"{path} holds samples of another problem than this "
-                    "config programs at its grid point; run the sample stage again"
-                )
-            ids, counts = np.unique(ss.cycle_ids, return_counts=True)
-            want = list(range(cfg["cycles"]))
-            if ([c.cycle for c in ss.cycles] != want or ids.tolist() != want
-                    or np.any(counts != cfg["runs_per_cycle"])):
-                raise ConfigError(
-                    f"{path} holds cycles {ids.tolist()} with {counts.tolist()} records, "
-                    f"where this config runs {cfg['runs_per_cycle']} anneals in each of "
-                    f"cycles {want}; run the sample stage again"
-                )
-            table[key] = analysis.estimate_success(
-                ss, np_prob, embeddings[key[0]], ground_states,
-                decode_seed=unit_seed(cfg["seed"], 0xDEC, *key),
-            )
-    else:
+    if cfg["engine"] == "sqa" and stage == "analyze":
+        table = {key: _estimate(_read_samples(sample_path(*key), digests[key], cfg), np_prob,
+                                embeddings[key[0]], ground_states, cfg["seed"], key)
+                 for key, np_prob in nested.items()}
+    elif cfg["engine"] == "pt":
         path = samples_dir / "pt_scan.json"
         try:
             rows = json.loads(path.read_text())

@@ -7,44 +7,63 @@ The quantum transverse-field model at schedule point s,
 is mapped onto K coupled replicas ("Trotter slices") of the classical spin
 vector. Per sweep the schedule advances uniformly (s = t/sweeps) and every
 spatial site is updated once: a Wolff cluster is grown along the site's
-periodic Trotter ring, activating bonds between aligned neighbor slices with
-probability
+periodic Trotter ring, where the bond between two aligned neighbor slices
+stays active unless it breaks, which it does with probability
 
-    p(s) = 1 - exp(-2 * beta * Jperp(s) / K) = 1 - tanh(beta * A(s) / K),
+    q(s) = exp(-2 * beta * Jperp(s) / K) = tanh(beta * A(s) / K),
 
 where Jperp(s) = -(K / (2 beta)) * ln tanh(beta * A(s) / K) is the standard
 ferromagnetic time-direction coupling (A is never rescaled by alpha; only the
 problem term is). The cluster flip is accepted by Metropolis on the spatial
 action change, with per-slice spatial couplings beta * B(s) * alpha * J / K.
-At A(s) = 0 the bond probability is 1, the ring locks into a single cluster
-and the dynamics reduces to classical Metropolis sampling.
+At A(s) = 0 no bond breaks, the ring locks into a single cluster and the
+dynamics reduces to classical Metropolis sampling. q is computed as a tanh,
+not as one minus the active probability, which would round small q to 0.
 
 Anneals run as one vectorized stack of U units that share n, K, sweeps, beta
 and schedule; each unit is a batch of anneals of its own problem, with its
 own fields and alpha (a per-unit coupling scale), on its own generator. A lone
 batch is a stack of one. Each sweep, unit by unit, draws from the unit's
-generator, in this order, bond uniforms of shape (n, batch, K), seed slices
-(n, batch) and acceptance uniforms (n, batch); these shapes fix each unit's
-stream, so they follow neither the state's layout nor the stack, and a unit's
-samples are the same in any stack.
+generator, in this order:
+
+- the broken bonds among its N = n * batch * K bonds, in row-major order
+  over (site, anneal, bond): the gap from one break to the next (the first
+  counts from position -1) is G = 1 + floor(E / lambda), with E a standard
+  exponential and lambda = -log1p(-q), a geometric variate by inversion
+  (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X). The
+  exponentials come in chunks of M = min(int(N q + 4 sqrt(N q) + 16), 2^14)
+  until the gaps sum to N or more, and the last chunk's surplus is discarded.
+  E / lambda is clipped at N before the integer cast, so a q as small as
+  1e-300 cannot overflow; q = 0 draws nothing, and q = 1 (tanh saturated,
+  lambda = inf) breaks every bond;
+- seed slices (n, batch);
+- acceptance uniforms (n, batch).
+
+M and these shapes depend only on (N, q) and the unit, so a unit's stream
+follows neither the state's layout nor the stack, and its samples are the
+same in any stack. At the q of an anneal (0.0125 and below at beta = 0.1, A
+up to 8 and K = 64) a ring draws about one exponential where it drew K
+uniforms; at q near 0.3 and above the gaps cost more than one uniform per
+bond did.
 
 The rings are bit-packed (multi-spin coding; Jacobs & Rebbi, J. Comput.
 Phys. 41, 203 (1981)). A ring is W words: one word of the smallest unsigned
 type holding K bits for K <= 64, ceil(K / 64) uint64 words above. The state
 has layout (n, W, U, batch); slice k is bit k % 64 of word k // 64, and a set
 bit is spin -1. Bond k joins slices k and k+1 mod K and is broken where they
-differ or its uniform is at least p(s); a multiply-shift gathers the bits of
-``u >= p(s)`` into words. The cluster grown from the seed slice is the
-circular interval (p, q], where q is the first broken bond at or after the
-seed and p the last one before it, both wrapping; with at most one broken
-bond it is the whole ring. With m the cluster mask, the Metropolis exponent is
+differ or it broke; each drawn break sets its bit of the unit's break words
+by ``np.add.at``. The cluster grown from the seed slice is the circular
+interval (l, r], where r is the first broken bond at or after the seed and l
+the last one before it, both wrapping; with at most one broken bond it is the
+whole ring. With m the cluster mask, the Metropolis exponent is
 
     2 * coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
                       + h_i (|m| - 2 popcount(s_i & m))],
 
 and the flip is one xor of m. A site update thus handles W words per ring
-where one float per slice takes K numbers; the draws and the cluster rule
-are those of one float per slice, and so are the samples.
+where one float per slice takes K numbers; the cluster rule is that of one
+float per slice. Cluster sizes and popcount sums are int32, so K is not
+limited by the counts.
 
 A site update carries tens of microseconds of fixed NumPy overhead whatever
 its size, so units join a stack while U * batch * W stays at or below
@@ -66,6 +85,7 @@ carries its hardware graph, so nothing here takes one.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,32 +258,36 @@ class _Rings:
         """Slice 0 of every ring as spins, (n, U, batch) int8."""
         return 1 - 2 * (self.bits[:, 0] & 1).astype(np.int8)
 
-    def no_bond(self, u: np.ndarray, p_bond: float) -> np.ndarray:
-        """Words (..., W) whose bit k is set where bond k is not drawn active,
-        ``u[..., k] >= p_bond``, from bond uniforms u (..., K). The flags sit
-        one per byte, 8 to a uint64, and a multiply moves byte j's low bit to
-        bit 56 + j, so each uint64 becomes one byte of the words."""
-        flags = np.zeros(u.shape[:-1] + (self.full.shape[0] * self.width,), dtype=bool)
-        np.greater_equal(u, p_bond, out=flags[..., :self.K])
-        octets = flags.view(np.uint64) * 0x0102040810204080
-        octets >>= 56
-        return octets.astype(np.uint8).view(self.bits.dtype)
+    def add_breaks(self, words: np.ndarray, pos: np.ndarray) -> None:
+        """Set the bits of the broken bonds at positions ``pos`` of one unit's
+        (n, batch, K) bonds, in row-major order, in its break words ``words``
+        (n * batch * W,), laid out (n, batch, W). The positions are distinct,
+        so adding a bit sets it; the bit values are built in the word type,
+        so bit 63 is exact."""
+        row = pos // self.K
+        k = pos - row * self.K
+        W = self.full.shape[0]
+        if W > 1:
+            row *= W
+            row += k >> 6
+            k &= 63
+        np.add.at(words, row, self.bits.dtype.type(1) << k.astype(self.bits.dtype))
 
-    def clusters(self, no_bond: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Cluster masks (n, W, U, batch) of every ring, from the broken-bond
+    def clusters(self, breaks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Cluster masks (n, W, U, batch) of every ring, from the drawn break
         words and the seed slices (n, U, batch).
 
         Bond k joins slices k and k+1 mod K; it is broken where those slices
-        differ or ``no_bond`` is set. The cluster is the circular interval
-        (p, q]: q is the first broken bond at or after the seed, p the last
-        one before it, both wrapping; with at most one broken bond it is the
-        whole ring.
+        differ or bit k of ``breaks`` is set. The cluster is the circular
+        interval (p, q]: q is the first broken bond at or after the seed, p
+        the last one before it, both wrapping; with at most one broken bond
+        it is the whole ring.
         """
         b, width, W = self.bits, self.width, self.bits.shape[1]
         rot = b >> 1  # bit k of rot is slice k + 1 mod K
         rot[:, :-1] |= b[:, 1:] << (width - 1)
         rot[:, -1:] |= (b[:, :1] & 1) << ((self.K - 1) % width)
-        broken = (b ^ rot) | no_bond
+        broken = (b ^ rot) | breaks
         # the broken bonds at or after the seed; word w holds slices from
         # width * w, and one word needs no clip (slow on int64)
         if W == 1:
@@ -296,8 +320,39 @@ class _Rings:
 
 
 def _count(words: np.ndarray) -> np.ndarray:
-    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) int16."""
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int16)
+    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) int32."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+
+
+def _breaks(N: int, q: float, rng: np.random.Generator):
+    """Yield, chunk by chunk, the sorted positions in [0, N) of independent
+    breaks of probability q.
+
+    The gap to the next break is G = 1 + floor(E / lambda), with E standard
+    exponential and lambda = -log1p(-q), so P(G = g) = (1 - q)^(g - 1) q.
+    Chunks of M exponentials are drawn until the sum of gaps reaches N, and
+    the last chunk's surplus is discarded. M is the mean number of breaks,
+    about four standard deviations of it and 16 more, so one chunk almost always
+    covers the N bonds, but at most 2^14, which keeps a chunk's arrays in
+    cache and its memory bounded. E / lambda is clipped at N before the
+    integer cast; q = 0 draws nothing and q = 1 (lambda = inf) breaks every
+    bond.
+    """
+    if q == 0.0:
+        return
+    lam = math.inf if q == 1.0 else -math.log1p(-q)
+    M = min(int(N * q + 4.0 * math.sqrt(N * q) + 16), 2**14)
+    end = 0
+    while end < N:
+        e = rng.standard_exponential(M)
+        np.divide(e, lam, out=e)
+        np.minimum(e, N, out=e)
+        pos = e.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += end - 1
+        end = int(pos[-1]) + 1
+        yield pos[:np.searchsorted(pos, N)] if end > N else pos
 
 
 class _Lattice:
@@ -330,11 +385,12 @@ class _Lattice:
             self.sites.append(groups)
 
 
-def _sweep(S: _Rings, lat: _Lattice, p_bond: float, coup_scale: np.ndarray,
+def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
            rngs: list[np.random.Generator]):
     """One full sweep of a stack: per site in index order, one ring-cluster
     update of every ring of every unit.
 
+    A bond breaks with probability ``q`` = tanh(beta A(s) / K), and
     ``coup_scale`` holds one scale per unit. Unit u draws the sweep's
     randomness from ``rngs[u]`` up front, in the order and shapes the module
     docstring fixes. Every site is updated, so a problem should hold only the
@@ -350,14 +406,15 @@ def _sweep(S: _Rings, lat: _Lattice, p_bond: float, coup_scale: np.ndarray,
     """
     n, W, U, Bn = S.bits.shape
     K = S.K
-    no_bond = np.empty_like(S.bits)
+    breaks = np.zeros((U, n * Bn * W), S.bits.dtype)
     seeds = np.empty((n, U, Bn), dtype=np.int64)
     accept_u = np.empty((U, n, Bn))
     for u, rng in enumerate(rngs):
-        no_bond[:, :, u] = S.no_bond(rng.random((n, Bn, K)), p_bond).transpose(0, 2, 1)
+        for pos in _breaks(n * Bn * K, q, rng):
+            S.add_breaks(breaks[u], pos)
         seeds[:, u] = rng.integers(0, K, size=(n, Bn))
         rng.random((n, Bn), out=accept_u[u])
-    m = S.clusters(no_bond, seeds)
+    m = S.clusters(breaks.reshape(U, n, Bn, W).transpose(1, 3, 0, 2), seeds)
     # Metropolis on the spatial action change of the cluster flip, with
     # x = -dE = 2 coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
     #                           + h_i (|m| - 2 popcount(s_i & m))]
@@ -379,7 +436,7 @@ def _sweep(S: _Rings, lat: _Lattice, p_bond: float, coup_scale: np.ndarray,
             disagree ^= bits[i, us, None]
             disagree &= masks[i, us, None]
             count = np.bitwise_count(disagree)
-            count = count[:, :, 0] if W == 1 else count.sum(axis=2, dtype=np.int16)
+            count = count[:, :, 0] if W == 1 else count.sum(axis=2, dtype=np.int32)
             x[us] = base[i, us] + np.matmul(val * weight[us], count.astype(np.float64))[:, 0]
         np.minimum(x, 700.0, out=x)
         np.maximum(x, -700.0, out=x)
@@ -407,9 +464,9 @@ def _anneal_batch(
     S = _init_state(lat.n, K, n_anneals, rngs)
     for t in range(1, params.sweeps + 1):
         s = t / params.sweeps
-        p_bond = 1.0 - np.tanh(params.beta * sch.a_of(s) / K)
+        q = math.tanh(params.beta * sch.a_of(s) / K)
         coup_scale = params.beta * sch.b_of(s) * lat.alpha / K
-        _sweep(S, lat, p_bond, coup_scale, rngs)
+        _sweep(S, lat, q, coup_scale, rngs)
     return S.slice0().transpose(1, 2, 0)
 
 
@@ -461,14 +518,14 @@ def run_sqa_chain(
     K = params.trotter_slices
     rngs = [np.random.default_rng(params.seed)]
     S = _init_state(p.n, K, n_chains, rngs)
-    p_bond = 1.0 - np.tanh(params.beta * sch.a_of(s_freeze) / K)
+    q = math.tanh(params.beta * sch.a_of(s_freeze) / K)
     coup_scale = params.beta * sch.b_of(s_freeze) * lat.alpha / K
     out = np.empty((n_records, n_chains, p.n), dtype=np.int8)
     for t in range(burn_in):
-        _sweep(S, lat, p_bond, coup_scale, rngs)
+        _sweep(S, lat, q, coup_scale, rngs)
     for r in range(n_records):
         for t in range(thin):
-            _sweep(S, lat, p_bond, coup_scale, rngs)
+            _sweep(S, lat, q, coup_scale, rngs)
         out[r] = S.slice0()[:, 0].T
     return out.reshape(n_records * n_chains, p.n)
 

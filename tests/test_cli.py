@@ -42,6 +42,21 @@ def tiny_config(tmp_path, k4_file, engine="sqa", **overrides):
     return path
 
 
+def boost_config(tmp_path, k4_file, engine):
+    """A tiny config whose boost is defined at both levels, so a run writes
+    eta.txt. Under SQA the smallest alpha switches the problem off (beta B
+    alpha = 0.015 and no noise), so each C samples the 6/16 floor there, and
+    at alpha = 1 each C finds the ground states: both curves rise through the
+    C=1 midpoint. 60 records per point keep the floor about 5 standard errors
+    below it; eta.txt was written at seeds 1-20 and 1234."""
+    if engine == "pt":
+        return tiny_config(tmp_path, k4_file, engine="pt", alphas=[0.01, 0.1, 1.0])
+    return tiny_config(
+        tmp_path, k4_file, alphas=[0.001, 0.1, 1.0], runs_per_cycle=30,
+        engine_params={"sweeps": 120, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.0},
+    )
+
+
 def test_bruteforce_subcommand(k4_file, tmp_path, capsys):
     out = tmp_path / "gs.json"
     rc = main(["bruteforce", "--problem", str(k4_file), "--out", str(out)])
@@ -337,7 +352,7 @@ def test_analyze_bad_flag_is_config_error(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("engine", ["sqa", "pt"])
 def test_analyze_reproduces_the_run(tmp_path, k4_file, engine):
-    cfg = tiny_config(tmp_path, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+    cfg = boost_config(tmp_path, k4_file, engine)
     run = tmp_path / "exp"
     assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
     out = tmp_path / "a"
@@ -471,7 +486,7 @@ def test_manifest_rerun_reproduces_outputs(tmp_path, k4_file):
 
 @pytest.mark.parametrize("engine", ["sqa", "pt"])
 def test_manifest_records_versions_and_reruns(tmp_path, k4_file, engine):
-    cfg = tiny_config(tmp_path, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+    cfg = boost_config(tmp_path, k4_file, engine)
     out1, out2 = tmp_path / "exp1", tmp_path / "exp2"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
@@ -501,7 +516,7 @@ def test_runs_import_nothing_beyond_the_cli(tmp_path, k4_file):
     runs = []
     for engine in ("sqa", "pt"):
         (tmp_path / engine).mkdir()
-        cfg = tiny_config(tmp_path / engine, k4_file, engine=engine, alphas=[0.01, 0.1, 1.0])
+        cfg = boost_config(tmp_path / engine, k4_file, engine)
         runs.append(["run", "--config", str(cfg), "--out", str(tmp_path / engine / "out"),
                      "--jobs", "1"])
     runs.append(["analyze", "--curves", str(tmp_path / "sqa" / "out" / "curves.csv"),
@@ -609,3 +624,20 @@ def test_staged_run_matches_single_run(tmp_path, k4_file):
     assert not (staged / "curves.csv").exists()
     assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
     assert (whole / "curves.csv").read_bytes() == (staged / "curves.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs):
+    # a whole run analyses the sample sets it holds, the analyze stage reads
+    # them back from their files; over 2 gammas x 2 cycles both give the same
+    # files, at either worker count
+    cfg = tiny_config(tmp_path, k4_file, gammas=[0.3, 0.6], cycles=2)
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["run", "--config", str(cfg), "--out", str(whole), "--jobs", jobs]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample",
+                 "--jobs", jobs]) == 0
+    assert not (staged / "curves.csv").exists()
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
+    files = _files(whole)
+    assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
+    assert "curves.csv" in files and files == _files(staged)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from nqac.sqa import (
     _init_state,
     _Lattice,
     _anneal_batch,
+    _breaks,
+    _count,
     _sweep,
     default_schedule,
     device_like_schedule,
@@ -155,6 +158,50 @@ def test_gibbs_distribution_at_frozen_endpoint():
     assert tv < 0.02
 
 
+def test_trotter_marginal_with_breaking_bonds():
+    # at s = 0.5 of the linear schedule the bonds break with probability
+    # q = tanh(beta A / K) = tanh(0.25) = 0.245; slice 0 of the chain must
+    # follow the marginal of the 2^8 Trotter configurations, weighted by
+    # exp(-(beta / K) B sum_k E(s_k) + Kperp sum_k s_k . s_{k+1}), with
+    # Kperp = -ln tanh(beta A / K) / 2 per spin and bond
+    p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0}, h={0: 0.3})
+    K, beta = 4, 2.0
+    sch = default_schedule()
+    A, B = sch.a_of(0.5), sch.b_of(0.5)
+    kperp = -0.5 * np.log(np.tanh(beta * A / K))
+    marginal = {}
+    for bits in range(2 ** (2 * K)):
+        s = np.array([1 - 2 * ((bits >> b) & 1) for b in range(2 * K)]).reshape(2, K)
+        energy = sum(-s[0, k] * s[1, k] + 0.3 * s[0, k] for k in range(K))
+        ring = (s * np.roll(s, -1, axis=1)).sum()
+        w = np.exp(-beta / K * B * energy + kperp * ring)
+        marginal[tuple(s[:, 0])] = marginal.get(tuple(s[:, 0]), 0.0) + w
+    z = sum(marginal.values())
+    params = SqaParams(sweeps=1, trotter_slices=K, beta=beta, noise_sigma=0.0, seed=3)
+    samples = run_sqa_chain(p, sch, params, n_chains=100, n_records=1000, thin=3,
+                            burn_in=500, s_freeze=0.5)
+    emp = {}
+    for st in map(tuple, samples):
+        emp[st] = emp.get(st, 0) + 1
+    tv = 0.5 * sum(abs(emp.get(st, 0) / samples.shape[0] - w / z) for st, w in marginal.items())
+    assert tv < 0.01, tv
+
+
+def test_ring_sizes_count_past_int16():
+    # a ring of 40000 slices: at A = 0 each ring is one cluster of 40000
+    # slices, so a cluster size or neighbor count kept in int16 wraps to
+    # -25536 and turns the Metropolis test around. With a strong ferromagnetic
+    # coupling one sweep aligns every anti-aligned pair.
+    K = 40_000
+    S = _init_state(2, K, 8, [np.random.default_rng(0)])
+    down = (S.bits[:, 0] & 1).astype(bool)  # rings that start at -1 on every slice
+    assert down.any() and np.array_equal(_count(S.bits), K * down)
+    p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
+    params = SqaParams(sweeps=1, trotter_slices=K, beta=50.0, noise_sigma=0.0, seed=4)
+    ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 16)
+    assert np.all(ss.configs[:, 0] == ss.configs[:, 1])
+
+
 def test_determinism_byte_identical(k4):
     params = SqaParams(sweeps=150, trotter_slices=16, beta=0.5, noise_sigma=0.0, seed=42)
     a = run_sqa(k4, default_schedule(), params, 32)
@@ -188,18 +235,38 @@ def test_units_of_mixed_degree_sweep_as_they_do_alone():
         assert np.array_equal(S.bits[:, :, u], alone.bits[:, :, 0])
 
 
-def _loop_sweep(S, J, h, p_bond, coup_scale, rng):
+def _loop_breaks(N, q, rng):
+    """The broken bonds of one unit's sweep, drawn one gap at a time: chunks
+    of min(int(N q + 4 sqrt(N q) + 16), 2^14) exponentials E, each giving the gap
+    1 + floor(min(E / lambda, N)) to the next break, lambda = -log1p(-q),
+    until the gaps reach N; no draw at q = 0."""
+    broken = set()
+    if q == 0.0:
+        return broken
+    lam = math.inf if q == 1.0 else -math.log1p(-q)
+    M = min(int(N * q + 4.0 * math.sqrt(N * q) + 16), 2**14)
+    end = 0
+    while end < N:
+        for e in rng.standard_exponential(M):
+            end += 1 + math.floor(min(e / lam, N))
+            if end <= N:
+                broken.add(end - 1)
+    return broken
+
+
+def _loop_sweep(S, J, h, q, coup_scale, rng):
     """Reference sweep, one ring at a time: the same draws, the cluster grown
     from the seed slice along active bonds, the same Metropolis test."""
     n, K, Bn = S.shape
-    bond_u = rng.random((n, Bn, K))
+    broken = _loop_breaks(n * Bn * K, q, rng)
     seeds = rng.integers(0, K, size=(n, Bn))
     accept_u = rng.random((n, Bn))
     for i in range(n):
         X = np.tensordot(J[i], S, axes=(0, 0)) + h[i]
         for b in range(Bn):
             s = S[i, :, b]
-            active = [s[k] == s[(k + 1) % K] and bond_u[i, b, k] < p_bond for k in range(K)]
+            active = [s[k] == s[(k + 1) % K] and (i * Bn + b) * K + k not in broken
+                      for k in range(K)]
             cluster = {int(seeds[i, b])}
             for step in (1, -1):
                 k = int(seeds[i, b])
@@ -223,9 +290,11 @@ def _slices(S):
     (32, 0.9), (33, 0.7), (63, 0.8), (64, 0.8), (65, 0.95), (128, 0.98), (129, 0.5),
     (300, 0.02)])
 def test_sweep_matches_loop_reference(K, p_bond):
-    # couplings and fields are multiples of 1/8, so every local field and
-    # cluster energy is exact and the two sweeps take the same decisions;
-    # K runs across every word size and word boundary of the ring layout
+    # a bond breaks with probability q = 1 - p_bond; couplings and fields are
+    # multiples of 1/8, so every local field and cluster energy is exact and
+    # the two sweeps take the same decisions; K runs across every word size
+    # and word boundary of the ring layout
+    q = 1.0 - p_bond
     rng = np.random.default_rng(K)
     J = rng.integers(-8, 9, size=(6, 6)) / 8
     J = np.triu(J, 1) + np.triu(J, 1).T
@@ -236,40 +305,101 @@ def test_sweep_matches_loop_reference(K, p_bond):
     want = _slices(S)
     fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(4):
-        _sweep(S, _Lattice([p]), p_bond, np.array([0.3]), [fast])
-        _loop_sweep(want, J, h, p_bond, 0.3, slow)
+        _sweep(S, _Lattice([p]), q, np.array([0.3]), [fast])
+        _loop_sweep(want, J, h, q, 0.3, slow)
     assert np.array_equal(_slices(S), want)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("N, q", [(1, 0.5), (40, 1.0), (1000, 1e-300), (100_000, 0.3),
+                                  (60_000, 0.9), (50_000, 0.0), (2**14 + 5, 1.0)])
+def test_breaks_match_the_scalar_gap_draws(N, q):
+    # the chunked draws, several chunks from N q > 2^14 on, give the scalar
+    # reference's breaks and leave the generator where it leaves it
+    fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+    chunks = list(_breaks(N, q, fast))
+    got = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    assert got.tolist() == sorted(_loop_breaks(N, q, slow))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _break_bits(K, q, rings, seed):
+    """The break words of ``rings`` rings of K slices drawn at q, as bits
+    (rings, 64 W), with the words' dtype."""
+    S = _init_state(1, K, rings, [np.random.default_rng(0)])
+    words = np.zeros(rings * S.bits.shape[1], S.bits.dtype)
+    for pos in _breaks(rings * K, q, np.random.default_rng(seed)):
+        S.add_breaks(words, pos)
+    words = words.reshape(rings, -1).astype(np.uint64)
+    k = np.arange(64 * words.shape[1])
+    return (words[:, k // 64] >> (k % 64).astype(np.uint64)) & 1, S.bits.dtype
 
 
 @pytest.mark.parametrize("K", [3, 8, 9, 16, 33, 64, 65, 130])
 def test_bond_words_pack_the_bond_draws(K):
-    # bit k of a packed word (word k // 64 above K = 64) is u[..., k] >= p_bond,
-    # and no bit past slice K - 1 is set
-    u = np.random.default_rng(K).random((3, 5, K))
-    words = _init_state(3, K, 5, [np.random.default_rng(0)]).no_bond(u, 0.4)
-    k = np.arange(K)
-    bits = (words[..., k // 64].astype(np.uint64) >> (k % 64).astype(np.uint64)) & 1
-    assert np.array_equal(bits == 1, u >= 0.4)
-    assert words.shape == (3, 5, -(-K // 64)) and words.dtype.itemsize * 8 >= min(K, 64)
-    top = K - 64 * (words.shape[-1] - 1)
-    assert not (words[..., -1].astype(np.uint64) >> np.uint64(top)).any()
+    # every bond breaks with probability q, independently: each slice's break
+    # frequency is within 5 sigma of q and the breaks per ring follow
+    # Binomial(K, q); the words are as narrow as the ring layout and no bit
+    # past slice K - 1 is set
+    from scipy.stats import binom, chi2
+
+    rings = 20_000
+    for i, q in enumerate((0.003, 0.023, 0.3, 0.9)):
+        bits, dtype = _break_bits(K, q, rings, seed=10 * K + i)
+        assert dtype.itemsize * 8 >= min(K, 64) and bits.shape[1] == 64 * -(-K // 64)
+        assert not bits[:, K:].any()
+        freq = bits[:, :K].mean(axis=0)
+        assert np.all(np.abs(freq - q) < 5 * np.sqrt(q * (1 - q) / rings)), (q, freq)
+        # chi-square over counts of breaks per ring, tails pooled to >= 5 expected
+        observed = np.bincount(bits.sum(axis=1), minlength=K + 1).astype(float)
+        expected = rings * binom.pmf(np.arange(K + 1), K, q)
+        keep = np.flatnonzero(expected >= 5)
+        lo, hi = keep[0], keep[-1]
+        obs = np.r_[observed[:lo + 1].sum(), observed[lo + 1:hi], observed[hi:].sum()]
+        exp = np.r_[expected[:lo + 1].sum(), expected[lo + 1:hi], expected[hi:].sum()]
+        stat = ((obs - exp) ** 2 / exp).sum()
+        assert chi2.sf(stat, obs.size - 1) > 1e-3, (q, stat, obs.size)
+
+
+def test_break_draw_edge_cases():
+    # q = 0 draws nothing; q = 1 breaks every bond; q = 1e-300 clips the gap
+    # before the integer cast instead of overflowing (warnings are errors)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert not list(_breaks(12_000, 0.0, rng))
+    assert rng.bit_generator.state == state
+    for K in (8, 64, 65, 130):
+        bits, _ = _break_bits(K, 1.0, 50, seed=K)
+        assert bits[:, :K].all() and not bits[:, K:].any()
+        bits, _ = _break_bits(K, 1e-300, 50, seed=K)
+        assert not bits.any()
+    assert [pos.size for pos in _breaks(10, 1e-300, rng)] == [0]
+    # a sweep at q = 0 draws only its seed slices and acceptance uniforms
+    p = IsingProblem.from_couplings(3, couplings={(0, 1): -1.0, (1, 2): 0.5})
+    S = _init_state(3, 8, 4, [np.random.default_rng(1)])
+    rng, want = np.random.default_rng(2), np.random.default_rng(2)
+    _sweep(S, _Lattice([p]), 0.0, np.array([0.3]), [rng])
+    want.integers(0, 8, size=(3, 4))
+    want.random((3, 4))
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-# digests of the outputs of the (n, batch, K) kernel; the slice-major kernel
-# reproduces them bit for bit
+# digests of the outputs of the geometric-gap stream; the scalar loop
+# reference (``_loop_sweep``) annealing on the same draws gives the same
+# digests for every anneal (not chain) entry and for the stacked pin
 PINNED_SQA = {
-    "c3_k8": "4a1216cd583d92cdc7945fe8d1f2f8261db6aef329031249b99504afd671ff0a",
-    "c3_k8_chain": "060b8be34d5c3799966628452c0f675972113ce5710b18cf16806e49ff6dc1cc",
-    "c2_k64": "717066b56fd25ce412e8c07025f8719bf649ac5c77abbb4738b397711909dda6",
-    "c2_k64_chain": "0ee3fceb43e2c35b6ded39757602694a7d90188ad8a52ea240709ee8ce45e053",
-    "sparse_k8": "1b965e7f3900b4c696e426bb62f5c93a7326618da3363f006dfb5fe3b53ccf6c",
-    "sparse_k8_chain": "c544b8b9200082ac90e6c7398584c1f585b9e8748f196814b673cb1871ce70fd",
-    "pair_k130": "c210fdb368b2bb93ef7ed6543dffe2f912bd1b737c0ab822ddae1ff65f183ef7",
-    "pair_k300": "b36cc3cf5472a292c49d8e175420dd622814cf971e6aebd70591e9bce80c7991",
+    "c3_k8": "35adaf0b5a8fb112fd408f7be764a488260b9507971973b6d10c01a1d3f0d851",
+    "c3_k8_chain": "63672c5b687cd851da66695788995bf16f2f21e50290294809668965ff94ac76",
+    "c2_k64": "49c70b1d796eb0b86806e5503de4c8681d7fd8c530f1db87ef02ce581080c0a6",
+    "c2_k64_chain": "d05bf3bbe868c37030cc4011ce0dc54075f12090f9c2e4d06a51c9976f7495f3",
+    "sparse_k8": "4760c8cc1171100b4ccd3314fc598d11ca7c8859caaa478478e8292c6b657924",
+    "sparse_k8_chain": "3c8df7b8cad146f619a3ef8058bfb3e1174f6f6ab018daa05d8e08b21a97154a",
+    "pair_k130": "e3cc1cd0bf13f2fe6f21f294aea5dec411daa1cd3faf861a8ffd82a760e2b990",
+    "pair_k300": "9ae8b0666298a9ae7f346d585455ee55320ba9bacce1086bf5370b64546447ae",
 }
 
 
@@ -313,8 +443,8 @@ def test_sqa_stream_is_pinned(k4):
 def test_stacked_anneal_is_pinned():
     # one stacked call over three units with their own alphas and streams;
     # unit 1 carries noise, so a field on every site, beside two units without
-    # fields. The digest is that of the three units annealed one at a time by
-    # the single-batch kernel, concatenated.
+    # fields. The digest is that of the three units annealed one at a time,
+    # concatenated; the scalar loop reference gives it too.
     k8 = load_instance("k8_harder")
     probs = [encode_for_scale(k8, 2, 0.4, a).nested for a in (0.1, 0.5, 1.0)]
     probs[1] = sample_noise(probs[1], 0.05, np.random.default_rng(21))
@@ -322,7 +452,7 @@ def test_stacked_anneal_is_pinned():
     got = _anneal_batch(probs, device_like_schedule(), params, 12,
                         [np.random.default_rng(31 + u) for u in range(3)])
     assert got.shape == (3, 12, 16)
-    assert _sha(got) == "0c5e2984e19c1cfc1bab969c7ace9556a47db8b3791e0017e7ca38fccc4bfd18"
+    assert _sha(got) == "48e583aa32fc0fc8550fb04c696f836d0697301f8be26d8343c8f3723b4005c3"
 
 
 def _stack_cases():
