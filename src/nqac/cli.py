@@ -8,8 +8,9 @@ and indices, and aggregation is ordered by unit index. Units of one C level
 anneal in stacks (see ``sqa.stack_size``), and the pool maps stacks, but
 determinism is per unit: a unit programs and anneals on its own streams, so
 its samples do not depend on the stack it shares or on the worker count.
-A whole SQA run analyses the sample sets it holds after writing them; only
-``--stage analyze`` reads them back from their files, and checks each first.
+A whole run analyses the samples it holds after writing them (the SQA sample
+sets, the PT scan rows); only ``--stage analyze`` reads them back from their
+files, and checks each first.
 
 Exit codes: 0 ok, 2 config error, 3 embedding failure, 4 compute failure.
 """
@@ -179,8 +180,8 @@ def load_config(path) -> dict:
 
     Returns it with every default filled in: the keys its engine reads and no
     other, which is what the manifest records. A key the engine does not
-    read, a value it cannot use, or a problem or graph file that does not
-    hold a problem or a Chimera graph, raises ConfigError.
+    read, a value it cannot use, or a missing problem or graph file raises
+    ConfigError; ``run_experiment`` reads those files, once each.
     """
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
@@ -221,13 +222,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown embedding mode {cfg['embedding']!r}")
     if engine == "sqa" and (cfg["embedding"] == "none") != (cfg["graph"] is None):
         raise ConfigError("embedded runs, and only they, read a hardware graph file")
-    loaders = {"problem": load_problem}
-    if cfg.get("graph") is not None:
-        loaders["graph"] = load_graph
-    for key, load in loaders.items():
+    for key in ["problem"] + (["graph"] if cfg.get("graph") is not None else []):
         if not (isinstance(cfg[key], str) and Path(cfg[key]).is_file()):
             raise ConfigError(f"{key} file not found: {cfg[key]}")
-        _read(load, cfg[key], key)
     _sampler(cfg)
     return cfg
 
@@ -277,13 +274,15 @@ def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[f
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
-    returns the artifact directory."""
+    returns the artifact directory. A problem or graph file that does not hold
+    a problem or a Chimera graph raises ConfigError before anything is written."""
+    base = _read(load_problem, cfg["problem"], "problem")
+    graph = _read(load_graph, cfg["graph"], "graph") if cfg.get("graph") else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples_dir = out / "samples"
     samples_dir.mkdir(exist_ok=True)
 
-    base = load_problem(cfg["problem"])
     ground_energy, ground_states = brute_force_ground(base)
     params, sch = _sampler(cfg)
 
@@ -300,7 +299,6 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
         return samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson"
 
     if cfg["engine"] == "sqa":
-        graph = load_graph(cfg["graph"]) if cfg["graph"] else None
         embeddings = [_build_embedding(cfg, C, base, graph) for C in cfg["C"]]
         # the nested problem of every (ci, ai, gi) grid point, encoded once
         nested = {
@@ -355,6 +353,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             rows = [(ci, ai, gi, *pt) for ci, per_gamma in enumerate(scans)
                     for gi, pts in enumerate(per_gamma) for ai, pt in enumerate(pts)]
             (samples_dir / "pt_scan.json").write_text(json.dumps(rows, sort_keys=True))
+            table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
 
     if stage not in ("all", "analyze"):
         return out
@@ -365,7 +364,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
         table = {key: _estimate(_read_samples(sample_path(*key), digests[key], cfg), np_prob,
                                 embeddings[key[0]], ground_states, cfg["seed"], key)
                  for key, np_prob in nested.items()}
-    elif cfg["engine"] == "pt":
+    elif cfg["engine"] == "pt" and stage == "analyze":
         path = samples_dir / "pt_scan.json"
         try:
             rows = json.loads(path.read_text())

