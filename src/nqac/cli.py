@@ -3,11 +3,10 @@
 One experiment = one output directory with curves.csv, boost.csv, eta.txt,
 raw sample sets and a manifest. Everything is seeded from the config; results
 are byte-identical across reruns and across worker counts, because each
-(C, alpha, gamma, cycle) work unit derives its own seed from the master seed
-and indices, and aggregation is ordered by unit index. Units of one C level
-anneal in stacks (see ``sqa.stack_size``), and the pool maps stacks, but
-determinism is per unit: a unit programs and anneals on its own streams, so
-its samples do not depend on the stack it shares or on the worker count.
+(C, alpha, gamma) grid point derives its own seed from the master seed and
+indices. One ``sqa.run_protocol`` call samples the whole SQA grid, with
+``--jobs`` worker processes; its docstring says why no sample depends on
+the worker count.
 A whole run analyses the samples it holds after writing them (the SQA sample
 sets, the PT scan rows); only ``--stage analyze`` reads them back from their
 files, and checks each first.
@@ -46,14 +45,12 @@ from .sampleset import load_sampleset, save_sampleset
 from .sqa import (
     SqaParams,
     Schedule,
-    assemble_sampleset,
     default_schedule,
     device_like_schedule,
     load_schedule,
     programmed_digest,
-    run_protocol_cycles,
+    run_protocol,
     run_sqa,
-    stack_size,
     unit_seed,
 )
 
@@ -307,41 +304,21 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             for ai, alpha in enumerate(cfg["alphas"])
             for gi, gamma in enumerate(cfg["gammas"])
         }
-        digests = {key: programmed_digest(np_prob, embeddings[key[0]])
-                   for key, np_prob in nested.items()}
 
     if stage in ("all", "sample"):
         if cfg["engine"] == "sqa":
-            # the (ai, gi, cycle) units of one C level share n and the embedding;
-            # they anneal in stacks of stack_size units, in unit order
-            size = stack_size(params.trotter_slices, cfg["runs_per_cycle"])
-            levels = [[(key, cycle) for key in nested if key[0] == ci
-                       for cycle in range(cfg["cycles"])] for ci in range(len(cfg["C"]))]
-            stacks = [(ci, level[i:i + size]) for ci, level in enumerate(levels)
-                      for i in range(0, len(level), size)]
-            args = [
-                ([(nested[key], unit_seed(cfg["seed"], *key), cycle) for key, cycle in units],
-                 embeddings[ci], sch, params, cfg["runs_per_cycle"])
-                for ci, units in stacks
-            ]
-            if jobs > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    done = list(pool.map(run_protocol_cycles, *zip(*args)))
-            else:
-                done = [run_protocol_cycles(*a) for a in args]
-            results = dict(zip((unit for _, units in stacks for unit in units),
-                               (part for parts in done for part in parts)))
+            samples = run_protocol(
+                [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
+                 for key, np_prob in nested.items()],
+                sch, params, cfg["cycles"], cfg["runs_per_cycle"], jobs,
+            )
             # stage all analyses the sample sets it holds; only the analyze
             # stage reads sample files
             table = {}
-            for key in nested:
-                parts = [results.pop((key, cycle)) for cycle in range(cfg["cycles"])]
-                ss = assemble_sampleset(parts, digests[key])
+            for (key, np_prob), ss in zip(nested.items(), samples):
                 save_sampleset(ss, sample_path(*key))
                 if stage == "all":
-                    table[key] = _estimate(ss, nested[key], embeddings[key[0]], ground_states,
+                    table[key] = _estimate(ss, np_prob, embeddings[key[0]], ground_states,
                                            cfg["seed"], key)
         else:  # pt engine
             scans = thermal_boost_scan(
@@ -361,9 +338,11 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
     # gamma, then boost + exponent
     if cfg["engine"] == "sqa" and stage == "analyze":
-        table = {key: _estimate(_read_samples(sample_path(*key), digests[key], cfg), np_prob,
-                                embeddings[key[0]], ground_states, cfg["seed"], key)
-                 for key, np_prob in nested.items()}
+        table = {}
+        for key, np_prob in nested.items():
+            emb = embeddings[key[0]]
+            ss = _read_samples(sample_path(*key), programmed_digest(np_prob, emb), cfg)
+            table[key] = _estimate(ss, np_prob, emb, ground_states, cfg["seed"], key)
     elif cfg["engine"] == "pt" and stage == "analyze":
         path = samples_dir / "pt_scan.json"
         try:
@@ -412,20 +391,22 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
 
 def _cmd_run(args) -> int:
+    jobs = _count("--jobs", args.jobs)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = _seed(args.seed)
-    out = run_experiment(cfg, args.out, jobs=args.jobs, stage=args.stage)
+    out = run_experiment(cfg, args.out, jobs=jobs, stage=args.stage)
     print(f"experiment artifacts in {out}")
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
+    C = _count("--C", args.C)
     base = _read(load_problem, args.problem, "problem")
     if args.alpha is not None:
-        np_prob = encode_for_scale(base, args.C, args.gamma, args.alpha)
+        np_prob = encode_for_scale(base, C, args.gamma, args.alpha)
     else:
-        np_prob = encode_nested(base, args.C, args.gamma)
+        np_prob = encode_nested(base, C, args.gamma)
     save_nested(np_prob, args.out)
     print(f"nested problem ({np_prob.n_nested} vertices) -> {args.out}")
     return EXIT_OK
@@ -433,15 +414,16 @@ def _cmd_encode(args) -> int:
 
 def _cmd_embed(args) -> int:
     seed = _seed(args.seed)
+    max_tries = _count("--max-tries", args.max_tries)
     graph = (_read(load_graph, args.graph, "graph") if args.graph
-             else build_chimera(args.rows, args.cols))
+             else build_chimera(_count("--rows", args.rows), _count("--cols", args.cols)))
     np_prob = _read(load_nested, args.source, "nested problem")
     try:
         if args.mode == "choi":
             emb = choi_embed(np_prob.n_nested, graph)
         else:
             rng = np.random.default_rng(seed)
-            emb = heuristic_embed(np_prob, graph, rng, max_tries=args.max_tries)
+            emb = heuristic_embed(np_prob, graph, rng, max_tries=max_tries)
     except (EmbeddingNotFound, NqacError) as exc:
         print(f"[embed] {exc}", file=sys.stderr)
         return EXIT_EMBEDDING
@@ -498,10 +480,11 @@ def _cmd_pt(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
+    C, n_m, n_s = _count("--C", args.C), _count("--n-m", args.n_m), _count("--n-s", args.n_s)
+    if not args.beta > 0:
+        raise ConfigError(f"--beta must be positive, got {args.beta}")
     sch = _schedule_from_name(args.schedule)
-    rows = free_energy_grid(
-        sch.a_of, sch.b_of, args.gamma, args.beta, args.C, n_m=args.n_m, n_s=args.n_s
-    )
+    rows = free_energy_grid(sch.a_of, sch.b_of, args.gamma, args.beta, C, n_m=n_m, n_s=n_s)
     lines = ["m,s,A,B,betaF"]
     lines += [",".join(format(v, ".12g") for v in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -29,8 +29,8 @@ generator in this order:
 - per swap interval of T = ``swap_interval`` sweeps, one call: the T sweeps'
   site uniforms in (sweep, site, row, rung) order, then, when the interval
   ends in a swap (R > 1), the (R - 1) * k swap uniforms in (rung, row)
-  order. A final partial interval (``sweeps`` not a multiple of T) draws
-  the site uniforms of its sweeps and nothing else, and records nothing.
+  order. A run is whole intervals: ``sweeps`` is rounded down to a multiple
+  of T (see ``PtParams``), so no sweep runs after the last record.
 
 These are the numbers, in the order, of one call per sweep and one per swap,
 so the stream depends only on the block. Site i of a replica flips when
@@ -60,13 +60,15 @@ from .analysis import binomial_success, count_ground_hits
 from .errors import DomainError
 from .ising import IsingProblem
 from .nesting import encode_for_scale
-from .sampleset import CycleRecord, SampleSet
+from .sampleset import SampleSet
 
 
 @dataclass(frozen=True)
 class PtParams:
     """Replica-exchange knobs (the CLI reads the defaults). ``betas`` must
-    ascend; half the sweeps are burn-in, recording is thinned by ``swap_interval``."""
+    ascend; half the sweeps are burn-in, recording is thinned by ``swap_interval``.
+    A run rounds ``sweeps`` down to whole swap intervals, and lengthens it to
+    record at least the samples asked for."""
 
     betas: tuple
     sweeps: int = 4000
@@ -96,11 +98,13 @@ def geometric_ladder(beta_max: float, n_betas: int, beta_min: float) -> tuple:
 
 
 def _run_sweeps(params: PtParams, n_samples: int) -> int:
-    """Sweeps that record at least ``n_samples`` configurations per rung
-    after burn-in (half the run)."""
+    """``params.sweeps`` rounded down to whole swap intervals, but at least the
+    sweeps that record ``n_samples`` configurations per rung after burn-in
+    (half the run)."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    return max(params.sweeps, 2 * n_samples * params.swap_interval)
+    L = params.swap_interval
+    return L * max(params.sweeps // L, 2 * n_samples)
 
 
 def swap_probability(beta_a, e_a, beta_b, e_b):
@@ -134,7 +138,7 @@ def _pt_sample(
     """
     betas = np.asarray(params.betas)
     R, L = betas.size, params.swap_interval
-    sweeps = _run_sweeps(params, n_samples)
+    intervals = _run_sweeps(params, n_samples) // L
     order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0].shape[1])
     sizes = [blocks[b][0].shape[1] for b in order]
     bounds = np.cumsum([0] + [blocks[b][0].shape[0] for b in order])
@@ -167,32 +171,30 @@ def _pt_sample(
     rows = np.arange(B)[:, None]
     src = np.empty((R, B), dtype=np.intp)
     recs = np.empty((B, len(range(R)[rungs]), n_samples, n), dtype=np.int8)
-    # the last n_samples records, all after the half-run burn-in (see _run_sweeps)
-    first = sweeps // L - n_samples + 1
-    for start in range(0, sweeps, L):
-        T = min(L, sweeps - start)  # a final partial interval neither swaps nor records
-        swaps = T == L and R > 1
+    # the last n_samples intervals record, all after the half-run burn-in
+    # (see _run_sweeps)
+    first = intervals - n_samples
+    swaps = R > 1
+    for interval in range(intervals):
         with np.errstate(divide="ignore"):  # log(0) = -inf, which flips
             for (a, z, m), rng in zip(spans, rngs):
-                nr, sites = z - a, T * m * (z - a) * R
+                nr, sites = z - a, L * m * (z - a) * R
                 d = draws[:sites + swaps * (R - 1) * nr]
                 rng.random(out=d)
                 np.log(d[:sites], out=d[:sites])
                 # a block's (row, rung) pairs are contiguous in thr, so the
                 # reshape is a view
-                np.divide(d[:sites].reshape(T, m, nr * R), two_betas[:nr * R],
-                          out=thr[:T, :m, a:z].reshape(T, m, nr * R))
+                np.divide(d[:sites].reshape(L, m, nr * R), two_betas[:nr * R],
+                          out=thr[:, :m, a:z].reshape(L, m, nr * R))
                 if swaps:
                     u[:, a:z] = d[sites:].reshape(R - 1, nr)
-        for sweep in steps[:T]:
+        for sweep in steps:
             for Sa, c, x, x0, s, w, th in sweep:
                 np.matmul(Sa, c, out=x)
                 np.multiply(s, x0, out=w)
                 np.subtract(th, w, out=w)
                 np.copysign(1.0, w, out=w)  # -1 where th < s x: flip
                 s *= w
-        if T < L:
-            break
         if swaps:
             E = np.einsum("brj,brj->rb", S[:, :, :n], np.matmul(S, half_t))
             # walk the replica on rung k up the ladder: src[k] is the rung whose
@@ -205,7 +207,7 @@ def _pt_sample(
                 e = np.where(acc, e, E[k + 1])
             src[-1] = walk
             S[...] = S[rows, src.T]
-        slot = start // L + 1 - first
+        slot = interval - first
         if slot >= 0:
             recs[:, :, slot] = S[:, rungs, :n]
     out = [None] * len(blocks)
@@ -223,23 +225,9 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, Sam
     """
     [recs] = _pt_sample([(_dense_rows([p]), np.random.default_rng(params.seed))], params,
                         n_samples, rungs=slice(None))
-    out = {}
-    cyc = CycleRecord(
-        cycle=0,
-        gauge=np.ones(p.n, dtype=np.int8),
-        permutation=np.arange(p.n, dtype=np.int64),
-        seed=params.seed,
-    )
     digest = p.digest()
-    for r, beta in enumerate(params.betas):
-        configs = recs[0, r]
-        out[beta] = SampleSet(
-            configs=configs,
-            cycle_ids=np.zeros(configs.shape[0], dtype=np.int64),
-            cycles=(cyc,),
-            problem_digest=digest,
-        )
-    return out
+    return {beta: SampleSet.unprogrammed(recs[0, r], params.seed, digest)
+            for r, beta in enumerate(params.betas)}
 
 
 def thermal_boost_scan(

@@ -63,6 +63,16 @@ class SampleSet:
         object.__setattr__(self, "cycle_ids", ids)
         object.__setattr__(self, "cycles", tuple(self.cycles))
 
+    @classmethod
+    def unprogrammed(cls, configs: np.ndarray, seed: int, problem_digest: str) -> "SampleSet":
+        """Samples of a problem as given, in one cycle 0 with gauge all +1, the
+        identity permutation and the sampler's ``seed``."""
+        n = configs.shape[1]
+        cycle = CycleRecord(cycle=0, gauge=np.ones(n, dtype=np.int8),
+                            permutation=np.arange(n, dtype=np.int64), seed=seed)
+        return cls(configs=configs, cycle_ids=np.zeros(configs.shape[0], dtype=np.int64),
+                   cycles=(cycle,), problem_digest=problem_digest)
+
     @property
     def n_records(self) -> int:
         return self.configs.shape[0]

@@ -76,6 +76,14 @@ measured 83-115 ns at 256 words, 54-94 ns at 1024, 45-89 ns at 4096 and
 7-12 ns at 4000 words with K = 64; at 8000 words n = 48 slowed again (13 ns
 at K = 64). Batches of 1000 anneals therefore stack by four.
 
+``run_protocol`` samples a whole grid of points, each a nested problem with
+its embedding and seed, in programming cycles. Its (point, cycle) units, in
+order, anneal in stacks of consecutive units whose points share a problem
+size and an embedding, at most ``stack_size`` units each, and ``jobs > 1``
+maps the stacks over worker processes. A unit programs and anneals on
+streams of its point's seed and its cycle, so its samples depend neither on
+its stack nor on the worker count.
+
 A programming cycle permutes the nested vertices before it compiles them, so
 an embedded run needs an embedding in which every pair of chains is adjacent:
 an embedding of the complete graph on all nested vertices. The embedding
@@ -87,6 +95,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -485,18 +495,7 @@ def run_sqa(
         raise DomainError("n_anneals must be >= 1")
     rng = np.random.default_rng(params.seed)
     configs = _anneal_batch([p], sch, params, n_anneals, [rng])[0]
-    cyc = CycleRecord(
-        cycle=0,
-        gauge=np.ones(p.n, dtype=np.int8),
-        permutation=np.arange(p.n, dtype=np.int64),
-        seed=params.seed,
-    )
-    return SampleSet(
-        configs=configs,
-        cycle_ids=np.zeros(n_anneals, dtype=np.int64),
-        cycles=(cyc,),
-        problem_digest=p.digest(),
-    )
+    return SampleSet.unprogrammed(configs, params.seed, p.digest())
 
 
 def run_sqa_chain(
@@ -570,7 +569,7 @@ def stack_size(K: int, runs: int) -> int:
     return max(1, STACK_RING_WORDS // (runs * _ring_layout(K)[1]))
 
 
-def run_protocol_cycles(
+def _anneal_stack(
     units: list[tuple[NestedProblem, int, int]],
     emb: Embedding | None,
     sch: Schedule,
@@ -600,38 +599,47 @@ def programmed_digest(np_prob: NestedProblem, emb: Embedding | None) -> str:
     return apply_embedding(np_prob, emb).problem.digest()
 
 
-def assemble_sampleset(parts: list[tuple[np.ndarray, CycleRecord]], digest: str) -> SampleSet:
-    """Stack per-cycle ``(configs, CycleRecord)`` pairs into one sample set
-    that carries ``digest``, the ``programmed_digest`` of its grid point."""
-    return SampleSet(
-        configs=np.vstack([configs for configs, _ in parts]),
-        cycle_ids=np.concatenate(
-            [np.full(configs.shape[0], rec.cycle, dtype=np.int64) for configs, rec in parts]
-        ),
-        cycles=tuple(rec for _, rec in parts),
-        problem_digest=digest,
-    )
-
-
 def run_protocol(
-    np_prob: NestedProblem,
-    emb: Embedding | None,
+    points: list[tuple[NestedProblem, Embedding | None, int]],
     sch: Schedule,
     params: SqaParams,
     cycles: int,
     runs_per_cycle: int,
-) -> SampleSet:
-    """Run ``cycles`` programming cycles of ``runs_per_cycle`` anneals each.
+    jobs: int = 1,
+) -> list[SampleSet]:
+    """Run ``cycles`` programming cycles of ``runs_per_cycle`` anneals at each
+    of ``points``, (nested problem, embedding or None, seed) triples; returns
+    one sample set per point, in order, carrying its ``programmed_digest``.
 
     Per cycle a fresh noise realization, gauge and nested-vertex permutation
     are drawn (the permutation re-enters the embedding step, so physically
     distinguishable chains are reassigned). Statistics over cycles are the
     basis for success-probability error bars.
+
+    The (point, cycle) units stack as the module docstring says, and
+    ``jobs > 1`` maps the stacks over that many processes. A point's seed
+    replaces ``params.seed``, which is not read.
     """
-    if cycles < 1:
-        raise DomainError("cycles must be >= 1")
-    units = [(np_prob, params.seed, c) for c in range(cycles)]
+    if cycles < 1 or runs_per_cycle < 1:
+        raise DomainError("cycles and runs_per_cycle must be >= 1")
+    digests = [programmed_digest(np_prob, emb) for np_prob, emb, _ in points]
     size = stack_size(params.trotter_slices, runs_per_cycle)
-    parts = [part for i in range(0, cycles, size)
-             for part in run_protocol_cycles(units[i:i + size], emb, sch, params, runs_per_cycle)]
-    return assemble_sampleset(parts, programmed_digest(np_prob, emb))
+    stacks = []  # (units, embedding) per stack
+    for _, group in groupby(points, key=lambda pt: (pt[0].n_nested, id(pt[1]))):
+        group = list(group)
+        units = [(np_prob, seed, c) for np_prob, _, seed in group for c in range(cycles)]
+        stacks += [(units[i:i + size], group[0][1]) for i in range(0, len(units), size)]
+    anneal = partial(_anneal_stack, sch=sch, params=params, runs=runs_per_cycle)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(anneal, *zip(*stacks)))
+    else:
+        done = [anneal(*stack) for stack in stacks]
+    parts = [part for stack in done for part in stack]  # (configs, record) per unit
+    per_point = [parts[i:i + cycles] for i in range(0, len(parts), cycles)]
+    cycle_ids = np.repeat(np.arange(cycles, dtype=np.int64), runs_per_cycle)
+    return [SampleSet(configs=np.vstack([configs for configs, _ in mine]), cycle_ids=cycle_ids,
+                      cycles=tuple(rec for _, rec in mine), problem_digest=digest)
+            for mine, digest in zip(per_point, digests)]

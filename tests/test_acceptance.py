@@ -101,14 +101,11 @@ def test_criterion_04_nesting_monotonicity():
     _, gs = brute_force_ground(k4)
     sch = device_like_schedule()
     alpha, gamma_dev = 0.05, 0.3
-    results = {}
-    for C in (1, 2, 3):
-        npr = encode_for_scale(k4, C, gamma_dev, alpha)
-        params = SqaParams(
-            sweeps=1000, trotter_slices=64, beta=0.1, noise_sigma=0.05, seed=400 + C
-        )
-        ss = run_protocol(npr, None, sch, params, cycles=20, runs_per_cycle=200)
-        results[C] = estimate_success(ss, npr, None, gs, decode_seed=900 + C)
+    params = SqaParams(sweeps=1000, trotter_slices=64, beta=0.1, noise_sigma=0.05)
+    points = [(encode_for_scale(k4, C, gamma_dev, alpha), None, 400 + C) for C in (1, 2, 3)]
+    samples = run_protocol(points, sch, params, cycles=20, runs_per_cycle=200)
+    results = {C: estimate_success(ss, npr, None, gs, decode_seed=900 + C)
+               for C, (npr, _, _), ss in zip((1, 2, 3), points, samples)}
     (p1, s1), (p2, s2), (p3, s3) = results[1], results[2], results[3]
     assert p1 < p2 < p3, results
     assert p1 + 2 * s1 < p2 - 2 * s2, results

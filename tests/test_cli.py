@@ -128,6 +128,37 @@ def test_sampler_subcommand_bad_parameter_is_config_error(k4_file, tmp_path, cap
     assert capsys.readouterr().err.startswith("[config]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--jobs", "0"],
+    ["run", "--jobs", "-3"],
+    ["meanfield", "--C", "0"],
+    ["meanfield", "--beta", "-1"],
+    ["meanfield", "--n-m", "0"],
+    ["meanfield", "--n-s", "0"],
+    ["embed", "--mode", "heuristic", "--max-tries", "0"],
+    ["embed", "--rows", "0"],
+    ["embed", "--cols", "-1"],
+    ["encode", "--C", "0"],
+], ids=" ".join)
+def test_standalone_bad_count_is_config_error(k4_file, tmp_path, capsys, argv):
+    command, *flags = argv
+    nested = tmp_path / "nested.json"
+    assert main(["encode", "--problem", str(k4_file), "--C", "2", "--gamma", "0.4",
+                 "--out", str(nested)]) == 0
+    given = {
+        "run": ["--config", str(tiny_config(tmp_path, k4_file))],
+        "meanfield": ["--C", "2", "--gamma", "0.5", "--beta", "2.0"],
+        "embed": ["--source", str(nested)],
+        "encode": ["--problem", str(k4_file), "--C", "2", "--gamma", "0.4"],
+    }[command]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, *given, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and flags[-2] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sqa", "pt", "embed"])
 def test_negative_seed_is_config_error(k4_file, tmp_path, capsys, command):
     source = "--source" if command == "embed" else "--problem"

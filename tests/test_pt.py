@@ -222,10 +222,9 @@ def test_thermal_boost_scan_shapes(k4, k4_ground):
     assert pts[-1][1] > pts[0][1]
 
 
-def _stream_digest(k4, params, n_samples, blocks):
-    """sha256 of a ``_pt_sample`` call's records at every rung followed by the
-    next four uniforms of each block's generator, which pins how many numbers
-    the call drew, tail sweeps included. ``blocks`` lists (C, gamma, seed)."""
+def _stream(k4, params, n_samples, blocks):
+    """A ``_pt_sample`` call's records at every rung and its blocks'
+    generators after it. ``blocks`` lists (C, gamma, seed)."""
     rngs = [np.random.default_rng(seed) for _, _, seed in blocks]
     recs = _pt_sample(
         [(_dense_rows([encode_for_scale(k4, C, g, a).nested for a in (0.2, 1.0)]), rng)
@@ -234,8 +233,19 @@ def _stream_digest(k4, params, n_samples, blocks):
     )
     assert all(r.shape == (2, len(params.betas), n_samples, 4 * C)
                for r, (C, _, _) in zip(recs, blocks))
-    tail = [rng.random(4) for rng in rngs]
-    return hashlib.sha256(b"".join(x.tobytes() for x in recs + tail)).hexdigest()
+    return recs, rngs
+
+
+def _sha(arrays):
+    return hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest()
+
+
+def _stream_digest(k4, params, n_samples, blocks):
+    """sha256 of a ``_pt_sample`` call's records at every rung followed by the
+    next four uniforms of each block's generator, which pins how many numbers
+    the call drew."""
+    recs, rngs = _stream(k4, params, n_samples, blocks)
+    return _sha(recs + [rng.random(4) for rng in rngs])
 
 
 def test_pt_sample_stream_is_pinned_for_one_rung(k4):
@@ -247,12 +257,17 @@ def test_pt_sample_stream_is_pinned_for_one_rung(k4):
 
 
 def test_pt_sample_stream_is_pinned_for_a_tail_interval(k4):
-    # 203 sweeps at swap_interval 5: three sweeps after the last swap, which
-    # draw site uniforms but no swap uniforms and record nothing
-    params = PtParams(betas=(0.3, 1.0, 2.5), sweeps=203, swap_interval=5)
-    assert _stream_digest(k4, params, 20, [(2, 0.5, 5), (1, 1.0, 6)]) == (
-        "27ef4fcc255f00225f8446720735fc5e946117ece7434a3ce227d3d7bf76cb23"
-    )
+    # 203 sweeps at swap_interval 5 round down to 200: the three sweeps past
+    # the last interval would record nothing, so they are not run and draw
+    # nothing from the generators
+    blocks = [(2, 0.5, 5), (1, 1.0, 6)]
+    recs, rngs = _stream(k4, PtParams(betas=(0.3, 1.0, 2.5), sweeps=203, swap_interval=5),
+                         20, blocks)
+    assert _sha(recs) == "ac84571fb3cb9c9e40de4e279cc56fc0cadf799daa61d17c00420cb31cb430ff"
+    whole, whole_rngs = _stream(k4, PtParams(betas=(0.3, 1.0, 2.5), sweeps=200,
+                                             swap_interval=5), 20, blocks)
+    assert _sha(recs) == _sha(whole)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in whole_rngs]
 
 
 def test_pt_sample_stream_is_pinned_for_swap_interval_one(k4):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from nqac import sqa
 from nqac.chimera import build_chimera, choi_embed
 from nqac.errors import DomainError, InvalidEmbedding, ScheduleError
 from nqac.instances import k4_antiferromagnet, load_instance
 from nqac.ising import IsingProblem, rescale
 from nqac.nesting import encode_for_scale, encode_nested
+from nqac.sampleset import save_sampleset
 from nqac.sqa import (
     Schedule,
     SqaParams,
@@ -16,13 +18,13 @@ from nqac.sqa import (
     _init_state,
     _Lattice,
     _anneal_batch,
+    _anneal_stack,
     _breaks,
     _count,
     _sweep,
     default_schedule,
     device_like_schedule,
     run_protocol,
-    run_protocol_cycles,
     run_sqa,
     run_sqa_chain,
     sample_noise,
@@ -485,8 +487,8 @@ def test_stacked_cycles_equal_per_unit_cycles(case):
     units, emb, sch, params, runs = _stack_cases()[case]
     if case == "sparse":
         assert emb.graph is not None and sum(map(len, emb.chains.values())) == 168
-    stacked = run_protocol_cycles(units, emb, sch, params, runs)
-    alone = [run_protocol_cycles([u], emb, sch, params, runs)[0] for u in units]
+    stacked = _anneal_stack(units, emb, sch, params, runs)
+    alone = [_anneal_stack([u], emb, sch, params, runs)[0] for u in units]
     assert len(stacked) == len(units)
     for (configs, rec), (want, want_rec) in zip(stacked, alone):
         assert configs.dtype == np.int8 and configs.tobytes() == want.tobytes()
@@ -504,9 +506,9 @@ def test_stacked_large_batches_equal_units_alone(K):
     units = [(encode_for_scale(k4, 3, g, a), 400 + i, i)
              for i, (a, g) in enumerate([(0.01, 0.2), (0.1, 0.5), (1.0, 0.5)])]
     params = SqaParams(sweeps=2, trotter_slices=K, noise_sigma=0.05)
-    stacked = run_protocol_cycles(units, None, device_like_schedule(), params, 1000)
+    stacked = _anneal_stack(units, None, device_like_schedule(), params, 1000)
     for u, (configs, rec) in zip(units, stacked):
-        [(want, want_rec)] = run_protocol_cycles([u], None, device_like_schedule(), params, 1000)
+        [(want, want_rec)] = _anneal_stack([u], None, device_like_schedule(), params, 1000)
         assert configs.tobytes() == want.tobytes() and rec.seed == want_rec.seed
 
 
@@ -534,8 +536,8 @@ def test_monotone_hardness_trend(k4, k4_ground_keys):
 
 def test_protocol_record_counts(k4):
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05, seed=5)
-    ss = run_protocol(npr, None, default_schedule(), params, cycles=3, runs_per_cycle=7)
+    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05)
+    [ss] = run_protocol([(npr, None, 5)], default_schedule(), params, cycles=3, runs_per_cycle=7)
     assert ss.n_records == 21
     assert len(ss.cycles) == 3
     assert set(ss.cycle_ids.tolist()) == {0, 1, 2}
@@ -546,9 +548,9 @@ def test_protocol_record_counts(k4):
 
 def test_protocol_determinism(k4):
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05, seed=6)
-    a = run_protocol(npr, None, default_schedule(), params, 2, 5)
-    b = run_protocol(npr, None, default_schedule(), params, 2, 5)
+    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05)
+    [a] = run_protocol([(npr, None, 6)], default_schedule(), params, 2, 5)
+    [b] = run_protocol([(npr, None, 6)], default_schedule(), params, 2, 5)
     assert np.array_equal(a.configs, b.configs)
     assert all(
         np.array_equal(x.gauge, y.gauge) and np.array_equal(x.permutation, y.permutation)
@@ -562,8 +564,8 @@ def test_protocol_with_embedding_smoke(k4):
     g = build_chimera(2, 2)
     npr = encode_nested(k4, 2, 0.5)
     emb = choi_embed(8, g)
-    params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5, noise_sigma=0.02, seed=8)
-    ss = run_protocol(npr, emb, default_schedule(), params, 2, 4)
+    params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5, noise_sigma=0.02)
+    [ss] = run_protocol([(npr, emb, 8)], default_schedule(), params, 2, 4)
     assert ss.n_records == 8
     assert ss.n_spins == len(emb.qubits)
 
@@ -577,9 +579,58 @@ def test_protocol_with_uncovering_embedding_raises(k4, chains):
 
     emb = Embedding(chains=chains, graph=build_chimera(1, 1))
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=5, trotter_slices=4, beta=0.5, noise_sigma=0.0, seed=9)
+    params = SqaParams(sweeps=5, trotter_slices=4, beta=0.5, noise_sigma=0.0)
     with pytest.raises(InvalidEmbedding):
-        run_protocol(npr, emb, default_schedule(), params, 1, 2)
+        run_protocol([(npr, emb, 9)], default_schedule(), params, 1, 2)
+
+
+def _mixed_points():
+    # C = 1 and 2, unembedded and choi-embedded, ordered so that neighbours
+    # differ in size, in embedding, or in neither
+    k4 = k4_antiferromagnet()
+    graph = build_chimera(4, 4)
+    embs = {C: choi_embed(4 * C, graph) for C in (1, 2)}
+    grid = [(1, 0.2, False), (1, 1.0, False), (2, 0.2, False), (2, 0.5, True), (2, 1.0, True),
+            (1, 0.5, True), (1, 0.3, False)]
+    return [(encode_for_scale(k4, C, 0.4, alpha), embs[C] if embedded else None, 700 + i)
+            for i, (C, alpha, embedded) in enumerate(grid)]
+
+
+@pytest.mark.parametrize("jobs, ring_words, n_stacks", [
+    (1, STACK_RING_WORDS, 5),  # one stack per run of equal size and embedding
+    (2, STACK_RING_WORDS, None),
+    (1, 12, 12),  # stacks of two units
+    (2, 12, None),
+])
+def test_one_protocol_call_equals_a_call_per_point(tmp_path, monkeypatch, jobs, ring_words,
+                                                   n_stacks):
+    points = _mixed_points()
+    params = SqaParams(sweeps=4, trotter_slices=8, noise_sigma=0.05)
+    sch = device_like_schedule()
+    alone = [run_protocol([pt], sch, params, 3, 5)[0] for pt in points]
+    monkeypatch.setattr(sqa, "STACK_RING_WORDS", ring_words)
+    stacks = []
+    if jobs == 1:  # a spy does not reach worker processes
+        anneal = sqa._anneal_stack
+
+        def spy(units, emb, **kwargs):
+            stacks.append({np_prob.n_nested for np_prob, _, _ in units})
+            return anneal(units, emb, **kwargs)
+
+        monkeypatch.setattr(sqa, "_anneal_stack", spy)
+    together = run_protocol(points, sch, params, 3, 5, jobs=jobs)
+    if jobs == 1:
+        assert len(stacks) == n_stacks and all(len(sizes) == 1 for sizes in stacks)
+    assert len(together) == len(alone)
+    for i, (got, want) in enumerate(zip(together, alone)):
+        assert got.configs.tobytes() == want.configs.tobytes()
+        assert got.cycle_ids.tolist() == want.cycle_ids.tolist()
+        assert [(c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in got.cycles] \
+            == [(c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in want.cycles]
+        save_sampleset(got, tmp_path / f"got{i}.ndjson")
+        save_sampleset(want, tmp_path / f"want{i}.ndjson")
+        assert (tmp_path / f"got{i}.ndjson").read_bytes() == \
+            (tmp_path / f"want{i}.ndjson").read_bytes()
 
 
 def test_zero_problem_samples_uniformly(k4, k4_ground_keys):
@@ -605,7 +656,7 @@ def test_embedded_solver_and_estimate(k4, k4_ground):
     # nesting penalty binds only the chains
     npr = encode_nested(k4, 1, 2.0)
     emb = choi_embed(4, g)
-    params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1, noise_sigma=0.0, seed=15)
-    ss = run_protocol(npr, emb, device_like_schedule(), params, 2, 50)
+    params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1, noise_sigma=0.0)
+    [ss] = run_protocol([(npr, emb, 15)], device_like_schedule(), params, 2, 50)
     P, se = estimate_success(ss, npr, emb, gs)
     assert P >= 0.9, (P, se)
