@@ -22,14 +22,15 @@ schedule = device_like_schedule()
 gamma_device = 0.3
 alphas = (0.02, 0.05, 0.15, 0.5)
 
-params = SqaParams(sweeps=800, trotter_slices=64, beta=0.1, noise_sigma=0.05)
+params = SqaParams(sweeps=800, trotter_slices=64, beta=0.1)
 
 # one protocol call per nesting level samples every alpha, each on its own seed
 cells = {}
 for C in (1, 2, 3):
     points = [(encode_for_scale(k4, C, gamma_device, alpha), None, hash((C, alpha)) % 2**31)
               for alpha in alphas]
-    samples = run_protocol(points, schedule, params, cycles=8, runs_per_cycle=100)
+    samples = run_protocol(points, schedule, params, noise_sigma=0.05, cycles=8,
+                           runs_per_cycle=100)
     for alpha, (npr, _, _), ss in zip(alphas, points, samples):
         P, se = estimate_success(ss, npr, None, ground_states)
         cells[alpha, C] = f"{P:.3f} +- {se:.3f}"

@@ -78,50 +78,36 @@ def _spin_codes(states: np.ndarray) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def count_ground_hits(
-    np_prob: NestedProblem,
-    emb,
-    configs: np.ndarray,
-    ground_states: np.ndarray,
-    rng: np.random.Generator,
-) -> int:
-    """Decode a (batch, n_phys) array and count rows decoding to a ground state."""
-    logical, _ = decode_batch(np_prob, emb, configs, rng)
-    return int(np.isin(_spin_codes(logical), _spin_codes(ground_states)).sum())
-
-
-def binomial_success(hits: int, n: int) -> tuple[float, float]:
-    """Success fraction and its binomial standard error."""
-    p = hits / n
-    return p, float(np.sqrt(p * (1 - p) / n))
-
-
 def estimate_success(
     samples: SampleSet,
     np_prob: NestedProblem,
     emb,
     ground_states: np.ndarray,
-    decode_seed: int = 0,
+    decode_seed: int | np.random.Generator = 0,
 ) -> tuple[float, float]:
-    """Decode every record and average per-cycle success fractions.
+    """Decode every record and average per-cycle success fractions, the
+    fraction of a cycle's records that decode to a ground state.
 
     Returns (mean over cycles, stddev over cycles / sqrt(cycles)); a single
     cycle reports its binomial standard error. Each cycle is decoded with its
-    own recorded nested-vertex permutation composed into the copy map.
+    own recorded nested-vertex permutation composed into the copy map. Tie
+    coins come from ``decode_seed``, a seed or a generator; a generator is
+    drawn from in place.
     """
     if samples.n_records == 0:
         raise DomainError("empty sample set")
     rng = np.random.default_rng(decode_seed)
+    targets = _spin_codes(ground_states)
     cycle_perms = {c.cycle: c.permutation for c in samples.cycles}
     fracs = []
     for cid, idxs in sorted(samples.cycle_slices().items()):
         perm = cycle_perms.get(cid)
         npr_c = np_prob if perm is None else permute_nested(np_prob, perm)
-        hits = count_ground_hits(npr_c, emb, samples.configs[idxs], ground_states, rng)
-        fracs.append(hits / idxs.size)
-    if len(fracs) == 1:
-        return binomial_success(hits, idxs.size)
+        logical, _ = decode_batch(npr_c, emb, samples.configs[idxs], rng)
+        fracs.append(np.isin(_spin_codes(logical), targets).sum() / idxs.size)
     fr = np.asarray(fracs)
+    if fr.size == 1:
+        return float(fr[0]), float(np.sqrt(fr[0] * (1 - fr[0]) / idxs.size))
     return float(fr.mean()), float(fr.std(ddof=1) / np.sqrt(fr.size))
 
 

@@ -22,7 +22,7 @@ import json
 import locale  # noqa: F401  (argparse's gettext loads it when main builds its parser)
 import platform
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +98,13 @@ CONFIG_KEYS = {
 
 
 def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)
-            if f.default is not MISSING and f.name != "seed"}
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 #: the engine_params each engine reads, with their defaults; under PT an
 #: explicit ``betas`` ladder replaces the geometric one (the _LADDER keys)
 ENGINE_PARAMS = {
-    "sqa": _field_defaults(SqaParams),
+    "sqa": {**_field_defaults(SqaParams), "noise_sigma": 0.05},
     "pt": {**_field_defaults(PtParams), "n_samples": 1000, "beta_max": 2.0, "n_betas": 16,
            "beta_min": 0.1},
 }
@@ -144,12 +143,15 @@ def _check_boost(p0, fit_count: int) -> None:
 
 
 def _sampler(cfg: dict):
-    """``(params, schedule)`` for SQA, ``(params, None)`` for PT, at seed 0;
-    a value the sampler rejects is a config error."""
+    """``(params, schedule)`` for SQA, ``(params, None)`` for PT; a value the
+    sampler rejects, or a negative ``noise_sigma``, is a config error."""
     ep = cfg["engine_params"]
     try:
         if cfg["engine"] == "sqa":
-            return SqaParams(**ep), _schedule_from_name(cfg["schedule"])
+            params = SqaParams(**{f.name: ep[f.name] for f in fields(SqaParams)})
+            if ep.get("noise_sigma", 0.0) < 0:
+                raise DomainError("noise_sigma must be >= 0")
+            return params, _schedule_from_name(cfg["schedule"])
         betas = ep["betas"] if "betas" in ep else geometric_ladder(*(ep[k] for k in _LADDER))
         return PtParams(betas=betas, sweeps=ep["sweeps"], swap_interval=ep["swap_interval"]), None
     except (NqacError, OSError, ValueError) as exc:
@@ -310,7 +312,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             samples = run_protocol(
                 [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
                  for key, np_prob in nested.items()],
-                sch, params, cfg["cycles"], cfg["runs_per_cycle"], jobs,
+                sch, params, cfg["engine_params"]["noise_sigma"], cfg["cycles"],
+                cfg["runs_per_cycle"], jobs,
             )
             # stage all analyses the sample sets it holds; only the analyze
             # stage reads sample files
@@ -401,12 +404,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    C = _count("--C", args.C)
+    C, gamma = _count("--C", args.C), _positive("--gamma", args.gamma)
+    if args.alpha is not None and not 0 < args.alpha <= 1:
+        raise ConfigError(f"--alpha must lie in (0, 1], got {args.alpha}")
     base = _read(load_problem, args.problem, "problem")
     if args.alpha is not None:
-        np_prob = encode_for_scale(base, C, args.gamma, args.alpha)
+        np_prob = encode_for_scale(base, C, gamma, args.alpha)
     else:
-        np_prob = encode_nested(base, C, args.gamma)
+        np_prob = encode_nested(base, C, gamma)
     save_nested(np_prob, args.out)
     print(f"nested problem ({np_prob.n_nested} vertices) -> {args.out}")
     return EXIT_OK
@@ -451,12 +456,17 @@ def _count(flag: str, value: int) -> int:
     return value
 
 
+def _positive(flag: str, value: float) -> float:
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _cmd_sqa(args) -> int:
     p = _read(load_problem, args.problem, "problem")
     params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params": {
-        "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta,
-        "noise_sigma": 0.0}})
-    ss = run_sqa(p, sch, replace(params, seed=_seed(args.seed)), _count("--anneals", args.anneals))
+        "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta}})
+    ss = run_sqa(p, sch, params, _count("--anneals", args.anneals), _seed(args.seed))
     save_sampleset(ss, args.out)
     print(f"{ss.n_records} anneal records -> {args.out}")
     return EXIT_OK
@@ -468,11 +478,10 @@ def _cmd_pt(args) -> int:
               {"beta_max": args.beta_max, "n_betas": args.n_betas, "beta_min": args.beta_min})
     params, _ = _sampler({"engine": "pt", "engine_params": {
         **ladder, "sweeps": args.sweeps, "swap_interval": args.swap_interval}})
-    n_samples = _count("--samples", args.samples)
-    params = replace(params, seed=_seed(args.seed))
+    n_samples, seed = _count("--samples", args.samples), _seed(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samplesets = run_pt(p, params, n_samples)
+    samplesets = run_pt(p, params, n_samples, seed)
     for i, (beta, ss) in enumerate(sorted(samplesets.items())):
         save_sampleset(ss, out_dir / f"beta_{i:02d}_{beta:.6g}.ndjson")
     print(f"{len(samplesets)} thermal sample sets -> {out_dir}")
@@ -481,10 +490,9 @@ def _cmd_pt(args) -> int:
 
 def _cmd_meanfield(args) -> int:
     C, n_m, n_s = _count("--C", args.C), _count("--n-m", args.n_m), _count("--n-s", args.n_s)
-    if not args.beta > 0:
-        raise ConfigError(f"--beta must be positive, got {args.beta}")
+    beta, gamma = _positive("--beta", args.beta), _positive("--gamma", args.gamma)
     sch = _schedule_from_name(args.schedule)
-    rows = free_energy_grid(sch.a_of, sch.b_of, args.gamma, args.beta, C, n_m=n_m, n_s=n_s)
+    rows = free_energy_grid(sch.a_of, sch.b_of, gamma, beta, C, n_m=n_m, n_s=n_s)
     lines = ["m,s,A,B,betaF"]
     lines += [",".join(format(v, ".12g") for v in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ row; the state carries a spin fixed at +1 after the row's own spins, so a
 site update is one matrix product and a few whole-batch passes. A scan puts
 every (C, gamma, alpha) point in a single batch. Each (C, gamma) block of
 rows draws from its own generator, so a batch reproduces the per-block runs.
+Seeds are arguments; ``PtParams`` holds the knobs every entry point reads.
 Blocks may differ in size: the batch orders them by descending n and pads
 each row to the largest n with +1 spins of zero coupling, so the rows still
 updating at site i are a prefix of the batch and no padded site is swept.
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import binomial_success, count_ground_hits
+from .analysis import estimate_success
 from .errors import DomainError
 from .ising import IsingProblem
 from .nesting import encode_for_scale
@@ -65,15 +66,15 @@ from .sampleset import SampleSet
 
 @dataclass(frozen=True)
 class PtParams:
-    """Replica-exchange knobs (the CLI reads the defaults). ``betas`` must
-    ascend; half the sweeps are burn-in, recording is thinned by ``swap_interval``.
-    A run rounds ``sweeps`` down to whole swap intervals, and lengthens it to
-    record at least the samples asked for."""
+    """Replica-exchange knobs, read by every PT entry point (the CLI reads the
+    defaults). ``betas`` must ascend; half the sweeps are burn-in, recording
+    is thinned by ``swap_interval``. A run rounds ``sweeps`` down to whole
+    swap intervals, and lengthens it to record at least the samples asked
+    for. Seeds are arguments of the calls that use them."""
 
     betas: tuple
     sweeps: int = 4000
     swap_interval: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -216,17 +217,18 @@ def _pt_sample(
     return out
 
 
-def run_pt(p: IsingProblem, params: PtParams, n_samples: int) -> dict[float, SampleSet]:
-    """Sample thermal states of ``p`` at every ladder rung.
+def run_pt(p: IsingProblem, params: PtParams, n_samples: int, seed: int) -> dict[float, SampleSet]:
+    """Sample thermal states of ``p`` at every ladder rung, on one stream of
+    ``seed``.
 
     Runs enough sweeps that at least ``n_samples`` configurations are
     recorded per rung after burn-in (the last ``n_samples`` are kept), and
     returns one sample set per beta.
     """
-    [recs] = _pt_sample([(_dense_rows([p]), np.random.default_rng(params.seed))], params,
+    [recs] = _pt_sample([(_dense_rows([p]), np.random.default_rng(seed))], params,
                         n_samples, rungs=slice(None))
     digest = p.digest()
-    return {beta: SampleSet.unprogrammed(recs[0, r], params.seed, digest)
+    return {beta: SampleSet.unprogrammed(recs[0, r], seed, digest)
             for r, beta in enumerate(params.betas)}
 
 
@@ -246,9 +248,10 @@ def thermal_boost_scan(
     (the stored penalty is ``gamma / alpha``), matching the protocol in which
     the penalty is never rescaled with the problem. All grid points are rows
     of one batch. The rows of ``Cs[c]`` at ``gammas[g]`` sample and decode
-    with generators seeded by ``seeds[c][g]`` (``params.seed`` is not read),
-    so each (C, gamma) block gets the result a one-block call with its seed
-    gives. Returns ``out[c][g] = [(alpha, P, stderr), ...]`` for the largest
+    with generators seeded by ``seeds[c][g]``, so each (C, gamma) block gets
+    the result a one-block call with its seed gives; a row is decoded by
+    ``estimate_success``, one cycle, on its block's decode generator in alpha
+    order. Returns ``out[c][g] = [(alpha, P, stderr), ...]`` for the largest
     ladder beta.
     """
     alphas = [float(a) for a in alphas]
@@ -268,11 +271,10 @@ def thermal_boost_scan(
     )
     pts = []
     for block, block_recs, (_, _, seed) in zip(nested, recs, grid):
-        decode_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0xDEC0DE, 1))
-        )
-        hits = [count_ground_hits(block[0], None, configs, ground_states, decode_rng)
-                for configs in block_recs[:, 0]]
-        pts.append([(alpha, *binomial_success(h, n_samples)) for alpha, h in zip(alphas, hits)])
+        decode_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xDEC0DE, 1)))
+        # the sets are never written, so they carry no problem digest
+        pts.append([(alpha, *estimate_success(SampleSet.unprogrammed(configs, seed, ""),
+                                              block[0], None, ground_states, decode_rng))
+                    for alpha, configs in zip(alphas, block_recs[:, 0])])
     G = len(gammas)
     return [pts[ci * G:(ci + 1) * G] for ci in range(len(Cs))]

@@ -76,13 +76,15 @@ measured 83-115 ns at 256 words, 54-94 ns at 1024, 45-89 ns at 4096 and
 7-12 ns at 4000 words with K = 64; at 8000 words n = 48 slowed again (13 ns
 at K = 64). Batches of 1000 anneals therefore stack by four.
 
-``run_protocol`` samples a whole grid of points, each a nested problem with
-its embedding and seed, in programming cycles. Its (point, cycle) units, in
-order, anneal in stacks of consecutive units whose points share a problem
-size and an embedding, at most ``stack_size`` units each, and ``jobs > 1``
-maps the stacks over worker processes. A unit programs and anneals on
-streams of its point's seed and its cycle, so its samples depend neither on
-its stack nor on the worker count.
+``SqaParams`` holds the knobs every entry point reads; seeds and coupler
+noise are arguments. ``run_protocol`` samples a whole grid of points, each a
+nested problem with its embedding and seed, in programming cycles with
+noise. Its (point, cycle) units, in order, anneal in stacks of consecutive
+units whose points share a problem size and an embedding, at most
+``stack_size`` units each, and ``jobs > 1`` maps the stacks over worker
+processes. A unit programs and anneals on streams of its point's seed and
+its cycle, so its samples depend neither on its stack nor on the worker
+count.
 
 A programming cycle permutes the nested vertices before it compiles them, so
 an embedded run needs an embedding in which every pair of chains is adjacent:
@@ -188,14 +190,13 @@ def load_schedule(path) -> Schedule:
 
 @dataclass(frozen=True)
 class SqaParams:
-    """Engine knobs; the defaults, which the CLI reads too, follow the protocol
-    this package reproduces (10^4 sweeps, 64 slices, beta = 0.1, sigma = 0.05)."""
+    """Annealer knobs, read by every SQA entry point (seeds and coupler noise
+    are arguments); the defaults, which the CLI reads too, follow the protocol
+    this package reproduces (10^4 sweeps, 64 slices, beta = 0.1)."""
 
     sweeps: int = 10_000
     trotter_slices: int = 64
     beta: float = 0.1
-    noise_sigma: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.trotter_slices < 2:
@@ -204,8 +205,6 @@ class SqaParams:
             raise DomainError("sweeps must be >= 1")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be >= 0")
 
 
 def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> IsingProblem:
@@ -485,17 +484,17 @@ def run_sqa(
     sch: Schedule,
     params: SqaParams,
     n_anneals: int,
+    seed: int,
 ) -> SampleSet:
-    """Anneal ``n_anneals`` independent runs and record final states.
+    """Anneal ``n_anneals`` independent runs of ``p`` as given, on one stream
+    of ``seed``, and record final states.
 
-    Deterministic: identical (problem, schedule, params, n_anneals) give a
-    byte-identical sample set.
+    Deterministic: identical arguments give a byte-identical sample set.
     """
     if n_anneals < 1:
         raise DomainError("n_anneals must be >= 1")
-    rng = np.random.default_rng(params.seed)
-    configs = _anneal_batch([p], sch, params, n_anneals, [rng])[0]
-    return SampleSet.unprogrammed(configs, params.seed, p.digest())
+    configs = _anneal_batch([p], sch, params, n_anneals, [np.random.default_rng(seed)])[0]
+    return SampleSet.unprogrammed(configs, seed, p.digest())
 
 
 def run_sqa_chain(
@@ -504,23 +503,24 @@ def run_sqa_chain(
     params: SqaParams,
     n_chains: int,
     n_records: int,
+    seed: int,
     thin: int = 1,
-    burn_in: int = 0,
     s_freeze: float = 1.0,
 ) -> np.ndarray:
     """Sample the fixed-schedule-point Gibbs chain (for equilibrium checks).
 
-    Freezes the schedule at ``s_freeze`` and records slice 0 of every chain
-    every ``thin`` sweeps after ``burn_in``. Returns (n_chains * n_records, n).
+    Freezes the schedule at ``s_freeze``, burns in ``params.sweeps`` sweeps
+    and then records slice 0 of every chain every ``thin`` sweeps, all on one
+    stream of ``seed``. Returns (n_chains * n_records, n).
     """
     lat = _Lattice([p])
     K = params.trotter_slices
-    rngs = [np.random.default_rng(params.seed)]
+    rngs = [np.random.default_rng(seed)]
     S = _init_state(p.n, K, n_chains, rngs)
     q = math.tanh(params.beta * sch.a_of(s_freeze) / K)
     coup_scale = params.beta * sch.b_of(s_freeze) * lat.alpha / K
     out = np.empty((n_records, n_chains, p.n), dtype=np.int8)
-    for t in range(burn_in):
+    for t in range(params.sweeps):
         _sweep(S, lat, q, coup_scale, rngs)
     for r in range(n_records):
         for t in range(thin):
@@ -574,17 +574,17 @@ def _anneal_stack(
     emb: Embedding | None,
     sch: Schedule,
     params: SqaParams,
+    noise_sigma: float,
     runs: int,
 ) -> list[tuple[np.ndarray, CycleRecord]]:
     """Programming cycles annealed as one stack, ``runs`` anneals each.
 
     ``units`` holds (nested problem, seed, cycle) triples whose problems share
-    a size; each unit's seed replaces ``params.seed``. A unit is programmed by
-    ``_program_cycle`` and anneals on its own stream, so its
-    ``(configs, CycleRecord)`` pair does not depend on the stack it is in.
-    Recorded configurations have the gauge undone.
+    a size. A unit is programmed by ``_program_cycle`` and anneals on its own
+    stream, so its ``(configs, CycleRecord)`` pair does not depend on the
+    stack it is in. Recorded configurations have the gauge undone.
     """
-    programmed = [_program_cycle(np_prob, emb, params.noise_sigma, seed, cycle)
+    programmed = [_program_cycle(np_prob, emb, noise_sigma, seed, cycle)
                   for np_prob, seed, cycle in units]
     configs = _anneal_batch([p for p, _ in programmed], sch, params, runs,
                             [np.random.default_rng(rec.seed) for _, rec in programmed])
@@ -603,6 +603,7 @@ def run_protocol(
     points: list[tuple[NestedProblem, Embedding | None, int]],
     sch: Schedule,
     params: SqaParams,
+    noise_sigma: float,
     cycles: int,
     runs_per_cycle: int,
     jobs: int = 1,
@@ -611,14 +612,14 @@ def run_protocol(
     of ``points``, (nested problem, embedding or None, seed) triples; returns
     one sample set per point, in order, carrying its ``programmed_digest``.
 
-    Per cycle a fresh noise realization, gauge and nested-vertex permutation
-    are drawn (the permutation re-enters the embedding step, so physically
-    distinguishable chains are reassigned). Statistics over cycles are the
-    basis for success-probability error bars.
+    Per cycle a fresh coupler-noise realization of ``noise_sigma`` (see
+    ``sample_noise``), gauge and nested-vertex permutation are drawn (the
+    permutation re-enters the embedding step, so physically distinguishable
+    chains are reassigned). Statistics over cycles are the basis for
+    success-probability error bars.
 
     The (point, cycle) units stack as the module docstring says, and
-    ``jobs > 1`` maps the stacks over that many processes. A point's seed
-    replaces ``params.seed``, which is not read.
+    ``jobs > 1`` maps the stacks over that many processes.
     """
     if cycles < 1 or runs_per_cycle < 1:
         raise DomainError("cycles and runs_per_cycle must be >= 1")
@@ -629,7 +630,8 @@ def run_protocol(
         group = list(group)
         units = [(np_prob, seed, c) for np_prob, _, seed in group for c in range(cycles)]
         stacks += [(units[i:i + size], group[0][1]) for i in range(0, len(units), size)]
-    anneal = partial(_anneal_stack, sch=sch, params=params, runs=runs_per_cycle)
+    anneal = partial(_anneal_stack, sch=sch, params=params, noise_sigma=noise_sigma,
+                     runs=runs_per_cycle)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -88,8 +88,8 @@ def test_criterion_03_sqa_solver_sanity():
     k4 = k4_antiferromagnet()
     _, gs = brute_force_ground(k4)
     npr = encode_nested(k4, 1, 1.0)
-    params = SqaParams(sweeps=10_000, trotter_slices=64, beta=0.1, noise_sigma=0.0, seed=303)
-    ss = run_sqa(k4, device_like_schedule(), params, 200)
+    params = SqaParams(sweeps=10_000, trotter_slices=64, beta=0.1)
+    ss = run_sqa(k4, device_like_schedule(), params, 200, seed=303)
     P, _ = estimate_success(ss, npr, None, gs)
     assert P >= 0.95, P
     _report(3, f"SQA at alpha=1 solves the K4 antiferromagnet: P = {P:.3f} >= 0.95", t0)
@@ -101,9 +101,9 @@ def test_criterion_04_nesting_monotonicity():
     _, gs = brute_force_ground(k4)
     sch = device_like_schedule()
     alpha, gamma_dev = 0.05, 0.3
-    params = SqaParams(sweeps=1000, trotter_slices=64, beta=0.1, noise_sigma=0.05)
+    params = SqaParams(sweeps=1000, trotter_slices=64, beta=0.1)
     points = [(encode_for_scale(k4, C, gamma_dev, alpha), None, 400 + C) for C in (1, 2, 3)]
-    samples = run_protocol(points, sch, params, cycles=20, runs_per_cycle=200)
+    samples = run_protocol(points, sch, params, noise_sigma=0.05, cycles=20, runs_per_cycle=200)
     results = {C: estimate_success(ss, npr, None, gs, decode_seed=900 + C)
                for C, (npr, _, _), ss in zip((1, 2, 3), points, samples)}
     (p1, s1), (p2, s2), (p3, s3) = results[1], results[2], results[3]

@@ -139,6 +139,13 @@ def test_sampler_subcommand_bad_parameter_is_config_error(k4_file, tmp_path, cap
     ["embed", "--rows", "0"],
     ["embed", "--cols", "-1"],
     ["encode", "--C", "0"],
+    ["meanfield", "--gamma", "-1"],
+    ["meanfield", "--gamma", "0"],
+    ["meanfield", "--gamma", "inf"],
+    ["encode", "--gamma", "-0.5"],
+    ["encode", "--C", "1", "--gamma", "-0.5"],
+    ["encode", "--alpha", "0"],
+    ["encode", "--alpha", "1.5"],
 ], ids=" ".join)
 def test_standalone_bad_count_is_config_error(k4_file, tmp_path, capsys, argv):
     command, *flags = argv
@@ -363,6 +370,13 @@ def test_run_config_is_config_error(tmp_path, k4_file, capsys, engine, overrides
     cfg = tiny_config(tmp_path, k4_file, engine=engine, **overrides)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
     assert capsys.readouterr().err.startswith("[config] ")
+
+
+def test_run_negative_noise_sigma_is_config_error(tmp_path, k4_file, capsys):
+    cfg = tiny_config(tmp_path, k4_file, engine_params={"noise_sigma": -0.1})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err == "[config] noise_sigma must be >= 0\n"
+    assert not (tmp_path / "exp").exists()
 
 
 def test_pt_run_reruns_from_manifest(tmp_path, k4_file):

@@ -49,8 +49,8 @@ def test_swap_probability_equal_betas_is_one():
 
 def test_single_spin_magnetization():
     p = IsingProblem.from_couplings(1, h={0: -1.0})
-    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=2000, swap_interval=5, seed=11)
-    out = run_pt(p, params, 4000)
+    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=2000, swap_interval=5)
+    out = run_pt(p, params, 4000, seed=11)
     m = out[2.0].configs.mean()
     exact = np.tanh(2.0)
     sigma = np.sqrt((1 - exact**2) / 4000)
@@ -60,8 +60,8 @@ def test_single_spin_magnetization():
 def test_free_spin_is_sampled():
     # spin 1 has no coupler and no field: its thermal mean is 0 at every beta
     p = IsingProblem.from_couplings(2, h={0: -1.0})
-    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=2000, swap_interval=5, seed=1)
-    configs = run_pt(p, params, 2000)[2.0].configs
+    params = PtParams(betas=(0.5, 1.0, 2.0), sweeps=2000, swap_interval=5)
+    configs = run_pt(p, params, 2000, seed=1)[2.0].configs
     assert abs(configs[:, 1].mean()) < 5 / np.sqrt(2000)
     exact = np.tanh(2.0)
     assert abs(configs[:, 0].mean() - exact) < 5 * np.sqrt((1 - exact**2) / 2000)
@@ -69,8 +69,8 @@ def test_free_spin_is_sampled():
 
 def test_two_spin_gibbs_tv():
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
-    params = PtParams(betas=(0.3, 0.6, 1.0), sweeps=4000, swap_interval=5, seed=12)
-    out = run_pt(p, params, 5000)
+    params = PtParams(betas=(0.3, 0.6, 1.0), sweeps=4000, swap_interval=5)
+    out = run_pt(p, params, 5000, seed=12)
     ss = out[1.0]
     states = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     energies = {s: -s[0] * s[1] for s in states}
@@ -86,8 +86,8 @@ def test_two_spin_gibbs_tv():
 
 def test_tiny_beta_is_uniform():
     p = IsingProblem.from_couplings(2, couplings={(0, 1): 1.0})
-    params = PtParams(betas=(1e-9, 0.5, 1.0), sweeps=4000, swap_interval=5, seed=13)
-    out = run_pt(p, params, 5000)
+    params = PtParams(betas=(1e-9, 0.5, 1.0), sweeps=4000, swap_interval=5)
+    out = run_pt(p, params, 5000, seed=13)
     ss = out[1e-9]
     counts = {}
     for s in map(tuple, ss.configs):
@@ -98,9 +98,9 @@ def test_tiny_beta_is_uniform():
 
 def test_determinism():
     p = k4_antiferromagnet()
-    params = PtParams(betas=(0.5, 1.0), sweeps=500, swap_interval=5, seed=3)
-    a = run_pt(p, params, 40)
-    b = run_pt(p, params, 40)
+    params = PtParams(betas=(0.5, 1.0), sweeps=500, swap_interval=5)
+    a = run_pt(p, params, 40, seed=3)
+    b = run_pt(p, params, 40, seed=3)
     for beta in params.betas:
         assert np.array_equal(a[beta].configs, b[beta].configs)
 

@@ -81,12 +81,15 @@ def test_params_validation():
         SqaParams(sweeps=0)
     with pytest.raises(DomainError):
         SqaParams(beta=0.0)
-    with pytest.raises(DomainError):
-        SqaParams(noise_sigma=-0.1)
 
 
 # ---------------------------------------------------------------------------
 # coupler noise
+
+
+def test_negative_noise_sigma_rejected(k4):
+    with pytest.raises(DomainError):
+        sample_noise(k4, -0.1, np.random.default_rng(0))
 
 
 def test_noise_sigma_zero_identity(k4):
@@ -126,16 +129,16 @@ def test_noise_is_absolute_scale():
 
 def test_single_spin_follows_field():
     p = IsingProblem.from_couplings(1, h={0: -1.0})
-    params = SqaParams(sweeps=1000, trotter_slices=16, beta=5.0, noise_sigma=0.0, seed=1)
-    ss = run_sqa(p, default_schedule(), params, 100)
+    params = SqaParams(sweeps=1000, trotter_slices=16, beta=5.0)
+    ss = run_sqa(p, default_schedule(), params, 100, seed=1)
     assert (ss.configs[:, 0] == 1).mean() >= 0.99
 
 
 def test_classical_limit_two_spin_correlation():
     # A == 0 throughout: rings lock and the sampler is classical Metropolis
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
-    params = SqaParams(sweeps=400, trotter_slices=8, beta=2.0, noise_sigma=0.0, seed=2)
-    ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 400)
+    params = SqaParams(sweeps=400, trotter_slices=8, beta=2.0)
+    ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 400, seed=2)
     corr = (ss.configs[:, 0] * ss.configs[:, 1]).mean()
     exact = np.tanh(2.0)
     sigma = np.sqrt((1 - exact**2) / 400)
@@ -144,9 +147,9 @@ def test_classical_limit_two_spin_correlation():
 
 def test_gibbs_distribution_at_frozen_endpoint():
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
-    params = SqaParams(sweeps=1, trotter_slices=8, beta=1.0, noise_sigma=0.0, seed=3)
+    params = SqaParams(sweeps=500, trotter_slices=8, beta=1.0)
     samples = run_sqa_chain(
-        p, default_schedule(), params, n_chains=100, n_records=1000, thin=3, burn_in=500
+        p, default_schedule(), params, n_chains=100, n_records=1000, seed=3, thin=3
     )
     states = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     energies = {s: -s[0] * s[1] for s in states}
@@ -179,9 +182,9 @@ def test_trotter_marginal_with_breaking_bonds():
         w = np.exp(-beta / K * B * energy + kperp * ring)
         marginal[tuple(s[:, 0])] = marginal.get(tuple(s[:, 0]), 0.0) + w
     z = sum(marginal.values())
-    params = SqaParams(sweeps=1, trotter_slices=K, beta=beta, noise_sigma=0.0, seed=3)
-    samples = run_sqa_chain(p, sch, params, n_chains=100, n_records=1000, thin=3,
-                            burn_in=500, s_freeze=0.5)
+    params = SqaParams(sweeps=500, trotter_slices=K, beta=beta)
+    samples = run_sqa_chain(p, sch, params, n_chains=100, n_records=1000, seed=3, thin=3,
+                            s_freeze=0.5)
     emp = {}
     for st in map(tuple, samples):
         emp[st] = emp.get(st, 0) + 1
@@ -199,15 +202,15 @@ def test_ring_sizes_count_past_int16():
     down = (S.bits[:, 0] & 1).astype(bool)  # rings that start at -1 on every slice
     assert down.any() and np.array_equal(_count(S.bits), K * down)
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
-    params = SqaParams(sweeps=1, trotter_slices=K, beta=50.0, noise_sigma=0.0, seed=4)
-    ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 16)
+    params = SqaParams(sweeps=1, trotter_slices=K, beta=50.0)
+    ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 16, seed=4)
     assert np.all(ss.configs[:, 0] == ss.configs[:, 1])
 
 
 def test_determinism_byte_identical(k4):
-    params = SqaParams(sweeps=150, trotter_slices=16, beta=0.5, noise_sigma=0.0, seed=42)
-    a = run_sqa(k4, default_schedule(), params, 32)
-    b = run_sqa(k4, default_schedule(), params, 32)
+    params = SqaParams(sweeps=150, trotter_slices=16, beta=0.5)
+    a = run_sqa(k4, default_schedule(), params, 32, seed=42)
+    b = run_sqa(k4, default_schedule(), params, 32, seed=42)
     assert np.array_equal(a.configs, b.configs)
     assert a.problem_digest == b.problem_digest
 
@@ -421,12 +424,12 @@ def test_sqa_stream_is_pinned(k4):
     pair = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0}, h={0: 0.25})
 
     def anneal(p, sch, sweeps, K, batch, seed):
-        params = SqaParams(sweeps=sweeps, trotter_slices=K, noise_sigma=0.0)
+        params = SqaParams(sweeps=sweeps, trotter_slices=K)
         return _anneal_batch([p], sch, params, batch, [np.random.default_rng(seed)])[0]
 
     def chain(p, sch, K, seed):
-        params = SqaParams(sweeps=1, trotter_slices=K, noise_sigma=0.0, seed=seed)
-        return run_sqa_chain(p, sch, params, n_chains=8, n_records=5, thin=2, burn_in=3,
+        params = SqaParams(sweeps=3, trotter_slices=K)
+        return run_sqa_chain(p, sch, params, n_chains=8, n_records=5, seed=seed, thin=2,
                              s_freeze=0.5)
 
     got = {
@@ -450,7 +453,7 @@ def test_stacked_anneal_is_pinned():
     k8 = load_instance("k8_harder")
     probs = [encode_for_scale(k8, 2, 0.4, a).nested for a in (0.1, 0.5, 1.0)]
     probs[1] = sample_noise(probs[1], 0.05, np.random.default_rng(21))
-    params = SqaParams(sweeps=15, trotter_slices=16, noise_sigma=0.0)
+    params = SqaParams(sweeps=15, trotter_slices=16)
     got = _anneal_batch(probs, device_like_schedule(), params, 12,
                         [np.random.default_rng(31 + u) for u in range(3)])
     assert got.shape == (3, 12, 16)
@@ -470,10 +473,10 @@ def _stack_cases():
               for i, (a, g, c) in enumerate([(0.3, 0.5, 0), (1.0, 0.8, 2)])]
     labels = [(encode_for_scale(k4, 1, 0.5, a), 300 + c, c) for a in (0.2, 1.0) for c in (0, 1)]
     return {
-        "fields": (fields, None, dev, SqaParams(sweeps=6, trotter_slices=8, noise_sigma=0.05), 7),
+        "fields": (fields, None, dev, SqaParams(sweeps=6, trotter_slices=8), 7),
         # choi-embedded K8 at C = 3 compiles to 168 chain qubits: the sparse path
         "sparse": (sparse, choi_embed(24, build_chimera(8, 8)), dev,
-                   SqaParams(sweeps=2, trotter_slices=8, noise_sigma=0.05), 4),
+                   SqaParams(sweeps=2, trotter_slices=8), 4),
         # K = 300 with most bonds broken: ring labels past 255
         "k300": (labels, None, broken, SqaParams(sweeps=3, trotter_slices=300), 3),
         "one": (fields[:1], None, dev, SqaParams(sweeps=6, trotter_slices=8), 5),
@@ -487,8 +490,8 @@ def test_stacked_cycles_equal_per_unit_cycles(case):
     units, emb, sch, params, runs = _stack_cases()[case]
     if case == "sparse":
         assert emb.graph is not None and sum(map(len, emb.chains.values())) == 168
-    stacked = _anneal_stack(units, emb, sch, params, runs)
-    alone = [_anneal_stack([u], emb, sch, params, runs)[0] for u in units]
+    stacked = _anneal_stack(units, emb, sch, params, 0.05, runs)
+    alone = [_anneal_stack([u], emb, sch, params, 0.05, runs)[0] for u in units]
     assert len(stacked) == len(units)
     for (configs, rec), (want, want_rec) in zip(stacked, alone):
         assert configs.dtype == np.int8 and configs.tobytes() == want.tobytes()
@@ -505,10 +508,10 @@ def test_stacked_large_batches_equal_units_alone(K):
     k4 = k4_antiferromagnet()
     units = [(encode_for_scale(k4, 3, g, a), 400 + i, i)
              for i, (a, g) in enumerate([(0.01, 0.2), (0.1, 0.5), (1.0, 0.5)])]
-    params = SqaParams(sweeps=2, trotter_slices=K, noise_sigma=0.05)
-    stacked = _anneal_stack(units, None, device_like_schedule(), params, 1000)
+    params = SqaParams(sweeps=2, trotter_slices=K)
+    stacked = _anneal_stack(units, None, device_like_schedule(), params, 0.05, 1000)
     for u, (configs, rec) in zip(units, stacked):
-        [(want, want_rec)] = _anneal_stack([u], None, device_like_schedule(), params, 1000)
+        [(want, want_rec)] = _anneal_stack([u], None, device_like_schedule(), params, 0.05, 1000)
         assert configs.tobytes() == want.tobytes() and rec.seed == want_rec.seed
 
 
@@ -524,8 +527,8 @@ def test_monotone_hardness_trend(k4, k4_ground_keys):
     sch = device_like_schedule()
     ps = []
     for alpha in (1.0, 0.3, 0.05):
-        params = SqaParams(sweeps=800, trotter_slices=64, beta=0.1, noise_sigma=0.0, seed=9)
-        ss = run_sqa(rescale(k4, alpha), sch, params, 300)
+        params = SqaParams(sweeps=800, trotter_slices=64, beta=0.1)
+        ss = run_sqa(rescale(k4, alpha), sch, params, 300, seed=9)
         ps.append(success_fraction(ss.configs, k4_ground_keys))
     assert ps[0] > ps[1] > ps[2]
 
@@ -536,8 +539,9 @@ def test_monotone_hardness_trend(k4, k4_ground_keys):
 
 def test_protocol_record_counts(k4):
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05)
-    [ss] = run_protocol([(npr, None, 5)], default_schedule(), params, cycles=3, runs_per_cycle=7)
+    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5)
+    [ss] = run_protocol([(npr, None, 5)], default_schedule(), params, 0.05, cycles=3,
+                        runs_per_cycle=7)
     assert ss.n_records == 21
     assert len(ss.cycles) == 3
     assert set(ss.cycle_ids.tolist()) == {0, 1, 2}
@@ -548,9 +552,9 @@ def test_protocol_record_counts(k4):
 
 def test_protocol_determinism(k4):
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5, noise_sigma=0.05)
-    [a] = run_protocol([(npr, None, 6)], default_schedule(), params, 2, 5)
-    [b] = run_protocol([(npr, None, 6)], default_schedule(), params, 2, 5)
+    params = SqaParams(sweeps=50, trotter_slices=8, beta=0.5)
+    [a] = run_protocol([(npr, None, 6)], default_schedule(), params, 0.05, 2, 5)
+    [b] = run_protocol([(npr, None, 6)], default_schedule(), params, 0.05, 2, 5)
     assert np.array_equal(a.configs, b.configs)
     assert all(
         np.array_equal(x.gauge, y.gauge) and np.array_equal(x.permutation, y.permutation)
@@ -564,8 +568,8 @@ def test_protocol_with_embedding_smoke(k4):
     g = build_chimera(2, 2)
     npr = encode_nested(k4, 2, 0.5)
     emb = choi_embed(8, g)
-    params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5, noise_sigma=0.02)
-    [ss] = run_protocol([(npr, emb, 8)], default_schedule(), params, 2, 4)
+    params = SqaParams(sweeps=40, trotter_slices=8, beta=0.5)
+    [ss] = run_protocol([(npr, emb, 8)], default_schedule(), params, 0.02, 2, 4)
     assert ss.n_records == 8
     assert ss.n_spins == len(emb.qubits)
 
@@ -579,9 +583,9 @@ def test_protocol_with_uncovering_embedding_raises(k4, chains):
 
     emb = Embedding(chains=chains, graph=build_chimera(1, 1))
     npr = encode_nested(k4, 2, 0.5)
-    params = SqaParams(sweeps=5, trotter_slices=4, beta=0.5, noise_sigma=0.0)
+    params = SqaParams(sweeps=5, trotter_slices=4, beta=0.5)
     with pytest.raises(InvalidEmbedding):
-        run_protocol([(npr, emb, 9)], default_schedule(), params, 1, 2)
+        run_protocol([(npr, emb, 9)], default_schedule(), params, 0.0, 1, 2)
 
 
 def _mixed_points():
@@ -605,9 +609,9 @@ def _mixed_points():
 def test_one_protocol_call_equals_a_call_per_point(tmp_path, monkeypatch, jobs, ring_words,
                                                    n_stacks):
     points = _mixed_points()
-    params = SqaParams(sweeps=4, trotter_slices=8, noise_sigma=0.05)
+    params = SqaParams(sweeps=4, trotter_slices=8)
     sch = device_like_schedule()
-    alone = [run_protocol([pt], sch, params, 3, 5)[0] for pt in points]
+    alone = [run_protocol([pt], sch, params, 0.05, 3, 5)[0] for pt in points]
     monkeypatch.setattr(sqa, "STACK_RING_WORDS", ring_words)
     stacks = []
     if jobs == 1:  # a spy does not reach worker processes
@@ -618,7 +622,7 @@ def test_one_protocol_call_equals_a_call_per_point(tmp_path, monkeypatch, jobs, 
             return anneal(units, emb, **kwargs)
 
         monkeypatch.setattr(sqa, "_anneal_stack", spy)
-    together = run_protocol(points, sch, params, 3, 5, jobs=jobs)
+    together = run_protocol(points, sch, params, 0.05, 3, 5, jobs=jobs)
     if jobs == 1:
         assert len(stacks) == n_stacks and all(len(sizes) == 1 for sizes in stacks)
     assert len(together) == len(alone)
@@ -637,8 +641,8 @@ def test_zero_problem_samples_uniformly(k4, k4_ground_keys):
     # zero couplings: the final distribution is uniform, so the decoded
     # logical ground-state frequency is 6/16
     zero = IsingProblem.from_couplings(4, couplings={(i, j): 0.0 for i in range(4) for j in range(i + 1, 4)})
-    params = SqaParams(sweeps=200, trotter_slices=8, beta=0.5, noise_sigma=0.0, seed=14)
-    ss = run_sqa(zero, default_schedule(), params, 4000)
+    params = SqaParams(sweeps=200, trotter_slices=8, beta=0.5)
+    ss = run_sqa(zero, default_schedule(), params, 4000, seed=14)
     p_hat = success_fraction(ss.configs, k4_ground_keys)
     sigma = np.sqrt((6 / 16) * (10 / 16) / 4000)
     assert abs(p_hat - 6 / 16) < 5 * sigma
@@ -656,7 +660,7 @@ def test_embedded_solver_and_estimate(k4, k4_ground):
     # nesting penalty binds only the chains
     npr = encode_nested(k4, 1, 2.0)
     emb = choi_embed(4, g)
-    params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1, noise_sigma=0.0)
-    [ss] = run_protocol([(npr, emb, 15)], device_like_schedule(), params, 2, 50)
+    params = SqaParams(sweeps=3000, trotter_slices=64, beta=0.1)
+    [ss] = run_protocol([(npr, emb, 15)], device_like_schedule(), params, 0.0, 2, 50)
     P, se = estimate_success(ss, npr, emb, gs)
     assert P >= 0.9, (P, se)
