@@ -41,7 +41,7 @@ from .ising import brute_force_ground, load_problem
 from .meanfield import free_energy_grid
 from .nesting import encode_for_scale, encode_nested, load_nested, save_nested
 from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan
-from .sampleset import load_sampleset, save_sampleset
+from .sampleset import load_sampleset, sample_json, save_sampleset
 from .sqa import (
     SqaParams,
     Schedule,
@@ -332,7 +332,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             )
             rows = [(ci, ai, gi, *pt) for ci, per_gamma in enumerate(scans)
                     for gi, pts in enumerate(per_gamma) for ai, pt in enumerate(pts)]
-            (samples_dir / "pt_scan.json").write_text(json.dumps(rows, sort_keys=True))
+            (samples_dir / "pt_scan.json").write_text(sample_json(rows))
             table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
 
     if stage not in ("all", "analyze"):

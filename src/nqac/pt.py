@@ -80,8 +80,8 @@ class PtParams:
         betas = tuple(float(b) for b in self.betas)
         if not betas:
             raise DomainError("the beta ladder must not be empty")
-        if any(b <= 0 for b in betas):
-            raise DomainError("all betas must be positive")
+        if not all(0 < b < np.inf for b in betas):
+            raise DomainError(f"all betas must be positive and finite, got {betas}")
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise DomainError("betas must increase strictly")
         if self.swap_interval < 1:
@@ -93,8 +93,9 @@ class PtParams:
 
 def geometric_ladder(beta_max: float, n_betas: int, beta_min: float) -> tuple:
     """Geometrically spaced ladder from ``beta_min`` up to ``beta_max``."""
-    if beta_max <= beta_min:
-        raise DomainError("beta_max must exceed beta_min")
+    if not 0 < beta_min < beta_max < np.inf:
+        raise DomainError(f"the ladder needs finite betas with 0 < beta_min < beta_max, "
+                          f"got beta_min {beta_min} and beta_max {beta_max}")
     return tuple(np.geomspace(beta_min, beta_max, n_betas))
 
 

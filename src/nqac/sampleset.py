@@ -3,8 +3,13 @@
 Serialized as newline-delimited JSON. The first line is a header object with
 the problem digest and the per-cycle metadata (gauge vector, nested-vertex
 permutation, anneal seed); each following line is one measurement record,
-``{"config": [...], "cycle": id}`` with its keys sorted, referencing its cycle
+``{"config":[...],"cycle":id}`` with its keys sorted, referencing its cycle
 by id. Blank lines are skipped.
+
+Every JSON file under a run's ``samples/`` is written in the form
+``sample_json`` gives: keys sorted and no optional whitespace, which saves
+about a fifth of the bytes of a sample set. Readers accept any JSON whitespace, so files written with
+spaces after ``,`` and ``:`` still load.
 
 The writer formats each distinct configuration once and the reader parses all
 records with one ``json.loads``; a record that is not a valid JSON object, or
@@ -89,6 +94,12 @@ class SampleSet:
         }
 
 
+def sample_json(obj) -> str:
+    """The JSON text of ``obj`` as every file under ``samples/`` holds it:
+    keys sorted, no whitespace between tokens."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def save_sampleset(ss: SampleSet, path) -> None:
     header = {
         "type": "header",
@@ -104,16 +115,16 @@ def save_sampleset(ss: SampleSet, path) -> None:
         ],
     }
     # each distinct row is formatted once; a line is the bytes of
-    # json.dumps({"cycle": c, "config": row}, sort_keys=True)
+    # sample_json({"cycle": c, "config": row})
     rows = np.ascontiguousarray(ss.configs)
     _, first, which = np.unique(
         rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
         return_index=True, return_inverse=True,
     )
-    heads = ['{"config": [' + ", ".join(map(str, row)) + '], "cycle": '
+    heads = ['{"config":[' + ",".join(map(str, row)) + '],"cycle":'
              for row in rows[first].tolist()]
     with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(sample_json(header) + "\n")
         fh.writelines(f"{heads[k]}{c}}}\n" for k, c in zip(which.tolist(), ss.cycle_ids.tolist()))
 
 
@@ -138,7 +149,10 @@ def _records(recs: list, cycles: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_sampleset(path) -> SampleSet:
-    lines = Path(path).read_text().split("\n")
+    try:
+        lines = Path(path).read_text().split("\n")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path} is not a sample set: it is not text") from None
     try:
         header = json.loads(lines[0])
         if header.get("type") != "header":

@@ -68,13 +68,16 @@ limited by the counts.
 A site update carries tens of microseconds of fixed NumPy overhead whatever
 its size, so units join a stack while U * batch * W stays at or below
 STACK_RING_WORDS = 2^12 ring words per site row (``stack_size``). Per
-spin-slice update on one core (nested K4 with coupler noise at n = 8, 24 and
-48, K = 8, batch 32, four sweeps with their setup, median of five) that
-measured 83-115 ns at 256 words, 54-94 ns at 1024, 45-89 ns at 4096 and
-43-91 ns at 8192 and 16384. Batches of 1000 anneals (n = 8, 12 and 48) measured
-29-48 ns alone and 18-42 ns at 4000 words with K = 8, and 8-11 ns alone and
-7-12 ns at 4000 words with K = 64; at 8000 words n = 48 slowed again (13 ns
-at K = 64). Batches of 1000 anneals therefore stack by four.
+spin-slice update on one core (nested K4 at alpha 0.03 with coupler noise
+0.05, device schedule, 25 sweeps, beta 0.1, programming included, median of
+five), K = 8 measured 8.2 ns at n = 8 and 11.5 ns at n = 12 with one unit of
+1000 anneals, 7.0 and 9.6 ns with four such units, and 9.0 and 12.2 ns with
+sixteen units of 250. At K = 64, n = 12 measured 2.5 ns with one unit, 2.8
+with two and 2.9 with four, so wide rings gain nothing from the stack. Whole
+runs of 1000-anneal units at K = 8 (5 alphas x 2 gammas x 2 cycles at
+n = 4, 8 and 12) gave byte-identical outputs at 1000, 4096, 8192 and 40000
+words, with no consistent order in wall time (0.64-1.22 s). Batches of 1000
+anneals therefore stack by four.
 
 ``SqaParams`` holds the knobs every entry point reads; seeds and coupler
 noise are arguments. ``run_protocol`` samples a whole grid of points, each a
@@ -203,8 +206,8 @@ class SqaParams:
             raise DomainError("need at least 2 Trotter slices")
         if self.sweeps < 1:
             raise DomainError("sweeps must be >= 1")
-        if not self.beta > 0:
-            raise DomainError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
 
 def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> IsingProblem:

@@ -15,7 +15,7 @@ from nqac.cli import _build_embedding, main
 from nqac.instances import dead8_mask, k4_antiferromagnet
 from nqac.ising import IsingProblem, save_problem
 from nqac.nesting import load_nested
-from nqac.sampleset import load_sampleset
+from nqac.sampleset import load_sampleset, sample_json
 
 
 @pytest.fixture()
@@ -126,6 +126,20 @@ def test_sampler_subcommand_bad_parameter_is_config_error(k4_file, tmp_path, cap
     rc = main([command, "--problem", str(k4_file), "--out", str(tmp_path / "out"), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith("[config]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sqa", "--beta", "inf"],
+    ["pt", "--betas", "0.5,inf"],
+    ["pt", "--beta-max", "inf"],
+], ids=" ".join)
+def test_sampler_subcommand_non_finite_beta_is_config_error(k4_file, tmp_path, capsys, argv):
+    command, *flags = argv
+    rc = main([command, "--problem", str(k4_file), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and "finite" in err and "inf" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,9 +632,15 @@ def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, cap
     assert not (out / "curves.csv").exists()
 
 
+def _short_row(text):
+    rows = json.loads(text)
+    rows[0] = rows[0][:5]
+    return sample_json(rows)
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:-7],  # truncated
-    lambda text: text.replace("[0, 1, 0, ", "[0, 1, ", 1),  # a row of 5 fields
+    _short_row,  # a row of 5 fields
     lambda text: json.dumps({"rows": json.loads(text)}),  # not a list
 ], ids=["truncated", "short-row", "not-a-list"])
 def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage):
@@ -638,26 +658,53 @@ def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage
     assert not (out / "curves.csv").exists()
 
 
-def _cut_mid_record(text):
-    return text[:-7]
+def test_pt_analyze_stage_reads_a_spaced_scan(tmp_path, k4_file):
+    # pt_scan.json as written before the samples lost their optional spaces
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file, engine="pt")
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 0
+    curves = (out / "curves.csv").read_bytes()
+    path = out / "samples" / "pt_scan.json"
+    spaced = json.dumps(json.loads(path.read_text()), sort_keys=True)
+    assert spaced != path.read_text() and spaced.replace(" ", "") == path.read_text()
+    path.write_text(spaced)
+    (out / "curves.csv").unlink()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 0
+    assert (out / "curves.csv").read_bytes() == curves
 
 
-def _drop_last_records(text):
-    return "".join(text.splitlines(keepends=True)[:-3])
+def _cut_mid_record(data):
+    return data[:-7]
 
 
-def _renumber_cycle_1(text):
-    return text.replace(', "cycle": 1}', ', "cycle": 0}')
+def _drop_last_records(data):
+    return b"".join(data.splitlines(keepends=True)[:-3])
 
 
-@pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1])
+def _renumber_cycle_1(data):
+    header, *lines = data.decode().splitlines()
+    records = [{**rec, "cycle": 0} if rec["cycle"] == 1 else rec
+               for rec in map(json.loads, lines)]
+    return "\n".join([header, *map(sample_json, records), ""]).encode()
+
+
+def _not_text(data):
+    return b"\xff\xfe\x00garbage"
+
+
+@pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1,
+                                    _not_text])
 def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage):
-    # 2 cycles x 10 records: a cut record, 7 records in cycle 1, or no cycle 1
+    # 2 cycles x 10 records: a cut record, 7 records in cycle 1, no cycle 1,
+    # or bytes that are not text
     out = tmp_path / "exp"
     cfg = tiny_config(tmp_path, k4_file)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
     path = out / "samples" / "C2_a1_g0.ndjson"
-    path.write_text(damage(path.read_text()))
+    damaged = damage(path.read_bytes())
+    assert damaged != path.read_bytes()
+    path.write_bytes(damaged)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(path) in err

@@ -243,8 +243,10 @@ def test_sampleset_file_format(tmp_path_factory, ss, blanks, data):
     save_sampleset(ss, path)
     header, body = path.read_text().split("\n", 1)
     assert json.loads(header)["problem_digest"] == "p"
+    assert header == json.dumps(json.loads(header), sort_keys=True, separators=(",", ":"))
     assert body == "".join(
-        json.dumps({"cycle": int(c), "config": row.tolist()}, sort_keys=True) + "\n"
+        json.dumps({"cycle": int(c), "config": row.tolist()}, sort_keys=True,
+                   separators=(",", ":")) + "\n"
         for row, c in zip(ss.configs, ss.cycle_ids)
     )
     lines = body.splitlines(keepends=True)

@@ -1,3 +1,7 @@
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,3 +63,40 @@ def test_bad_header_is_domain_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DomainError, match="line 1"):
         load_sampleset(path)
+
+
+def _equal_sets(a, b):
+    return (np.array_equal(a.configs, b.configs) and np.array_equal(a.cycle_ids, b.cycle_ids)
+            and a.problem_digest == b.problem_digest
+            and [(c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in a.cycles]
+            == [(c.cycle, c.seed, c.gauge.tolist(), c.permutation.tolist()) for c in b.cycles])
+
+
+def test_file_has_no_optional_whitespace_and_spaced_files_still_load(tmp_path):
+    # the spaced form is how sample sets were written before: every line
+    # json.dumps(obj, sort_keys=True); it differs only by padding spaces
+    ss = two_cycle_set()
+    path = tmp_path / "s.ndjson"
+    save_sampleset(ss, path)
+    compact = path.read_text()
+    spaced = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n"
+                     for line in compact.splitlines())
+    assert " " not in compact and spaced.replace(" ", "") == compact != spaced
+    path.write_text(spaced)
+    assert _equal_sets(load_sampleset(path), ss)
+
+
+def test_benchmark_reader_parses_written_files(tmp_path, monkeypatch):
+    # bench/checks.py reads the sample files of every benchmark run; a format
+    # it cannot parse should fail here, not as wrong outputs in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    checks = importlib.import_module("checks")
+    ss = two_cycle_set()
+    path = tmp_path / "s.ndjson"
+    save_sampleset(ss, path)
+    header, configs, ids = checks.read_samples(path)
+    assert header["problem_digest"] == ss.problem_digest
+    assert header["cycles"] == [
+        {"cycle": c.cycle, "gauge": c.gauge.tolist(), "permutation": c.permutation.tolist(),
+         "seed": c.seed} for c in ss.cycles]
+    assert np.array_equal(configs, ss.configs) and np.array_equal(ids, ss.cycle_ids)
