@@ -271,6 +271,16 @@ def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[f
                                      decode_seed=unit_seed(seed, 0xDEC, *key))
 
 
+def _sampling_digest(path: Path, default: str) -> str:
+    """The ``code_digest`` of the manifest at ``path``, or ``default`` when
+    there is no manifest that names one."""
+    try:
+        digest = json.loads(path.read_text()).get("code_digest")
+    except (OSError, ValueError, AttributeError):  # none, not JSON, not an object
+        return default
+    return digest if isinstance(digest, str) else default
+
+
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
     returns the artifact directory. A problem or graph file that does not hold
@@ -285,13 +295,19 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     ground_energy, ground_states = brute_force_ground(base)
     params, sch = _sampler(cfg)
 
+    # code_digest names the code that drew the samples, so the analyze stage
+    # carries it over from the sample stage's manifest, when there is one
+    digest = code_digest()
     manifest = {
         "config": cfg,
-        "code_digest": code_digest(),
+        "code_digest": (_sampling_digest(out / "manifest.json", digest) if stage == "analyze"
+                        else digest),
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "problem_digest": base.digest(),
         "ground_energy": ground_energy,
     }
+    if stage != "sample":
+        manifest["analysis_code_digest"] = digest
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
     def sample_path(ci, ai, gi):

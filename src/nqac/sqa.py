@@ -62,22 +62,38 @@ whole ring. With m the cluster mask, the Metropolis exponent is
 
 and the flip is one xor of m. A site update thus handles W words per ring
 where one float per slice takes K numbers; the cluster rule is that of one
-float per slice. Cluster sizes and popcount sums are int32, so K is not
-limited by the counts.
+float per slice. Cluster sizes and popcount sums are counted exactly in
+float64, so K is not limited by the counts.
 
-A site update carries tens of microseconds of fixed NumPy overhead whatever
-its size, so units join a stack while U * batch * W stays at or below
-STACK_RING_WORDS = 2^12 ring words per site row (``stack_size``). Per
-spin-slice update on one core (nested K4 at alpha 0.03 with coupler noise
-0.05, device schedule, 25 sweeps, beta 0.1, programming included, median of
-five), K = 8 measured 8.2 ns at n = 8 and 11.5 ns at n = 12 with one unit of
-1000 anneals, 7.0 and 9.6 ns with four such units, and 9.0 and 12.2 ns with
-sixteen units of 250. At K = 64, n = 12 measured 2.5 ns with one unit, 2.8
-with two and 2.9 with four, so wide rings gain nothing from the stack. Whole
-runs of 1000-anneal units at K = 8 (5 alphas x 2 gammas x 2 cycles at
+A sweep allocates no array shaped like the stack. ``_Rings`` holds the
+stack's break words, seed slices, acceptance uniforms, exponent terms and
+cluster work words, and on a lattice's first sweep it lays out, per site,
+the rows its neighbors' words are gathered from and the per-group arrays, as
+views of one buffer per kind; every NumPy call then writes with ``out=``.
+The counts are cast once into float64 and multiplied in place, the same
+IEEE operations in the same order as the int32 x float64 products they
+replace. What a sweep still allocates are each unit's break chunks (at most
+2^14 positions each) and its seed-slice draw. When every sweep allocated and
+freed (n, U, batch) arrays, of up to 384 KB at n = 12 with four 1000-anneal
+units, the allocator returned their pages and the next sweep faulted them in
+again: a run of the benchmark's ``sqa_nested`` config took about 78,600
+minor page faults and 0.10-0.28 s of system time, where it takes about 3,250
+and 0.004-0.04 s now (``tools/sqa_cost.py faults``).
+
+A site update is still some twenty NumPy calls whatever its size, so units
+join a stack while U * batch * W stays at or below STACK_RING_WORDS = 2^12
+ring words per site row (``stack_size``). Per spin-slice update on one core
+(nested K4 at alpha 0.1 and gamma 0.5 with coupler noise 0.05, device
+schedule, 25 sweeps, beta 0.1, programming included; the median of three
+runs of ``tools/sqa_cost.py stacks``, each the median of ten interleaved
+repetitions), one, two and four units of 1000 anneals measured 6.6, 5.8 and
+5.2 ns at K = 8 and n = 12 (7.3, 6.1 and 5.4 at n = 8), and at K = 64 1.34,
+1.12 and 1.01 ns at n = 4, 1.27, 1.14 and 1.09 at n = 8 and 1.37, 1.28 and
+1.28 at n = 12. The kernel that allocated per sweep lost with every larger
+stack at K = 64 (1.92, 2.02 and 2.25 ns at n = 12, one run).
+Whole runs of 1000-anneal units at K = 8 (5 alphas x 2 gammas x 2 cycles at
 n = 4, 8 and 12) gave byte-identical outputs at 1000, 4096, 8192 and 40000
-words, with no consistent order in wall time (0.64-1.22 s). Batches of 1000
-anneals therefore stack by four.
+words. Batches of 1000 anneals therefore stack by four.
 
 ``SqaParams`` holds the knobs every entry point reads; seeds and coupler
 noise are arguments. ``run_protocol`` samples a whole grid of points, each a
@@ -252,10 +268,16 @@ def _ring_layout(K: int) -> tuple[np.dtype, int]:
 
 class _Rings:
     """The bit-packed Trotter rings of a stack, ``bits`` in layout
-    (n, W, U, batch). Slice k of a ring is bit k % 64 of word k // 64, a set
-    bit is spin -1, and the bits past slice K - 1 stay clear.
+    (n, W, U, batch), and the work arrays its sweeps write in place. Slice k
+    of a ring is bit k % 64 of word k // 64, a set bit is spin -1, and the
+    bits past slice K - 1 stay clear.
 
     ``down`` (n, U, batch) marks the spins that start at -1 on every slice.
+    The work arrays are the unit-major break words ``breaks`` (U, n batch W),
+    the seed slices ``seeds`` (n, U, batch) in the word type, the acceptance
+    uniforms ``accept`` (U, n, batch), the float64 exponent terms ``base``
+    (n, U, batch), six arrays of words shaped like ``bits`` and three of
+    flags (n, 1, U, batch); ``sites`` adds those that depend on the lattice.
     """
 
     def __init__(self, K: int, down: np.ndarray):
@@ -264,7 +286,67 @@ class _Rings:
         self.width = 8 * dtype.itemsize
         self.full = np.array([(1 << min(self.width, K - w * self.width)) - 1 for w in range(W)],
                              dtype=dtype)[:, None, None]
-        self.bits = np.where(down[:, None], self.full, dtype.type(0))
+        self.bits = np.ascontiguousarray(np.where(down[:, None], self.full, dtype.type(0)))
+        n, _, U, batch = self.bits.shape
+        self.breaks = np.empty((U, n * batch * W), dtype)
+        self.seeds = np.empty((n, U, batch), dtype)
+        self.accept = np.empty((U, n, batch))
+        self.base = np.empty((n, U, batch))
+        self.words = np.empty((6,) + self.bits.shape, dtype)
+        self.flags = np.empty((3, n, 1, U, batch), dtype=bool)
+        self._lat = self._sites = self.field = None
+
+    def sites(self, lat: "_Lattice") -> list:
+        """Per site of ``lat``, the views and degree groups its update reads,
+        built on the lattice's first sweep of this stack.
+
+        A site is (groups, rings (U, W, batch), masks (U, W, batch), exponents
+        (U, batch), acceptance uniforms (U, batch), accepted (U, batch) bool,
+        flips (U, W, batch)).
+        A group is (units, rows, own rows, couplings (U_g, 1, D), neighbors
+        (U_g, D, W, batch), own rings and masks (U_g, 1, W, batch), counts
+        (U_g, D, batch) float64, weighted couplings (U_g, 1, D), sums
+        (U_g, 1, batch)). ``rows`` (U_g, D, W) indexes the neighbors' words
+        among the rows of ``bits`` seen as (n W U, batch); ``own rows`` does
+        so for the units' own words, or is None when the group holds every
+        unit and its own rings and masks are views. Groups are swept one at a
+        time, so the arrays of every group are views of one buffer each.
+        """
+        if self._lat is lat:
+            return self._sites
+        n, W, U, Bn = self.bits.shape
+        groups = [(i, us, nbr, val) for i, site in enumerate(lat.sites) for us, nbr, val in site]
+        some = [g for g in groups if not isinstance(g[1], slice)]
+
+        def views(dtype, shapes):
+            flat = np.empty(max((math.prod(s) for s in shapes), default=0), dtype)
+            return iter([flat[:math.prod(s)].reshape(s) for s in shapes])
+
+        dims = [nbr.shape for _, _, nbr, _ in groups]
+        gathered = views(self.bits.dtype, [(Ug, D, W, Bn) for Ug, D in dims])
+        counts = views(np.float64, [(Ug, D, Bn) for Ug, D in dims])
+        weighted = views(np.float64, [(Ug, 1, D) for Ug, D in dims])
+        sums = views(np.float64, [(Ug, 1, Bn) for Ug, _ in dims])
+        own = views(self.bits.dtype, [(2, us.size, 1, W, Bn) for _, us, _, _ in some])
+        rings = self.bits.transpose(0, 2, 1, 3)  # views, (n, U, W, batch)
+        masks = self.words[5].transpose(0, 2, 1, 3)
+        word, units = np.arange(W), np.arange(U)
+        flips = self.words[0, 0].transpose(1, 0, 2)
+        self._sites = [([], rings[i], masks[i], self.base[i], self.accept[:, i],
+                        self.flags[0, i, 0], flips) for i in range(n)]
+        for i, us, nbr, val in groups:
+            u = units[us]
+            rows = (nbr[:, :, None] * W + word) * U + u[:, None, None]
+            if isinstance(us, slice):
+                own_rows, own_rings, own_masks = None, rings[i][:, None], masks[i][:, None]
+            else:
+                own_rows = ((i * W + word) * U + u[:, None])[:, None]
+                own_rings, own_masks = next(own)
+            self._sites[i][0].append((us, rows, own_rows, val, next(gathered), own_rings,
+                                      own_masks, next(counts), next(weighted), next(sums)))
+        self.field = None if lat.h is None else np.empty_like(self.base)
+        self._lat = lat
+        return self._sites
 
     def slice0(self) -> np.ndarray:
         """Slice 0 of every ring as spins, (n, U, batch) int8."""
@@ -273,17 +355,19 @@ class _Rings:
     def add_breaks(self, words: np.ndarray, pos: np.ndarray) -> None:
         """Set the bits of the broken bonds at positions ``pos`` of one unit's
         (n, batch, K) bonds, in row-major order, in its break words ``words``
-        (n * batch * W,), laid out (n, batch, W). The positions are distinct,
-        so adding a bit sets it; the bit values are built in the word type,
-        so bit 63 is exact."""
-        row = pos // self.K
-        k = pos - row * self.K
-        W = self.full.shape[0]
-        if W > 1:
-            row *= W
-            row += k >> 6
-            k &= 63
-        np.add.at(words, row, self.bits.dtype.type(1) << k.astype(self.bits.dtype))
+        (n * batch * W,), laid out (n, batch, W). Bond k of ring r is bit
+        r * width * W + k of the words. The positions are distinct, so adding
+        a bit sets it; the bit values are built in the word type, so bit 63
+        is exact. ``pos`` is overwritten."""
+        dtype, width = self.bits.dtype, self.width
+        ring = pos // self.K
+        ring *= width * self.full.shape[0] - self.K
+        pos += ring  # the bond's bit among the unit's words
+        np.bitwise_and(pos, width - 1, out=ring)
+        pos //= width
+        # int64 and uint64 hold a bit number alike
+        bit = ring.view(dtype) if dtype.itemsize == ring.itemsize else ring.astype(dtype)
+        np.add.at(words, pos, np.left_shift(dtype.type(1), bit, out=bit))
 
     def clusters(self, breaks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Cluster masks (n, W, U, batch) of every ring, from the drawn break
@@ -293,47 +377,84 @@ class _Rings:
         differ or bit k of ``breaks`` is set. The cluster is the circular
         interval (p, q]: q is the first broken bond at or after the seed, p
         the last one before it, both wrapping; with at most one broken bond
-        it is the whole ring.
+        it is the whole ring. The masks are written to work array 5, which
+        the next sweep overwrites.
         """
         b, width, W = self.bits, self.width, self.bits.shape[1]
-        rot = b >> 1  # bit k of rot is slice k + 1 mod K
-        rot[:, :-1] |= b[:, 1:] << (width - 1)
-        rot[:, -1:] |= (b[:, :1] & 1) << ((self.K - 1) % width)
-        broken = (b ^ rot) | breaks
+        tmp, broken, hi, lo, x, m = self.words
+        hi_any, lo_any, flag = self.flags
+        np.right_shift(b, 1, out=tmp)  # bit k of tmp is slice k + 1 mod K
+        if W > 1:
+            np.left_shift(b[:, 1:], width - 1, out=broken[:, 1:])
+            tmp[:, :-1] |= broken[:, 1:]
+        np.bitwise_and(b[:, :1], 1, out=broken[:, :1])
+        broken[:, :1] <<= (self.K - 1) % width
+        tmp[:, -1:] |= broken[:, :1]
+        np.bitwise_xor(b, tmp, out=broken)
+        broken |= breaks
         # the broken bonds at or after the seed; word w holds slices from
-        # width * w, and one word needs no clip (slow on int64)
+        # width * w, so its shift is the seed clipped to [width w, width (w
+        # + 1)] less width w
         if W == 1:
             shift = seeds[:, None]
         else:
-            shift = np.clip(seeds[:, None] - width * np.arange(W)[:, None, None], 0, width)
-        hi = broken & (self.full << shift.astype(b.dtype))
-        lo = broken ^ hi
-        hi_any = hi.any(axis=1, keepdims=True)
-        lo_any = lo.any(axis=1, keepdims=True)
+            shift = tmp
+            for w in range(W):
+                np.clip(seeds, width * w, width * (w + 1), out=shift[:, w])
+                shift[:, w] -= width * w
+        np.left_shift(self.full, shift, out=hi)
+        hi &= broken
+        np.bitwise_xor(broken, hi, out=lo)
+        _any(hi, hi_any)
+        _any(lo, lo_any)
         # slices 0..q, where x's lowest set bit is q (all slices when x = 0)
-        x = hi | broken * ~hi_any
-        through_q = x ^ (x - 1)
+        np.invert(hi_any, out=flag)
+        np.multiply(broken, flag, out=x)
+        x |= hi
+        np.subtract(x, 1, out=m)
+        m ^= x  # slices 0..q
         for w in range(1, W):
-            through_q[:, w] *= ~x[:, :w].any(axis=1)
+            np.any(x[:, :w], axis=1, out=flag[:, 0])
+            np.invert(flag, out=flag)
+            m[:, w] *= flag[:, 0]
         # slices 0..p, where y's highest set bit is p (none when y = 0)
-        through_p = lo | hi * ~lo_any
+        np.invert(lo_any, out=flag)
+        np.multiply(hi, flag, out=x)
+        x |= lo
         sh = 1
         while sh < width:
-            through_p |= through_p >> sh
+            np.right_shift(x, sh, out=tmp)
+            x |= tmp
             sh *= 2
         for w in range(W - 1):
-            through_p[:, w] |= through_p[:, w + 1:].any(axis=1) * ~b.dtype.type(0)
+            np.any(x[:, w + 1:], axis=1, out=flag[:, 0])
+            np.multiply(flag[:, 0], ~b.dtype.type(0), out=tmp[:, 0])
+            x[:, w] |= tmp[:, 0]
         # p < q: the slices p+1..q; otherwise the interval wraps and takes
         # the complement of q+1..p
-        m = through_q ^ through_p
-        m ^= self.full * (hi_any != lo_any)
+        m ^= x
+        np.not_equal(hi_any, lo_any, out=flag)
+        np.multiply(self.full, flag, out=tmp)
+        m ^= tmp
         m &= self.full
         return m
 
 
-def _count(words: np.ndarray) -> np.ndarray:
-    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) int32."""
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+def _any(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Whether any word of a ring is nonzero: (n, W, U, batch) words to
+    (n, 1, U, batch) flags in ``out``."""
+    if words.shape[1] == 1:
+        return np.not_equal(words, 0, out=out)
+    return np.any(words, axis=1, keepdims=True, out=out)
+
+
+def _count(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) float64
+    counts in ``out``, exact. Rings of several words count each word first,
+    in ``scratch``, which is shaped like ``words`` and may be ``words``."""
+    if words.shape[1] == 1:
+        return np.bitwise_count(words[:, 0], out=out)
+    return np.sum(np.bitwise_count(words, out=scratch), axis=1, out=out)
 
 
 def _breaks(N: int, q: float, rng: np.random.Generator):
@@ -360,6 +481,7 @@ def _breaks(N: int, q: float, rng: np.random.Generator):
         np.divide(e, lam, out=e)
         np.minimum(e, N, out=e)
         pos = e.astype(np.int64)
+        del e  # a chunk holds one array while its breaks are set
         pos += 1
         np.cumsum(pos, out=pos)
         pos += end - 1
@@ -415,44 +537,62 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
     matrix product per group of units with the same degree weighs the
     neighbors' disagreements, popcount((s_i xor s_j) & m), with -2 J_ij. No
     neighbor list is padded, so a unit's sums are the ones it gets alone.
+    Every array written is one of ``S``'s work arrays (``S.sites``), and
+    ``x``, a site's exponents, is its row of ``base``.
     """
     n, W, U, Bn = S.bits.shape
     K = S.K
-    breaks = np.zeros((U, n * Bn * W), S.bits.dtype)
-    seeds = np.empty((n, U, Bn), dtype=np.int64)
-    accept_u = np.empty((U, n, Bn))
+    sites = S.sites(lat)
+    S.breaks.fill(0)
     for u, rng in enumerate(rngs):
         for pos in _breaks(n * Bn * K, q, rng):
-            S.add_breaks(breaks[u], pos)
-        seeds[:, u] = rng.integers(0, K, size=(n, Bn))
-        rng.random((n, Bn), out=accept_u[u])
-    m = S.clusters(breaks.reshape(U, n, Bn, W).transpose(1, 3, 0, 2), seeds)
+            S.add_breaks(S.breaks[u], pos)
+        S.seeds[:, u] = rng.integers(0, K, size=(n, Bn))
+        rng.random((n, Bn), out=S.accept[u])
+    m = S.clusters(S.breaks.reshape(U, n, Bn, W).transpose(1, 3, 0, 2), S.seeds)
     # Metropolis on the spatial action change of the cluster flip, with
     # x = -dE = 2 coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
-    #                           + h_i (|m| - 2 popcount(s_i & m))]
+    #                           + h_i (|m| - 2 popcount(s_i & m))];
+    # the counts are exact in float64, so base holds the terms the int32
+    # counts gave, and x the same sums
     scale = 2.0 * coup_scale[:, None]
-    size = _count(m)
-    base = size * lat.coupling_sum
+    base, scratch = S.base, S.words[0]
+    _count(m, base, scratch)  # |m|
     if lat.h is not None:
-        base += lat.h * (size - 2 * _count(S.bits & m))
+        field = S.field
+        _count(np.bitwise_and(S.bits, m, out=scratch), field, scratch)
+        field *= -2.0
+        field += base  # |m| - 2 popcount(s_i & m)
+        field *= lat.h
+    base *= lat.coupling_sum
+    if lat.h is not None:
+        base += field
     base *= scale
     weight = -2.0 * scale[:, :, None]
-    bits = S.bits.transpose(0, 2, 1, 3)  # a view, (n, U, W, batch)
-    masks = m.transpose(0, 2, 1, 3)
-    units = np.arange(U)[:, None]
-    x = np.empty((U, Bn))
-    for i, groups in enumerate(lat.sites):
-        for us, nbr, val in groups:
+    rows = S.bits.reshape(n * W * U, Bn)
+    mask_rows = m.reshape(n * W * U, Bn)
+    for groups, rings, masks, x, accept, accepted, flips in sites:
+        for us, idx, own_idx, val, disagree, own, mask, count, vw, total in groups:
             # (U_g, D, W, batch): the neighbors' rings, unit by unit
-            disagree = bits[nbr, units[us]]
-            disagree ^= bits[i, us, None]
-            disagree &= masks[i, us, None]
-            count = np.bitwise_count(disagree)
-            count = count[:, :, 0] if W == 1 else count.sum(axis=2, dtype=np.int32)
-            x[us] = base[i, us] + np.matmul(val * weight[us], count.astype(np.float64))[:, 0]
+            rows.take(idx, axis=0, out=disagree, mode="clip")
+            if own_idx is not None:
+                rows.take(own_idx, axis=0, out=own, mode="clip")
+                mask_rows.take(own_idx, axis=0, out=mask, mode="clip")
+            disagree ^= own
+            disagree &= mask
+            if W == 1:
+                np.bitwise_count(disagree[:, :, 0], out=count)
+            else:
+                np.sum(np.bitwise_count(disagree, out=disagree), axis=2, out=count)
+            np.matmul(np.multiply(val, weight[us], out=vw), count, out=total)
+            if own_idx is None:
+                x += total[:, 0]
+            else:
+                np.add.at(x, us, total[:, 0])
         np.minimum(x, 700.0, out=x)
         np.maximum(x, -700.0, out=x)
-        bits[i] ^= masks[i] * (accept_u[:, i] < np.exp(x, out=x))[:, None]
+        np.less(accept, np.exp(x, out=x), out=accepted)
+        rings ^= np.multiply(masks, accepted[:, None], out=flips)
 
 
 def _init_state(n: int, K: int, batch: int, rngs: list[np.random.Generator]) -> _Rings:

@@ -731,6 +731,27 @@ def test_staged_run_matches_single_run(tmp_path, k4_file):
     assert (whole / "curves.csv").read_bytes() == (staged / "curves.csv").read_bytes()
 
 
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_analyze_stage_keeps_the_sampling_code_digest(tmp_path, k4_file, monkeypatch, engine):
+    # the manifest's code_digest names the code that drew the samples; an
+    # analyze stage run by other code carries it over and records its own
+    # digest beside it, where a whole run names one code twice
+    cfg = tiny_config(tmp_path, k4_file, engine)
+    staged, whole = tmp_path / "staged", tmp_path / "whole"
+    monkeypatch.setattr(cli, "code_digest", lambda: "sampling code")
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
+    manifest = json.loads((staged / "manifest.json").read_text())
+    assert manifest["code_digest"] == "sampling code" and "analysis_code_digest" not in manifest
+    monkeypatch.setattr(cli, "code_digest", lambda: "analysing code")
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
+    manifest = json.loads((staged / "manifest.json").read_text())
+    assert (manifest["code_digest"], manifest["analysis_code_digest"]) == \
+        ("sampling code", "analysing code")
+    assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
+    manifest = json.loads((whole / "manifest.json").read_text())
+    assert manifest["code_digest"] == manifest["analysis_code_digest"] == "analysing code"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs):
     # a whole run analyses the sample sets it holds, the analyze stage reads

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +205,8 @@ def test_ring_sizes_count_past_int16():
     K = 40_000
     S = _init_state(2, K, 8, [np.random.default_rng(0)])
     down = (S.bits[:, 0] & 1).astype(bool)  # rings that start at -1 on every slice
-    assert down.any() and np.array_equal(_count(S.bits), K * down)
+    sizes = _count(S.bits, np.empty(down.shape), np.empty_like(S.bits))
+    assert down.any() and np.array_equal(sizes, K * down)
     p = IsingProblem.from_couplings(2, couplings={(0, 1): -1.0})
     params = SqaParams(sweeps=1, trotter_slices=K, beta=50.0)
     ss = run_sqa(p, flat_schedule(0.0, 1.0), params, 16, seed=4)
@@ -238,6 +244,96 @@ def test_units_of_mixed_degree_sweep_as_they_do_alone():
         for _ in range(20):
             _sweep(alone, _Lattice([p]), 0.4, np.array([(0.3, 0.2, 0.5)[u]]), rngs)
         assert np.array_equal(S.bits[:, :, u], alone.bits[:, :, 0])
+
+
+@pytest.mark.parametrize("K", [8, 65])
+def test_steady_state_sweep_allocates_no_stack_array(K):
+    # after one warm-up sweep, a stack of four 1000-anneal units of noisy
+    # nested K4 at C = 3 (n = 12, a field on every site) sweeps in its own
+    # work arrays: the most it holds in new allocations at once stays below
+    # one (n, U, batch) float64 array. NumPy reports its data buffers to
+    # tracemalloc. q is the largest the device schedule reaches at beta 0.1;
+    # what is left are the break chunks, which scale with the breaks drawn.
+    U, batch = 4, 1000
+    k4 = k4_antiferromagnet()
+    probs = [sqa._program_cycle(encode_for_scale(k4, 3, 0.5, 0.1), None, 0.05, 7, c)[0]
+             for c in range(U)]
+    lat = _Lattice(probs)
+    assert lat.n == 12 and lat.h is not None
+    rngs = [np.random.default_rng(u) for u in range(U)]
+    S = _init_state(lat.n, K, batch, rngs)
+    q = math.tanh(0.1 * device_like_schedule().a_of(0.0) / K)
+    coup_scale = np.full(U, 0.01)
+    _sweep(S, lat, q, coup_scale, rngs)
+    tracemalloc.start()
+    try:
+        _sweep(S, lat, q, coup_scale, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lat.n * U * batch * 8, peak
+
+
+def _buffer_runs():
+    # stacks of two sizes and a Gibbs chain, each small
+    k4 = k4_antiferromagnet()
+    sch = device_like_schedule()
+    params = SqaParams(sweeps=3, trotter_slices=8)
+
+    def stack(C):
+        units = [(encode_for_scale(k4, C, 0.5, a), 40 + C, c)
+                 for c, a in enumerate((0.1, 1.0))]
+        return b"".join(c.tobytes() for c, _ in _anneal_stack(units, None, sch, params, 0.05, 50))
+
+    return {
+        "n12": lambda: stack(3),
+        "n4": lambda: stack(1),
+        "chain": lambda: run_sqa_chain(encode_for_scale(k4, 2, 0.5, 0.3).nested, sch, params,
+                                       n_chains=16, n_records=3, seed=5, thin=2).tobytes(),
+    }
+
+
+_FRESH_RUN = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_sqa import _buffer_runs
+print(hashlib.sha256(_buffer_runs()[sys.argv[2]]()).hexdigest())
+"""
+
+
+def test_work_arrays_carry_nothing_between_stacks():
+    # stacks of different n and a Gibbs chain, run one after another in this
+    # process and then the first again, each equal a run in a fresh process
+    runs = _buffer_runs()
+    here = {name: hashlib.sha256(run()).hexdigest() for name, run in runs.items()}
+    assert hashlib.sha256(runs["n12"]()).hexdigest() == here["n12"]
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    for name in runs:
+        proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(tests), name],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here[name], name
+
+
+def test_results_do_not_alias_work_arrays():
+    # what a sweep's caller keeps is its own: slice 0 and an anneal's configs
+    # share no memory with the stack's state or work arrays, and a second
+    # anneal leaves the first one's configs as they were
+    k4 = k4_antiferromagnet()
+    p = encode_for_scale(k4, 2, 0.5, 0.3).nested
+    rngs = [np.random.default_rng(9)]
+    S = _init_state(p.n, 8, 20, rngs)
+    _sweep(S, _Lattice([p]), 0.05, np.array([0.2]), rngs)
+    kept = S.slice0()
+    owned = [S.bits, S.breaks, S.seeds, S.accept, S.base, S.words, S.flags, S.field]
+    assert not any(np.shares_memory(kept, a) for a in owned if a is not None)
+    params = SqaParams(sweeps=3, trotter_slices=8)
+    first = _anneal_batch([p], device_like_schedule(), params, 20, [np.random.default_rng(1)])
+    want = first.copy()
+    _anneal_batch([p], device_like_schedule(), params, 20, [np.random.default_rng(2)])
+    assert np.array_equal(first, want)
 
 
 def _loop_breaks(N, q, rng):
