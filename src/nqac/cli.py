@@ -271,14 +271,14 @@ def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[f
                                      decode_seed=unit_seed(seed, 0xDEC, *key))
 
 
-def _sampling_digest(path: Path, default: str) -> str:
-    """The ``code_digest`` of the manifest at ``path``, or ``default`` when
-    there is no manifest that names one."""
+def _sampling_digest(path: Path) -> str | None:
+    """The ``code_digest`` of the manifest at ``path``, or None when there is
+    no manifest that names one: the code that drew the samples is unknown."""
     try:
         digest = json.loads(path.read_text()).get("code_digest")
     except (OSError, ValueError, AttributeError):  # none, not JSON, not an object
-        return default
-    return digest if isinstance(digest, str) else default
+        return None
+    return digest if isinstance(digest, str) else None
 
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
@@ -296,12 +296,12 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     params, sch = _sampler(cfg)
 
     # code_digest names the code that drew the samples, so the analyze stage
-    # carries it over from the sample stage's manifest, when there is one
+    # carries it over from the sample stage's manifest, or writes null when
+    # that manifest names none
     digest = code_digest()
     manifest = {
         "config": cfg,
-        "code_digest": (_sampling_digest(out / "manifest.json", digest) if stage == "analyze"
-                        else digest),
+        "code_digest": _sampling_digest(out / "manifest.json") if stage == "analyze" else digest,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "problem_digest": base.digest(),
         "ground_energy": ground_energy,

@@ -735,7 +735,8 @@ def test_staged_run_matches_single_run(tmp_path, k4_file):
 def test_analyze_stage_keeps_the_sampling_code_digest(tmp_path, k4_file, monkeypatch, engine):
     # the manifest's code_digest names the code that drew the samples; an
     # analyze stage run by other code carries it over and records its own
-    # digest beside it, where a whole run names one code twice
+    # digest beside it (null when no manifest names the sampling code), where
+    # a whole run names one code twice
     cfg = tiny_config(tmp_path, k4_file, engine)
     staged, whole = tmp_path / "staged", tmp_path / "whole"
     monkeypatch.setattr(cli, "code_digest", lambda: "sampling code")
@@ -747,6 +748,11 @@ def test_analyze_stage_keeps_the_sampling_code_digest(tmp_path, k4_file, monkeyp
     manifest = json.loads((staged / "manifest.json").read_text())
     assert (manifest["code_digest"], manifest["analysis_code_digest"]) == \
         ("sampling code", "analysing code")
+    # without the sample stage's manifest the sampling code is unknown
+    (staged / "manifest.json").unlink()
+    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
+    manifest = json.loads((staged / "manifest.json").read_text())
+    assert (manifest["code_digest"], manifest["analysis_code_digest"]) == (None, "analysing code")
     assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
     manifest = json.loads((whole / "manifest.json").read_text())
     assert manifest["code_digest"] == manifest["analysis_code_digest"] == "analysing code"

@@ -2,23 +2,24 @@
 
 Usage (from the repository root):
 
-    python3 tools/sqa_cost.py faults --workload sqa_nested --seed 1 --runs 5
-    python3 tools/sqa_cost.py stacks --K 8 64 --C 1 2 3 --units 1 2 4 --reps 10
-    python3 tools/sqa_cost.py readme --sweeps 100 --reps 3
+    python3 tools/sqa_cost.py faults [--workload sqa_nested|sqa_embedded]
+    python3 tools/sqa_cost.py stacks
+    python3 tools/sqa_cost.py readme
 
-``faults`` runs `nqac run --jobs 1` on a benchmark workload's config
-(``bench/workloads.write_inputs``), each run in a fresh interpreter with
-BLAS pinned to one thread, and prints per run the minor page faults, user
-and system CPU seconds (``resource.getrusage`` around the ``main`` call) and
-the wall time of that call.
+``faults`` runs `nqac run --jobs 1` once on a benchmark workload's config
+(``bench/workloads.write_inputs``, seed 1) in a fresh interpreter with BLAS
+pinned to one thread, and prints the minor page faults, user and system CPU
+seconds (``resource.getrusage`` around the ``main`` call) and the wall time
+of that call.
 
 ``stacks`` times ``sqa._anneal_stack`` on nested K4 (n = 4 C) with
 1000-anneal units at alpha 0.1 and gamma 0.5, device schedule, coupler
-noise 0.05 and beta 0.1, per Trotter number, level and units per stack, the
-stack sizes taking turns in alternating order; ``readme`` times stacks of
-the README config's shape (K = 64, ``stack_size(64, 1000)`` units of 1000
-anneals per C level) and projects its single-core hours. Both print ns per
-spin-slice update (programming included), the median over the repetitions.
+noise 0.05 and beta 0.1, per Trotter number in ``STACKS["K"]``, level in
+``STACKS["Cs"]`` and units per stack in ``STACKS["units"]``, the stack sizes
+taking turns in alternating order; ``readme`` times stacks of the README
+config's shape (K = 64, ``stack_size(64, 1000)`` units of 1000 anneals per C
+level) and projects its single-core hours. Both print ns per spin-slice
+update (programming included), the median over the repetitions.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 #: the README config: C levels, alphas x gammas, cycles, anneals and sweeps
 README = {"Cs": (1, 2, 3), "points": 6 * 11, "cycles": 20, "runs": 1000, "sweeps": 10_000,
           "K": 64}
+#: the stack table: Trotter numbers, C levels, units per stack, sweeps, repetitions
+STACKS = {"K": (8, 64), "Cs": (1, 2, 3), "units": (1, 2, 4), "sweeps": 25, "reps": 10}
+#: sweeps and repetitions of each timed stack of the README projection
+README_TIMING = {"sweeps": 100, "reps": 3}
+#: the workload seed of a ``faults`` run
+SEED = 1
 
 
 def _env() -> dict:
@@ -48,14 +55,14 @@ def _env() -> dict:
     return env
 
 
-def one_run(workload: str, seed: int) -> dict:
-    """One `nqac run` of a workload in this process, with its rusage deltas."""
+def one_run(workload: str) -> dict:
+    """One `nqac run` of a workload at ``SEED`` in this process, with its rusage deltas."""
     from workloads import write_inputs
 
     from nqac.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_inputs(workload, seed, Path(tmp))
+        cfg = write_inputs(workload, SEED, Path(tmp))
         before = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         rc = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--jobs", "1"])
@@ -67,12 +74,9 @@ def one_run(workload: str, seed: int) -> dict:
 
 
 def faults(args) -> None:
-    for _ in range(args.runs):
-        proc = subprocess.run(
-            [sys.executable, __file__, "_one", args.workload, str(args.seed)],
-            env=_env(), cwd=ROOT, capture_output=True, text=True, check=True,
-        )
-        print(proc.stdout.strip().splitlines()[-1], flush=True)
+    proc = subprocess.run([sys.executable, __file__, "_one", args.workload],
+                          env=_env(), cwd=ROOT, capture_output=True, text=True, check=True)
+    print(proc.stdout.strip().splitlines()[-1], flush=True)
 
 
 def _ns_per_update(C: int, K: int, units: int, sweeps: int) -> float:
@@ -89,26 +93,26 @@ def _ns_per_update(C: int, K: int, units: int, sweeps: int) -> float:
     return (time.perf_counter() - t0) * 1e9 / (units * 1000 * 4 * C * K * sweeps)
 
 
-def stacks(args) -> None:
+def stacks(_args) -> None:
     """Per (K, n), the stack sizes timed in turn, in alternating order."""
-    for K in args.K:
-        for C in args.C:
-            ns = {units: [] for units in args.units}
-            for r in range(args.reps):
-                for units in args.units[::1 if r % 2 == 0 else -1]:
-                    ns[units].append(_ns_per_update(C, K, units, args.sweeps))
+    for K in STACKS["K"]:
+        for C in STACKS["Cs"]:
+            ns = {units: [] for units in STACKS["units"]}
+            for r in range(STACKS["reps"]):
+                for units in STACKS["units"][::1 if r % 2 == 0 else -1]:
+                    ns[units].append(_ns_per_update(C, K, units, STACKS["sweeps"]))
             print(json.dumps({"K": K, "n": 4 * C, "ns_per_update": {
                 units: round(statistics.median(v), 3) for units, v in ns.items()}}), flush=True)
 
 
-def readme(args) -> None:
+def readme(_args) -> None:
     from nqac.sqa import stack_size
 
     units = stack_size(README["K"], README["runs"])
     hours = 0.0
     for C in README["Cs"]:
-        ns = statistics.median(_ns_per_update(C, README["K"], units, args.sweeps)
-                               for _ in range(args.reps))
+        ns = statistics.median(_ns_per_update(C, README["K"], units, README_TIMING["sweeps"])
+                               for _ in range(README_TIMING["reps"]))
         updates = (README["points"] * README["cycles"] * README["runs"] * README["sweeps"]
                    * README["K"] * 4 * C)
         hours += ns * 1e-9 * updates / 3600
@@ -121,23 +125,14 @@ def main(argv=None) -> None:
     if argv is None:
         argv = sys.argv[1:]
     if argv[:1] == ["_one"]:
-        print(json.dumps(one_run(argv[1], int(argv[2]))))
+        print(json.dumps(one_run(argv[1])))
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     f = sub.add_parser("faults")
-    f.add_argument("--workload", default="sqa_nested")
-    f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--runs", type=int, default=5)
-    s = sub.add_parser("stacks")
-    s.add_argument("--K", type=int, nargs="+", default=[8, 64])
-    s.add_argument("--C", type=int, nargs="+", default=[1, 2, 3])
-    s.add_argument("--units", type=int, nargs="+", default=[1, 2, 4])
-    s.add_argument("--sweeps", type=int, default=25)
-    s.add_argument("--reps", type=int, default=10)
-    r = sub.add_parser("readme")
-    r.add_argument("--sweeps", type=int, default=100)
-    r.add_argument("--reps", type=int, default=3)
+    f.add_argument("--workload", default="sqa_nested", choices=("sqa_nested", "sqa_embedded"))
+    sub.add_parser("stacks")
+    sub.add_parser("readme")
     args = parser.parse_args(argv)
     {"faults": faults, "stacks": stacks, "readme": readme}[args.cmd](args)
 
