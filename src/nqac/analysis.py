@@ -361,6 +361,12 @@ def curves_csv(curves: list[SuccessCurve]) -> str:
 
 def read_curves(text: str) -> list[SuccessCurve]:
     """The curves of a curves.csv text, one per C in ascending order."""
+    return success_curves(curve_rows(text))
+
+
+def curve_rows(text: str) -> dict[int, list]:
+    """The (alpha, P, stderr, gamma_star) rows of each C of a curves.csv text;
+    a text that is not such a table raises DomainError."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != _CURVES_HEADER:
         raise DomainError(f"a curves.csv starts with the header {_CURVES_HEADER!r}")
@@ -373,8 +379,14 @@ def read_curves(text: str) -> list[SuccessCurve]:
             )
         except ValueError:
             raise DomainError(f"bad curves.csv row: {line!r}") from None
+    return by_c
+
+
+def success_curves(rows: dict[int, list]) -> list[SuccessCurve]:
+    """The curves of ``curve_rows``, one per C in ascending order; rows that
+    make no success curve raise DomainError."""
     curves = []
-    for C, pts in sorted(by_c.items()):
+    for C, pts in sorted(rows.items()):
         alphas, P, se, gammas = zip(*pts)
         gamma_used = {a: g for a, g in zip(alphas, gammas) if g is not None}
         curves.append(SuccessCurve(C=C, alphas=alphas, P=P, stderr=se,

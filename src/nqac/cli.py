@@ -31,6 +31,7 @@ from . import analysis
 from .chimera import (
     build_chimera,
     choi_embed,
+    embedding_stats,
     heuristic_embed,
     load_graph,
     save_embedding,
@@ -44,7 +45,6 @@ from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan
 from .sampleset import load_sampleset, sample_json, save_sampleset
 from .sqa import (
     SqaParams,
-    Schedule,
     default_schedule,
     device_like_schedule,
     load_schedule,
@@ -61,14 +61,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EMBEDDING = 3
 EXIT_COMPUTE = 4
-
-
-def _schedule_from_name(name: str) -> Schedule:
-    if name == "linear":
-        return default_schedule()
-    if name == "device":
-        return device_like_schedule()
-    return load_schedule(name)
 
 
 def code_digest() -> str:
@@ -109,6 +101,8 @@ ENGINE_PARAMS = {
            "beta_min": 0.1},
 }
 _LADDER = ("beta_max", "n_betas", "beta_min")
+#: the schedules a config or flag names; any other name is a CSV file
+_SCHEDULES = {"linear": default_schedule, "device": device_like_schedule}
 
 
 def _filled(given: dict, table: dict, unread_msg: str) -> dict:
@@ -128,10 +122,27 @@ def _filled(given: dict, table: dict, unread_msg: str) -> dict:
     return out
 
 
-def _check_grid(key: str, values, ok, what: str) -> None:
+_POSITIVE = (lambda x: 0 < x < np.inf, "finite positive numbers")
+#: the values each grid may list, and a flag that takes one of them: a
+#: predicate and its wording
+_GRID_VALUES = {
+    "C": (lambda c: type(c) is int and c >= 1, "positive integers"),
+    "alphas": (lambda a: 0 < a <= 1, "numbers in (0, 1]"),
+    "gammas": _POSITIVE,
+    "betas": _POSITIVE,
+}
+
+
+def _check_grid(key: str, values) -> None:
+    ok, what = _GRID_VALUES[key]
     good = isinstance(values, list) and all(type(v) in (int, float) and ok(v) for v in values)
     if not good or not values or len(set(values)) < len(values):
         raise ConfigError(f"{key} must be a non-empty list of distinct {what}, got {values!r}")
+
+
+def _check_seed(seed) -> None:
+    if type(seed) is not int or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
 
 def _check_boost(p0, fit_count: int) -> None:
@@ -149,12 +160,13 @@ def _sampler(cfg: dict):
     try:
         if cfg["engine"] == "sqa":
             params = SqaParams(**{f.name: ep[f.name] for f in fields(SqaParams)})
-            if ep.get("noise_sigma", 0.0) < 0:
+            if ep["noise_sigma"] < 0:
                 raise DomainError("noise_sigma must be >= 0")
-            return params, _schedule_from_name(cfg["schedule"])
+            named = _SCHEDULES.get(cfg["schedule"])
+            return params, named() if named else _read(load_schedule, cfg["schedule"], "schedule")
         betas = ep["betas"] if "betas" in ep else geometric_ladder(*(ep[k] for k in _LADDER))
         return PtParams(betas=betas, sweeps=ep["sweeps"], swap_interval=ep["swap_interval"]), None
-    except (NqacError, OSError, ValueError) as exc:
+    except (NqacError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -167,11 +179,23 @@ def _finite(text: str) -> float:
 
 
 def _read(load, path, what: str):
-    """``load(path)``; a file that does not hold a ``what`` is a config error."""
+    """``load(path)``; a file that cannot be read (none, a directory, not
+    text) or does not hold a ``what`` is a config error."""
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{what} file {path} does not hold a {what}: {exc}") from exc
+
+
+def _engine_params(engine: str, ep) -> dict:
+    """``ep`` over the engine's defaults, checked by ``_filled``; under PT an
+    explicit ``betas`` ladder replaces the geometric one."""
+    table, msg = ENGINE_PARAMS[engine], f"engine_params the {engine} engine does not read"
+    if engine == "pt" and "betas" in ep:
+        _check_grid("betas", ep["betas"])
+        table = {k: v for k, v in table.items() if k not in _LADDER} | {"betas": None}
+        msg += " beside betas"
+    return _filled(ep, table, msg)
 
 
 def load_config(path) -> dict:
@@ -182,12 +206,8 @@ def load_config(path) -> dict:
     read, a value it cannot use, or a missing problem or graph file raises
     ConfigError; ``run_experiment`` reads those files, once each.
     """
-    try:
-        raw = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    raw = _read(lambda p: json.loads(Path(p).read_text(), parse_float=_finite,
+                                     parse_constant=_finite), path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if isinstance(raw.get("config"), dict):
@@ -201,19 +221,10 @@ def load_config(path) -> dict:
     optional = {k: v for k, v in raw.items() if k not in _REQUIRED}
     cfg = _filled(optional, CONFIG_KEYS[engine], f"keys the {engine} engine does not read")
     cfg.update((k, raw[k]) for k in _REQUIRED)
-    ep, ep_keys = cfg["engine_params"], ENGINE_PARAMS[engine]
-    msg = f"engine_params the {engine} engine does not read"
-    if engine == "pt" and "betas" in ep:
-        _check_grid("betas", ep["betas"], lambda b: b > 0, "positive numbers")
-        ep_keys = {k: v for k, v in ep_keys.items() if k not in _LADDER} | {"betas": None}
-        msg += " beside betas"
-    cfg["engine_params"] = _filled(ep, ep_keys, msg)
-
-    _check_grid("C", cfg["C"], lambda c: type(c) is int and c >= 1, "positive integers")
-    _check_grid("alphas", cfg["alphas"], lambda a: 0 < a <= 1, "numbers in (0, 1]")
-    _check_grid("gammas", cfg["gammas"], lambda g: g > 0, "positive numbers")
-    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
-        raise ConfigError("seed must be a non-negative integer (no wall-clock seeding)")
+    cfg["engine_params"] = _engine_params(engine, cfg["engine_params"])
+    for key in ("C", "alphas", "gammas"):
+        _check_grid(key, cfg[key])
+    _check_seed(cfg["seed"])
     _check_boost(cfg["p0"], cfg["fit_count"])
     if engine == "pt" and cfg["embedding"] != "none":
         raise ConfigError("the pt engine samples the nested problem unembedded")
@@ -409,95 +420,91 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 # subcommands
 
 
+#: the counts the standalone flags set, by flag, with their defaults; each
+#: is an integer >= 1, as every count of a config is
+_COUNTS = {"--jobs": 1, "--anneals": 100, "--rows": 8, "--cols": 8, "--max-tries": 64,
+           "--n-m": 101, "--n-s": 51}
+#: the flags of the engine_params whose flag is not --key
+_FLAGS = {"trotter_slices": "--slices", "n_samples": "--samples"}
+#: the grid whose values each single-value flag takes (sqa --beta is a beta too)
+_GRID_FLAGS = {"--C": "C", "--alpha": "alphas", "--gamma": "gammas", "--beta": "betas"}
+
+
+def _given(args, keys) -> dict:
+    """The values of the flags of ``keys`` that the command line sets."""
+    return {k: v for k, v in vars(args).items() if k in keys}
+
+
+def _check_flags(args) -> None:
+    """Check the flags that several subcommands take by the rules of the
+    config values they set: the counts, filled in where not given; the seed;
+    and each flag that takes one value of a grid."""
+    vars(args).update(_filled(_given(args, _COUNTS), _COUNTS, "counts"))
+    if "seed" in vars(args):
+        _check_seed(args.seed)
+    for flag, key in _GRID_FLAGS.items():
+        value, (ok, what) = getattr(args, flag[2:], None), _GRID_VALUES[key]
+        if value is not None and not ok(value):
+            raise ConfigError(f"{flag} takes {what}, got {value}")
+
+
 def _cmd_run(args) -> int:
-    jobs = _count("--jobs", args.jobs)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = _seed(args.seed)
-    out = run_experiment(cfg, args.out, jobs=jobs, stage=args.stage)
+    cfg = {**load_config(args.config), **_given(args, ["seed"])}
+    out = run_experiment(cfg, args.out, jobs=vars(args)["--jobs"], stage=args.stage)
     print(f"experiment artifacts in {out}")
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
-    C, gamma = _count("--C", args.C), _positive("--gamma", args.gamma)
-    if args.alpha is not None and not 0 < args.alpha <= 1:
-        raise ConfigError(f"--alpha must lie in (0, 1], got {args.alpha}")
     base = _read(load_problem, args.problem, "problem")
     if args.alpha is not None:
-        np_prob = encode_for_scale(base, C, gamma, args.alpha)
+        np_prob = encode_for_scale(base, args.C, args.gamma, args.alpha)
     else:
-        np_prob = encode_nested(base, C, gamma)
+        np_prob = encode_nested(base, args.C, args.gamma)
     save_nested(np_prob, args.out)
     print(f"nested problem ({np_prob.n_nested} vertices) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_embed(args) -> int:
-    seed = _seed(args.seed)
-    max_tries = _count("--max-tries", args.max_tries)
     graph = (_read(load_graph, args.graph, "graph") if args.graph
-             else build_chimera(_count("--rows", args.rows), _count("--cols", args.cols)))
+             else build_chimera(vars(args)["--rows"], vars(args)["--cols"]))
     np_prob = _read(load_nested, args.source, "nested problem")
     try:
         if args.mode == "choi":
             emb = choi_embed(np_prob.n_nested, graph)
         else:
-            rng = np.random.default_rng(seed)
-            emb = heuristic_embed(np_prob, graph, rng, max_tries=max_tries)
+            rng = np.random.default_rng(args.seed)
+            emb = heuristic_embed(np_prob, graph, rng, max_tries=vars(args)["--max-tries"])
     except (EmbeddingNotFound, NqacError) as exc:
         print(f"[embed] {exc}", file=sys.stderr)
         return EXIT_EMBEDDING
     report = validate_embedding(emb, np_prob)
     if not report.ok:
-        print(f"[embed] produced invalid embedding: {report.violations}", file=sys.stderr)
-        return EXIT_EMBEDDING
+        raise InvalidEmbedding(report)
     save_embedding(emb, args.out)
-    from .chimera import embedding_stats
-
     nq, mx, mean = embedding_stats(emb)
     print(f"embedding: {nq} qubits, max chain {mx}, mean chain {mean:.2f} -> {args.out}")
     return EXIT_OK
 
 
-def _seed(value: int) -> int:
-    if value < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    return value
-
-
-def _count(flag: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
-def _positive(flag: str, value: float) -> float:
-    if not 0 < value < np.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {value}")
-    return value
-
-
 def _cmd_sqa(args) -> int:
+    params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params":
+                            _engine_params("sqa", _given(args, ENGINE_PARAMS["sqa"]))})
     p = _read(load_problem, args.problem, "problem")
-    params, sch = _sampler({"engine": "sqa", "schedule": args.schedule, "engine_params": {
-        "sweeps": args.sweeps, "trotter_slices": args.slices, "beta": args.beta}})
-    ss = run_sqa(p, sch, params, _count("--anneals", args.anneals), _seed(args.seed))
+    ss = run_sqa(p, sch, params, vars(args)["--anneals"], args.seed)
     save_sampleset(ss, args.out)
     print(f"{ss.n_records} anneal records -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_pt(args) -> int:
+    ep = _engine_params("pt", _given(args, [*ENGINE_PARAMS["pt"], "betas"]))
+    params, _ = _sampler({"engine": "pt", "engine_params": ep})
     p = _read(load_problem, args.problem, "problem")
-    ladder = ({"betas": args.betas.split(",")} if args.betas else
-              {"beta_max": args.beta_max, "n_betas": args.n_betas, "beta_min": args.beta_min})
-    params, _ = _sampler({"engine": "pt", "engine_params": {
-        **ladder, "sweeps": args.sweeps, "swap_interval": args.swap_interval}})
-    n_samples, seed = _count("--samples", args.samples), _seed(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samplesets = run_pt(p, params, n_samples, seed)
+    samplesets = run_pt(p, params, ep["n_samples"], args.seed)
     for i, (beta, ss) in enumerate(sorted(samplesets.items())):
         save_sampleset(ss, out_dir / f"beta_{i:02d}_{beta:.6g}.ndjson")
     print(f"{len(samplesets)} thermal sample sets -> {out_dir}")
@@ -505,10 +512,10 @@ def _cmd_pt(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    C, n_m, n_s = _count("--C", args.C), _count("--n-m", args.n_m), _count("--n-s", args.n_s)
-    beta, gamma = _positive("--beta", args.beta), _positive("--gamma", args.gamma)
-    sch = _schedule_from_name(args.schedule)
-    rows = free_energy_grid(sch.a_of, sch.b_of, gamma, beta, C, n_m=n_m, n_s=n_s)
+    _, sch = _sampler({"engine": "sqa", "schedule": args.schedule,
+                       "engine_params": ENGINE_PARAMS["sqa"]})
+    rows = free_energy_grid(sch.a_of, sch.b_of, args.gamma, args.beta, args.C,
+                            n_m=vars(args)["--n-m"], n_s=vars(args)["--n-s"])
     lines = ["m,s,A,B,betaF"]
     lines += [",".join(format(v, ".12g") for v in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -518,7 +525,8 @@ def _cmd_meanfield(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _check_boost(args.p0, args.fit_count)
-    curves = analysis.read_curves(Path(args.curves).read_text())
+    rows = _read(lambda p: analysis.curve_rows(Path(p).read_text()), args.curves, "curves.csv")
+    curves = analysis.success_curves(rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if analysis.write_boost(curves, out, args.p0, args.fit_count) is None:
@@ -541,6 +549,16 @@ def _cmd_bruteforce(args) -> int:
     return EXIT_OK
 
 
+def _add_flags(p, table: dict, keys) -> None:
+    """Add the flag of each of ``keys`` of ``table`` (a count's key is its
+    flag), typed as the key's default. A flag not given is absent from the
+    parsed arguments, so ``_filled`` gives it that default."""
+    for key in keys:
+        flag = key if key.startswith("--") else _FLAGS.get(key, "--" + key.replace("_", "-"))
+        p.add_argument(flag, dest=key, type=type(table[key]), default=argparse.SUPPRESS,
+                       metavar=flag[2:].upper())
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nqac",
@@ -550,90 +568,71 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a full experiment from a config file")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out", required=True)
-    run_p.add_argument("--seed", type=int, default=None, help="override config seed")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override config seed")
+    _add_flags(run_p, _COUNTS, ["--jobs"])
     run_p.add_argument("--stage", choices=("all", "sample", "analyze"), default="all")
     run_p.set_defaults(func=_cmd_run)
 
     enc = sub.add_parser("encode", help="nest a problem at level C")
-    enc.add_argument("--problem", required=True)
-    enc.add_argument("--C", type=int, required=True)
-    enc.add_argument("--gamma", type=float, required=True)
     enc.add_argument("--alpha", type=float, default=None,
                      help="problem scale; keeps the penalty fixed in device units")
-    enc.add_argument("--out", required=True)
     enc.set_defaults(func=_cmd_encode)
 
     embp = sub.add_parser("embed", help="embed a nested problem on hardware")
     embp.add_argument("--source", required=True, help="nested problem file")
     embp.add_argument("--graph", default=None, help="hardware graph JSON")
-    embp.add_argument("--rows", type=int, default=8)
-    embp.add_argument("--cols", type=int, default=8)
+    _add_flags(embp, _COUNTS, ["--rows", "--cols", "--max-tries"])
     embp.add_argument("--mode", choices=("choi", "heuristic"), default="choi")
-    embp.add_argument("--seed", type=int, default=0)
-    embp.add_argument("--max-tries", type=int, default=64)
-    embp.add_argument("--out", required=True)
     embp.set_defaults(func=_cmd_embed)
 
+    # sqa anneals the problem as given: the SqaParams knobs, no coupler noise
     sqa_p = sub.add_parser("sqa", help="anneal a problem file directly")
-    sqa_p.add_argument("--problem", required=True)
-    sqa_p.add_argument("--schedule", default="linear",
-                       help="'linear', 'device', or a CSV path")
-    sqa_p.add_argument("--sweeps", type=int, default=ENGINE_PARAMS["sqa"]["sweeps"])
-    sqa_p.add_argument("--slices", type=int, default=ENGINE_PARAMS["sqa"]["trotter_slices"])
-    sqa_p.add_argument("--beta", type=float, default=ENGINE_PARAMS["sqa"]["beta"])
-    sqa_p.add_argument("--anneals", type=int, default=100)
-    sqa_p.add_argument("--seed", type=int, default=0)
-    sqa_p.add_argument("--out", required=True)
+    _add_flags(sqa_p, ENGINE_PARAMS["sqa"], _field_defaults(SqaParams))
+    _add_flags(sqa_p, _COUNTS, ["--anneals"])
     sqa_p.set_defaults(func=_cmd_sqa)
 
     pt_p = sub.add_parser("pt", help="sample thermal states by parallel tempering")
-    pt_p.add_argument("--problem", required=True)
-    pt_p.add_argument("--betas", default=None, help="comma list; overrides the ladder")
-    pt_p.add_argument("--beta-max", type=float, default=ENGINE_PARAMS["pt"]["beta_max"])
-    pt_p.add_argument("--beta-min", type=float, default=ENGINE_PARAMS["pt"]["beta_min"])
-    pt_p.add_argument("--n-betas", type=int, default=ENGINE_PARAMS["pt"]["n_betas"])
-    pt_p.add_argument("--sweeps", type=int, default=ENGINE_PARAMS["pt"]["sweeps"])
-    pt_p.add_argument("--swap-interval", type=int, default=ENGINE_PARAMS["pt"]["swap_interval"])
-    pt_p.add_argument("--samples", type=int, default=ENGINE_PARAMS["pt"]["n_samples"])
-    pt_p.add_argument("--seed", type=int, default=0)
-    pt_p.add_argument("--out", required=True)
+    pt_p.add_argument("--betas", type=lambda text: [float(b) for b in text.split(",")],
+                      default=argparse.SUPPRESS, help="comma list; replaces the ladder")
+    _add_flags(pt_p, ENGINE_PARAMS["pt"], ENGINE_PARAMS["pt"])
     pt_p.set_defaults(func=_cmd_pt)
 
     mf = sub.add_parser("meanfield", help="tabulate the mean-field free energy")
-    mf.add_argument("--C", type=int, required=True)
-    mf.add_argument("--gamma", type=float, required=True)
     mf.add_argument("--beta", type=float, required=True)
-    mf.add_argument("--schedule", default="linear")
-    mf.add_argument("--n-m", type=int, default=101)
-    mf.add_argument("--n-s", type=int, default=51)
-    mf.add_argument("--out", required=True)
+    _add_flags(mf, _COUNTS, ["--n-m", "--n-s"])
     mf.set_defaults(func=_cmd_meanfield)
 
     an = sub.add_parser("analyze", help="boost and exponent from a curves.csv")
     an.add_argument("--curves", required=True)
     an.add_argument("--p0", type=float, default=None)
     an.add_argument("--fit-count", type=int, default=CONFIG_KEYS["sqa"]["fit_count"])
-    an.add_argument("--out", required=True)
     an.set_defaults(func=_cmd_analyze)
 
     bf = sub.add_parser("bruteforce", help="exhaustive ground-state search")
-    bf.add_argument("--problem", required=True)
     bf.add_argument("--out", default=None)
     bf.set_defaults(func=_cmd_bruteforce)
 
+    for p in (enc, sqa_p, pt_p, bf):
+        p.add_argument("--problem", required=True)
+    for p in (enc, mf):
+        p.add_argument("--C", type=int, required=True)
+        p.add_argument("--gamma", type=float, required=True)
+    for p in (sqa_p, mf):
+        p.add_argument("--schedule", default=CONFIG_KEYS["sqa"]["schedule"],
+                       help="'linear', 'device', or a CSV path")
+    for p in (embp, sqa_p, pt_p):
+        p.add_argument("--seed", type=int, default=0)
+    for p in (run_p, enc, embp, sqa_p, pt_p, mf, an):
+        p.add_argument("--out", required=True)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"[config] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EmbeddingNotFound, InvalidEmbedding) as exc:

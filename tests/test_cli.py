@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -189,22 +190,112 @@ def test_negative_seed_is_config_error(k4_file, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
+#: the flag of each input file a subcommand reads, after the flags it needs
+_INPUT_FLAGS = [
     ["sqa", "--problem"],
     ["pt", "--problem"],
     ["bruteforce", "--problem"],
     ["encode", "--C", "2", "--gamma", "0.4", "--problem"],
     ["embed", "--source"],
-], ids=lambda argv: argv[0])
-def test_subcommand_truncated_problem_file_is_config_error(k4_file, tmp_path, capsys, argv):
+    ["analyze", "--curves"],
+    ["meanfield", "--C", "2", "--gamma", "0.5", "--beta", "2.0", "--schedule"],
+    ["run", "--config"],
+]
+_INPUTS = [(argv, content) for content in ("truncated", "directory", "not-text")
+           for argv in _INPUT_FLAGS]
+
+
+@pytest.mark.parametrize("argv, content", _INPUTS, ids=[
+    argv[0] if content == "truncated" else f"{argv[0]}-{content}" for argv, content in _INPUTS])
+def test_subcommand_truncated_problem_file_is_config_error(k4_file, tmp_path, capsys, argv,
+                                                          content):
+    # an input file cut short, a directory, or bytes that are not text
     bad = tmp_path / "truncated.json"
-    bad.write_text(k4_file.read_text()[:40])
+    if content == "truncated":
+        bad.write_text(k4_file.read_text()[:40])
+    elif content == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe\x00garbage")
     out = tmp_path / "out"
     flags = [] if argv[0] == "bruteforce" else ["--out", str(out)]
     assert main([*argv, str(bad), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(bad) in err
     assert not out.exists()
+
+
+def _numeric_flags() -> dict:
+    """The dest of every flag of ``nqac`` that takes numbers, by (subcommand, flag)."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {(command, action.option_strings[0]): action.dest
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None}
+
+
+#: values that the config rule of the value each numeric flag sets rejects
+_REJECTED = {
+    ("run", "--jobs"): ["0", "-1"],
+    ("run", "--seed"): ["-1"],
+    ("encode", "--C"): ["0", "-1"],
+    ("encode", "--gamma"): ["0", "-1", "inf", "nan"],
+    ("encode", "--alpha"): ["0", "1.5", "inf", "nan"],
+    ("embed", "--rows"): ["0"],
+    ("embed", "--cols"): ["-1"],
+    ("embed", "--max-tries"): ["0"],
+    ("embed", "--seed"): ["-1"],
+    ("sqa", "--sweeps"): ["0"],
+    ("sqa", "--slices"): ["1", "0"],
+    ("sqa", "--beta"): ["0", "-1", "inf", "nan"],
+    ("sqa", "--anneals"): ["0"],
+    ("sqa", "--seed"): ["-1"],
+    ("pt", "--betas"): ["0,1", "0.5,inf", "nan,1", "1,1"],
+    ("pt", "--sweeps"): ["0"],
+    ("pt", "--swap-interval"): ["0"],
+    ("pt", "--samples"): ["0"],
+    ("pt", "--beta-max"): ["0.05", "inf", "nan"],
+    ("pt", "--n-betas"): ["0"],
+    ("pt", "--beta-min"): ["0", "-1", "nan"],
+    ("pt", "--seed"): ["-1"],
+    ("meanfield", "--C"): ["0"],
+    ("meanfield", "--gamma"): ["0", "inf", "nan"],
+    ("meanfield", "--beta"): ["0", "-1", "inf", "nan"],
+    ("meanfield", "--n-m"): ["0"],
+    ("meanfield", "--n-s"): ["0"],
+    ("analyze", "--p0"): ["0", "1.5", "inf", "nan"],
+    ("analyze", "--fit-count"): ["1", "0"],
+}
+
+
+@pytest.mark.parametrize("command, flag", sorted(_numeric_flags()),
+                         ids=[" ".join(key) for key in sorted(_numeric_flags())])
+def test_every_numeric_flag_is_checked_by_its_config_rule(k4_file, tmp_path, capsys, command,
+                                                          flag):
+    # a flag missing from _REJECTED fails here, so no new flag skips its rule
+    assert set(_REJECTED) == set(_numeric_flags())
+    dest = _numeric_flags()[(command, flag)]
+    nested, curves = tmp_path / "nested.json", tmp_path / "curves.csv"
+    assert main(["encode", "--problem", str(k4_file), "--C", "2", "--gamma", "0.4",
+                 "--out", str(nested)]) == 0
+    curves.write_text("C,alpha,gamma_star,P,stderr\n1,0.1,0.3,0.4,0.01\n1,1,0.3,0.9,0.01\n")
+    given = {
+        "run": ["--config", str(tiny_config(tmp_path, k4_file))],
+        "encode": ["--problem", str(k4_file), "--C", "2", "--gamma", "0.4"],
+        "embed": ["--source", str(nested)],
+        "sqa": ["--problem", str(k4_file)],
+        "pt": ["--problem", str(k4_file)],
+        "meanfield": ["--C", "2", "--gamma", "0.5", "--beta", "2.0"],
+        "analyze": ["--curves", str(curves)],
+    }[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for value in _REJECTED[(command, flag)]:
+        assert main([command, *given, flag, value, "--out", str(tmp_path / "out")]) == 2, value
+        err = capsys.readouterr().err
+        # the message names the flag, or the config key whose value it sets
+        assert err.startswith("[config] ") and any(n in err for n in (flag, flag[2:], dest)), err
+        assert sorted(tmp_path.rglob("*")) == files, value
 
 
 def test_pt_subcommand(k4_file, tmp_path):
