@@ -178,13 +178,14 @@ def _finite(text: str) -> float:
     return value
 
 
-def _read(load, path, what: str):
+def _read(load, path, what: str, hint: str = ""):
     """``load(path)``; a file that cannot be read (none, a directory, not
-    text) or does not hold a ``what`` is a config error."""
+    text) or does not hold a ``what`` is a config error, whose message ends
+    in ``hint``."""
     try:
         return load(path)
     except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"{what} file {path} does not hold a {what}: {exc}") from exc
+        raise ConfigError(f"{what} file {path} does not hold a {what}: {exc}{hint}") from exc
 
 
 def _engine_params(engine: str, ep) -> dict:
@@ -247,18 +248,24 @@ def _build_embedding(cfg: dict, C: int, base, graph):
         return None
     n = C * base.n
     if cfg["embedding"] == "choi":
-        return choi_embed(n, graph)
+        return _choi_embed(n, graph)
     rng = np.random.default_rng(unit_seed(cfg["seed"], 0xE0BED, C))
     return heuristic_embed([(i, j) for i in range(n) for j in range(i + 1, n)], graph, rng)
+
+
+def _choi_embed(n: int, graph):
+    """``choi_embed``; a graph that cannot hold the layout, too small or not
+    perfect, is an embedding failure (exit 3), as it is to the heuristic."""
+    try:
+        return choi_embed(n, graph)
+    except NqacError as exc:
+        raise EmbeddingNotFound(str(exc)) from exc
 
 
 def _read_samples(path: Path, digest: str, cfg: dict):
     """The sample set in ``path``, checked to hold the config's cycles and
     records of the problem with ``digest``; otherwise a config error."""
-    try:
-        ss = load_sampleset(path)
-    except DomainError as exc:
-        raise ConfigError(f"{exc}; run the sample stage again") from None
+    ss = _read(load_sampleset, path, "sample set", "; run the sample stage again")
     if ss.problem_digest != digest:
         raise ConfigError(
             f"{path} holds samples of another problem than this "
@@ -274,6 +281,16 @@ def _read_samples(path: Path, digest: str, cfg: dict):
             f"cycles {want}; run the sample stage again"
         )
     return ss
+
+
+def _scan_rows(path) -> list:
+    """The rows of a PT scan file, lists of numbers [ci, ai, gi, alpha, P, se]."""
+    rows = json.loads(Path(path).read_text())
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == 6 and all(type(x) in (int, float) for x in r)
+            for r in rows)):
+        raise ValueError("not a list of [ci, ai, gi, alpha, P, se] rows of numbers")
+    return rows
 
 
 def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[float, float]:
@@ -375,15 +392,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             table[key] = _estimate(ss, np_prob, emb, ground_states, cfg["seed"], key)
     elif cfg["engine"] == "pt" and stage == "analyze":
         path = samples_dir / "pt_scan.json"
-        try:
-            rows = json.loads(path.read_text())
-        except ValueError:  # not JSON, or not text
-            rows = None
-        if not (isinstance(rows, list) and all(
-                isinstance(r, list) and len(r) == 6 and all(type(x) in (int, float) for x in r)
-                for r in rows)):
-            raise ConfigError(f"{path} is not a list of [ci, ai, gi, alpha, P, se] rows of "
-                              "numbers; run the sample stage again")
+        rows = _read(_scan_rows, path, "PT scan", "; run the sample stage again")
         table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
         grid = {(ci, ai, gi) for ci in range(len(cfg["C"])) for ai in range(len(cfg["alphas"]))
                 for gi in range(len(cfg["gammas"]))}
@@ -470,15 +479,11 @@ def _cmd_embed(args) -> int:
     graph = (_read(load_graph, args.graph, "graph") if args.graph
              else build_chimera(vars(args)["--rows"], vars(args)["--cols"]))
     np_prob = _read(load_nested, args.source, "nested problem")
-    try:
-        if args.mode == "choi":
-            emb = choi_embed(np_prob.n_nested, graph)
-        else:
-            rng = np.random.default_rng(args.seed)
-            emb = heuristic_embed(np_prob, graph, rng, max_tries=vars(args)["--max-tries"])
-    except (EmbeddingNotFound, NqacError) as exc:
-        print(f"[embed] {exc}", file=sys.stderr)
-        return EXIT_EMBEDDING
+    if args.mode == "choi":
+        emb = _choi_embed(np_prob.n_nested, graph)
+    else:
+        rng = np.random.default_rng(args.seed)
+        emb = heuristic_embed(np_prob, graph, rng, max_tries=vars(args)["--max-tries"])
     report = validate_embedding(emb, np_prob)
     if not report.ok:
         raise InvalidEmbedding(report)

@@ -47,23 +47,23 @@ uniforms; at q near 0.3 and above the gaps cost more than one uniform per
 bond did.
 
 The rings are bit-packed (multi-spin coding; Jacobs & Rebbi, J. Comput.
-Phys. 41, 203 (1981)). A ring is W words: one word of the smallest unsigned
-type holding K bits for K <= 64, ceil(K / 64) uint64 words above. The state
-has layout (n, W, U, batch); slice k is bit k % 64 of word k // 64, and a set
-bit is spin -1. Bond k joins slices k and k+1 mod K and is broken where they
-differ or it broke; each drawn break sets its bit of the unit's break words
-by ``np.add.at``. The cluster grown from the seed slice is the circular
-interval (l, r], where r is the first broken bond at or after the seed and l
-the last one before it, both wrapping; with at most one broken bond it is the
-whole ring. With m the cluster mask, the Metropolis exponent is
+Phys. 41, 203 (1981)). A ring is one word of the smallest unsigned type
+holding its K <= 64 bits. The state has layout (n, U, batch); slice k is bit
+k, and a set bit is spin -1. Bond k joins slices k and k+1 mod K and is
+broken where they differ or it broke; each drawn break sets its bit of the
+unit's break words by ``np.add.at``. The cluster grown from the seed slice
+is the circular interval (l, r], where r is the first broken bond at or
+after the seed and l the last one before it, both wrapping; with at most one
+broken bond it is the whole ring. With m the cluster mask, the Metropolis
+exponent is
 
     2 * coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
                       + h_i (|m| - 2 popcount(s_i & m))],
 
-and the flip is one xor of m. A site update thus handles W words per ring
+and the flip is one xor of m. A site update thus handles one word per ring
 where one float per slice takes K numbers; the cluster rule is that of one
 float per slice. Cluster sizes and popcount sums are counted exactly in
-float64, so K is not limited by the counts.
+float64.
 
 A sweep allocates no array shaped like the stack. ``_Rings`` holds the
 stack's break words, seed slices, acceptance uniforms, exponent terms and
@@ -81,7 +81,7 @@ minor page faults and 0.10-0.28 s of system time, where it takes about 3,250
 and 0.004-0.04 s now (``tools/sqa_cost.py faults``).
 
 A site update is still some twenty NumPy calls whatever its size, so units
-join a stack while U * batch * W stays at or below STACK_RING_WORDS = 2^12
+join a stack while U * batch stays at or below STACK_RING_WORDS = 2^12
 ring words per site row (``stack_size``). Per spin-slice update on one core
 (nested K4 at alpha 0.1 and gamma 0.5 with coupler noise 0.05, device
 schedule, 25 sweeps, beta 0.1, programming included; the median of three
@@ -211,15 +211,16 @@ def load_schedule(path) -> Schedule:
 class SqaParams:
     """Annealer knobs, read by every SQA entry point (seeds and coupler noise
     are arguments); the defaults, which the CLI reads too, follow the protocol
-    this package reproduces (10^4 sweeps, 64 slices, beta = 0.1)."""
+    this package reproduces (10^4 sweeps, 64 slices, beta = 0.1). A ring of 2
+    to 64 slices is one word."""
 
     sweeps: int = 10_000
     trotter_slices: int = 64
     beta: float = 0.1
 
     def __post_init__(self):
-        if self.trotter_slices < 2:
-            raise DomainError("need at least 2 Trotter slices")
+        if not 2 <= self.trotter_slices <= 64:
+            raise DomainError(f"trotter_slices must be in [2, 64], got {self.trotter_slices}")
         if self.sweeps < 1:
             raise DomainError("sweeps must be >= 1")
         if not 0 < self.beta < math.inf:
@@ -252,69 +253,59 @@ def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> Isi
 # ---------------------------------------------------------------------------
 # the sweep kernel
 
-#: the most ring words (units x anneals x words per ring) in one site row of a
-#: stacked anneal; see the module docstring for the measurement behind it
+#: the most ring words (units x anneals) in one site row of a stacked anneal;
+#: see the module docstring for the measurement behind it
 STACK_RING_WORDS = 2**12
-
-
-def _ring_layout(K: int) -> tuple[np.dtype, int]:
-    """Word type and words per ring for K Trotter slices: one word of the
-    smallest unsigned type holding K bits up to K = 64, ceil(K / 64) uint64
-    words above."""
-    if K <= 64:
-        return np.min_scalar_type((1 << K) - 1), 1
-    return np.dtype(np.uint64), -(-K // 64)
 
 
 class _Rings:
     """The bit-packed Trotter rings of a stack, ``bits`` in layout
-    (n, W, U, batch), and the work arrays its sweeps write in place. Slice k
-    of a ring is bit k % 64 of word k // 64, a set bit is spin -1, and the
-    bits past slice K - 1 stay clear.
+    (n, U, batch), and the work arrays its sweeps write in place. Slice k of
+    a ring is bit k of its word, a set bit is spin -1, and the bits past
+    slice K - 1 stay clear.
 
     ``down`` (n, U, batch) marks the spins that start at -1 on every slice.
-    The work arrays are the unit-major break words ``breaks`` (U, n batch W),
+    The work arrays are the unit-major break words ``breaks`` (U, n batch),
     the seed slices ``seeds`` (n, U, batch) in the word type, the acceptance
     uniforms ``accept`` (U, n, batch), the float64 exponent terms ``base``
-    (n, U, batch), six arrays of words shaped like ``bits`` and three of
-    flags (n, 1, U, batch); ``sites`` adds those that depend on the lattice.
+    (n, U, batch), six arrays of words and three of flags shaped like
+    ``bits``; ``sites`` adds those that depend on the lattice.
     """
 
     def __init__(self, K: int, down: np.ndarray):
         self.K = K
-        dtype, W = _ring_layout(K)
-        self.width = 8 * dtype.itemsize
-        self.full = np.array([(1 << min(self.width, K - w * self.width)) - 1 for w in range(W)],
-                             dtype=dtype)[:, None, None]
-        self.bits = np.ascontiguousarray(np.where(down[:, None], self.full, dtype.type(0)))
-        n, _, U, batch = self.bits.shape
-        self.breaks = np.empty((U, n * batch * W), dtype)
+        dtype = np.min_scalar_type((1 << K) - 1)
+        self.full = dtype.type((1 << K) - 1)
+        # C-contiguous, so the row gathers of ``_sweep`` read it through a reshape
+        self.bits = np.ascontiguousarray(np.where(down, self.full, dtype.type(0)))
+        n, U, batch = self.bits.shape
+        self.breaks = np.empty((U, n * batch), dtype)
         self.seeds = np.empty((n, U, batch), dtype)
         self.accept = np.empty((U, n, batch))
         self.base = np.empty((n, U, batch))
-        self.words = np.empty((6,) + self.bits.shape, dtype)
-        self.flags = np.empty((3, n, 1, U, batch), dtype=bool)
+        self.words = np.empty((6, n, U, batch), dtype)
+        self.flags = np.empty((3, n, U, batch), dtype=bool)
         self._lat = self._sites = self.field = None
 
     def sites(self, lat: "_Lattice") -> list:
         """Per site of ``lat``, the views and degree groups its update reads,
         built on the lattice's first sweep of this stack.
 
-        A site is (groups, rings (U, W, batch), masks (U, W, batch), exponents
+        A site is (groups, rings (U, batch), masks (U, batch), exponents
         (U, batch), acceptance uniforms (U, batch), accepted (U, batch) bool,
-        flips (U, W, batch)).
+        flips (U, batch)).
         A group is (units, rows, own rows, couplings (U_g, 1, D), neighbors
-        (U_g, D, W, batch), own rings and masks (U_g, 1, W, batch), counts
+        (U_g, D, batch), own rings and masks (U_g, 1, batch), counts
         (U_g, D, batch) float64, weighted couplings (U_g, 1, D), sums
-        (U_g, 1, batch)). ``rows`` (U_g, D, W) indexes the neighbors' words
-        among the rows of ``bits`` seen as (n W U, batch); ``own rows`` does
-        so for the units' own words, or is None when the group holds every
-        unit and its own rings and masks are views. Groups are swept one at a
+        (U_g, 1, batch)). ``rows`` (U_g, D) indexes the neighbors' words
+        among the rows of ``bits`` seen as (n U, batch); ``own rows`` does so
+        for the units' own words, or is None when the group holds every unit
+        and its own rings and masks are views. Groups are swept one at a
         time, so the arrays of every group are views of one buffer each.
         """
         if self._lat is lat:
             return self._sites
-        n, W, U, Bn = self.bits.shape
+        n, U, Bn = self.bits.shape
         groups = [(i, us, nbr, val) for i, site in enumerate(lat.sites) for us, nbr, val in site]
         some = [g for g in groups if not isinstance(g[1], slice)]
 
@@ -323,55 +314,48 @@ class _Rings:
             return iter([flat[:math.prod(s)].reshape(s) for s in shapes])
 
         dims = [nbr.shape for _, _, nbr, _ in groups]
-        gathered = views(self.bits.dtype, [(Ug, D, W, Bn) for Ug, D in dims])
+        gathered = views(self.bits.dtype, [(Ug, D, Bn) for Ug, D in dims])
         counts = views(np.float64, [(Ug, D, Bn) for Ug, D in dims])
         weighted = views(np.float64, [(Ug, 1, D) for Ug, D in dims])
         sums = views(np.float64, [(Ug, 1, Bn) for Ug, _ in dims])
-        own = views(self.bits.dtype, [(2, us.size, 1, W, Bn) for _, us, _, _ in some])
-        rings = self.bits.transpose(0, 2, 1, 3)  # views, (n, U, W, batch)
-        masks = self.words[5].transpose(0, 2, 1, 3)
-        word, units = np.arange(W), np.arange(U)
-        flips = self.words[0, 0].transpose(1, 0, 2)
+        own = views(self.bits.dtype, [(2, us.size, 1, Bn) for _, us, _, _ in some])
+        rings, masks, units = self.bits, self.words[5], np.arange(U)
         self._sites = [([], rings[i], masks[i], self.base[i], self.accept[:, i],
-                        self.flags[0, i, 0], flips) for i in range(n)]
+                        self.flags[0, i], self.words[0, 0]) for i in range(n)]
         for i, us, nbr, val in groups:
             u = units[us]
-            rows = (nbr[:, :, None] * W + word) * U + u[:, None, None]
             if isinstance(us, slice):
                 own_rows, own_rings, own_masks = None, rings[i][:, None], masks[i][:, None]
             else:
-                own_rows = ((i * W + word) * U + u[:, None])[:, None]
+                own_rows = (i * U + u)[:, None]
                 own_rings, own_masks = next(own)
-            self._sites[i][0].append((us, rows, own_rows, val, next(gathered), own_rings,
-                                      own_masks, next(counts), next(weighted), next(sums)))
+            self._sites[i][0].append((us, nbr * U + u[:, None], own_rows, val, next(gathered),
+                                      own_rings, own_masks, next(counts), next(weighted),
+                                      next(sums)))
         self.field = None if lat.h is None else np.empty_like(self.base)
         self._lat = lat
         return self._sites
 
     def slice0(self) -> np.ndarray:
         """Slice 0 of every ring as spins, (n, U, batch) int8."""
-        return 1 - 2 * (self.bits[:, 0] & 1).astype(np.int8)
+        return 1 - 2 * (self.bits & 1).astype(np.int8)
 
     def add_breaks(self, words: np.ndarray, pos: np.ndarray) -> None:
         """Set the bits of the broken bonds at positions ``pos`` of one unit's
         (n, batch, K) bonds, in row-major order, in its break words ``words``
-        (n * batch * W,), laid out (n, batch, W). Bond k of ring r is bit
-        r * width * W + k of the words. The positions are distinct, so adding
-        a bit sets it; the bit values are built in the word type, so bit 63
-        is exact. ``pos`` is overwritten."""
-        dtype, width = self.bits.dtype, self.width
+        (n * batch,): bond k of ring r is bit k of word r. The positions are
+        distinct, so adding a bit sets it; the bit values are built in the
+        word type, so bit 63 is exact. ``pos`` is overwritten."""
+        dtype = self.bits.dtype
         ring = pos // self.K
-        ring *= width * self.full.shape[0] - self.K
-        pos += ring  # the bond's bit among the unit's words
-        np.bitwise_and(pos, width - 1, out=ring)
-        pos //= width
+        np.remainder(pos, self.K, out=pos)  # the bond's bit in its ring's word
         # int64 and uint64 hold a bit number alike
-        bit = ring.view(dtype) if dtype.itemsize == ring.itemsize else ring.astype(dtype)
-        np.add.at(words, pos, np.left_shift(dtype.type(1), bit, out=bit))
+        bit = pos.view(dtype) if dtype.itemsize == pos.itemsize else pos.astype(dtype)
+        np.add.at(words, ring, np.left_shift(dtype.type(1), bit, out=bit))
 
     def clusters(self, breaks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Cluster masks (n, W, U, batch) of every ring, from the drawn break
-        words and the seed slices (n, U, batch).
+        """Cluster masks (n, U, batch) of every ring, from the drawn break
+        words and the seed slices, both (n, U, batch).
 
         Bond k joins slices k and k+1 mod K; it is broken where those slices
         differ or bit k of ``breaks`` is set. The cluster is the circular
@@ -380,56 +364,36 @@ class _Rings:
         it is the whole ring. The masks are written to work array 5, which
         the next sweep overwrites.
         """
-        b, width, W = self.bits, self.width, self.bits.shape[1]
+        b = self.bits
         tmp, broken, hi, lo, x, m = self.words
         hi_any, lo_any, flag = self.flags
         np.right_shift(b, 1, out=tmp)  # bit k of tmp is slice k + 1 mod K
-        if W > 1:
-            np.left_shift(b[:, 1:], width - 1, out=broken[:, 1:])
-            tmp[:, :-1] |= broken[:, 1:]
-        np.bitwise_and(b[:, :1], 1, out=broken[:, :1])
-        broken[:, :1] <<= (self.K - 1) % width
-        tmp[:, -1:] |= broken[:, :1]
+        np.bitwise_and(b, 1, out=broken)
+        broken <<= self.K - 1
+        tmp |= broken
         np.bitwise_xor(b, tmp, out=broken)
         broken |= breaks
-        # the broken bonds at or after the seed; word w holds slices from
-        # width * w, so its shift is the seed clipped to [width w, width (w
-        # + 1)] less width w
-        if W == 1:
-            shift = seeds[:, None]
-        else:
-            shift = tmp
-            for w in range(W):
-                np.clip(seeds, width * w, width * (w + 1), out=shift[:, w])
-                shift[:, w] -= width * w
-        np.left_shift(self.full, shift, out=hi)
+        # the broken bonds at or after the seed
+        np.left_shift(self.full, seeds, out=hi)
         hi &= broken
         np.bitwise_xor(broken, hi, out=lo)
-        _any(hi, hi_any)
-        _any(lo, lo_any)
+        np.not_equal(hi, 0, out=hi_any)
+        np.not_equal(lo, 0, out=lo_any)
         # slices 0..q, where x's lowest set bit is q (all slices when x = 0)
         np.invert(hi_any, out=flag)
         np.multiply(broken, flag, out=x)
         x |= hi
         np.subtract(x, 1, out=m)
         m ^= x  # slices 0..q
-        for w in range(1, W):
-            np.any(x[:, :w], axis=1, out=flag[:, 0])
-            np.invert(flag, out=flag)
-            m[:, w] *= flag[:, 0]
         # slices 0..p, where y's highest set bit is p (none when y = 0)
         np.invert(lo_any, out=flag)
         np.multiply(hi, flag, out=x)
         x |= lo
         sh = 1
-        while sh < width:
+        while sh < 8 * b.itemsize:
             np.right_shift(x, sh, out=tmp)
             x |= tmp
             sh *= 2
-        for w in range(W - 1):
-            np.any(x[:, w + 1:], axis=1, out=flag[:, 0])
-            np.multiply(flag[:, 0], ~b.dtype.type(0), out=tmp[:, 0])
-            x[:, w] |= tmp[:, 0]
         # p < q: the slices p+1..q; otherwise the interval wraps and takes
         # the complement of q+1..p
         m ^= x
@@ -438,23 +402,6 @@ class _Rings:
         m ^= tmp
         m &= self.full
         return m
-
-
-def _any(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Whether any word of a ring is nonzero: (n, W, U, batch) words to
-    (n, 1, U, batch) flags in ``out``."""
-    if words.shape[1] == 1:
-        return np.not_equal(words, 0, out=out)
-    return np.any(words, axis=1, keepdims=True, out=out)
-
-
-def _count(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Set bits per ring: (n, W, U, batch) words to (n, U, batch) float64
-    counts in ``out``, exact. Rings of several words count each word first,
-    in ``scratch``, which is shaped like ``words`` and may be ``words``."""
-    if words.shape[1] == 1:
-        return np.bitwise_count(words[:, 0], out=out)
-    return np.sum(np.bitwise_count(words, out=scratch), axis=1, out=out)
 
 
 def _breaks(N: int, q: float, rng: np.random.Generator):
@@ -540,27 +487,28 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
     Every array written is one of ``S``'s work arrays (``S.sites``), and
     ``x``, a site's exponents, is its row of ``base``.
     """
-    n, W, U, Bn = S.bits.shape
+    n, U, Bn = S.bits.shape
     K = S.K
     sites = S.sites(lat)
     S.breaks.fill(0)
     for u, rng in enumerate(rngs):
         for pos in _breaks(n * Bn * K, q, rng):
             S.add_breaks(S.breaks[u], pos)
-        S.seeds[:, u] = rng.integers(0, K, size=(n, Bn))
+        # uint32 draws the int64 stream's numbers, in half the bytes
+        S.seeds[:, u] = rng.integers(0, K, size=(n, Bn), dtype=np.uint32)
         rng.random((n, Bn), out=S.accept[u])
-    m = S.clusters(S.breaks.reshape(U, n, Bn, W).transpose(1, 3, 0, 2), S.seeds)
+    m = S.clusters(S.breaks.reshape(U, n, Bn).transpose(1, 0, 2), S.seeds)
     # Metropolis on the spatial action change of the cluster flip, with
     # x = -dE = 2 coup_scale * [sum_j J_ij (|m| - 2 popcount((s_i xor s_j) & m))
     #                           + h_i (|m| - 2 popcount(s_i & m))];
     # the counts are exact in float64, so base holds the terms the int32
     # counts gave, and x the same sums
     scale = 2.0 * coup_scale[:, None]
-    base, scratch = S.base, S.words[0]
-    _count(m, base, scratch)  # |m|
+    base = S.base
+    np.bitwise_count(m, out=base)  # |m|
     if lat.h is not None:
         field = S.field
-        _count(np.bitwise_and(S.bits, m, out=scratch), field, scratch)
+        np.bitwise_count(np.bitwise_and(S.bits, m, out=S.words[0]), out=field)
         field *= -2.0
         field += base  # |m| - 2 popcount(s_i & m)
         field *= lat.h
@@ -569,21 +517,18 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
         base += field
     base *= scale
     weight = -2.0 * scale[:, :, None]
-    rows = S.bits.reshape(n * W * U, Bn)
-    mask_rows = m.reshape(n * W * U, Bn)
+    rows = S.bits.reshape(n * U, Bn)
+    mask_rows = m.reshape(n * U, Bn)
     for groups, rings, masks, x, accept, accepted, flips in sites:
         for us, idx, own_idx, val, disagree, own, mask, count, vw, total in groups:
-            # (U_g, D, W, batch): the neighbors' rings, unit by unit
+            # (U_g, D, batch): the neighbors' rings, unit by unit
             rows.take(idx, axis=0, out=disagree, mode="clip")
             if own_idx is not None:
                 rows.take(own_idx, axis=0, out=own, mode="clip")
                 mask_rows.take(own_idx, axis=0, out=mask, mode="clip")
             disagree ^= own
             disagree &= mask
-            if W == 1:
-                np.bitwise_count(disagree[:, :, 0], out=count)
-            else:
-                np.sum(np.bitwise_count(disagree, out=disagree), axis=2, out=count)
+            np.bitwise_count(disagree, out=count)
             np.matmul(np.multiply(val, weight[us], out=vw), count, out=total)
             if own_idx is None:
                 x += total[:, 0]
@@ -592,7 +537,7 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
         np.minimum(x, 700.0, out=x)
         np.maximum(x, -700.0, out=x)
         np.less(accept, np.exp(x, out=x), out=accepted)
-        rings ^= np.multiply(masks, accepted[:, None], out=flips)
+        rings ^= np.multiply(masks, accepted, out=flips)
 
 
 def _init_state(n: int, K: int, batch: int, rngs: list[np.random.Generator]) -> _Rings:
@@ -706,10 +651,10 @@ def _program_cycle(
                                                   seed=aseed)
 
 
-def stack_size(K: int, runs: int) -> int:
-    """Units per stacked anneal: as many as keep units x runs x words per ring
-    at or below ``STACK_RING_WORDS``, and at least one."""
-    return max(1, STACK_RING_WORDS // (runs * _ring_layout(K)[1]))
+def stack_size(runs: int) -> int:
+    """Units per stacked anneal: as many as keep units x runs ring words at
+    or below ``STACK_RING_WORDS``, and at least one."""
+    return max(1, STACK_RING_WORDS // runs)
 
 
 def _anneal_stack(
@@ -767,7 +712,7 @@ def run_protocol(
     if cycles < 1 or runs_per_cycle < 1:
         raise DomainError("cycles and runs_per_cycle must be >= 1")
     digests = [programmed_digest(np_prob, emb) for np_prob, emb, _ in points]
-    size = stack_size(params.trotter_slices, runs_per_cycle)
+    size = stack_size(runs_per_cycle)
     stacks = []  # (units, embedding) per stack
     for _, group in groupby(points, key=lambda pt: (pt[0].n_nested, id(pt[1]))):
         group = list(group)

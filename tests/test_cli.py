@@ -246,7 +246,7 @@ _REJECTED = {
     ("embed", "--max-tries"): ["0"],
     ("embed", "--seed"): ["-1"],
     ("sqa", "--sweeps"): ["0"],
-    ("sqa", "--slices"): ["1", "0"],
+    ("sqa", "--slices"): ["1", "0", "65"],
     ("sqa", "--beta"): ["0", "-1", "inf", "nan"],
     ("sqa", "--anneals"): ["0"],
     ("sqa", "--seed"): ["-1"],
@@ -484,6 +484,15 @@ def test_run_negative_noise_sigma_is_config_error(tmp_path, k4_file, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+def test_run_more_trotter_slices_than_a_word_is_config_error(tmp_path, k4_file, capsys):
+    # a Trotter ring is one word, so 64 slices at most
+    cfg = tiny_config(tmp_path, k4_file, engine_params={"trotter_slices": 65})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and "trotter_slices" in err
+    assert not (tmp_path / "exp").exists()
+
+
 def test_pt_run_reruns_from_manifest(tmp_path, k4_file):
     cfg = tiny_config(tmp_path, k4_file, engine="pt")
     out1 = tmp_path / "exp1"
@@ -554,6 +563,26 @@ def test_run_embedding_failure_exit_code(tmp_path, k4_file):
     assert rc == 3
 
 
+@pytest.mark.parametrize("graph", [{"rows": 1, "cols": 1, "dead": []},
+                                   {"rows": 8, "cols": 8, "dead": [0]}],
+                         ids=["too-small", "not-perfect"])
+def test_run_choi_embedding_failure_exit_code(tmp_path, k4_file, capsys, graph):
+    # K_8 (K4 at C = 2) does not fit a 1x1 graph, and choi needs a perfect
+    # graph: run exits 3 with embed's message
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    nested = tmp_path / "nested.json"
+    assert main(["encode", "--problem", str(k4_file), "--C", "2", "--gamma", "0.3",
+                 "--out", str(nested)]) == 0
+    capsys.readouterr()
+    assert main(["embed", "--source", str(nested), "--graph", str(path),
+                 "--out", str(tmp_path / "e.json")]) == 3
+    want = capsys.readouterr().err
+    cfg = tiny_config(tmp_path, k4_file, C=[2], embedding="choi", graph=str(path))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 3
+    assert capsys.readouterr().err == want and want.startswith("[embed] ")
+
+
 def _dead8_config(tmp_path, problem, **overrides):
     """A tiny heuristic-embedded config on the bundled 8-dead-qubit graph."""
     graph = tmp_path / "dead8.json"
@@ -597,15 +626,15 @@ def test_embedded_stacks_give_the_same_files_at_any_jobs(tmp_path, k4_file, monk
         engine_params={"sweeps": 5, "trotter_slices": 8, "beta": 0.5, "noise_sigma": 0.05},
         cycles=3, runs_per_cycle=100,
     )
-    assert sqa.stack_size(8, 100) >= 12
+    assert sqa.stack_size(100) >= 12
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
     monkeypatch.setattr(sqa, "STACK_RING_WORDS", 500)
-    assert sqa.stack_size(8, 100) == 5
+    assert sqa.stack_size(100) == 5
     for jobs in ("1", "2"):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / jobs),
                      "--jobs", jobs]) == 0
     monkeypatch.setattr(sqa, "STACK_RING_WORDS", 0)
-    assert sqa.stack_size(8, 100) == 1
+    assert sqa.stack_size(100) == 1
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "alone")]) == 0
     files = _files(tmp_path / "1")
     assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
@@ -723,6 +752,22 @@ def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, cap
     assert not (out / "curves.csv").exists()
 
 
+def _directory(data):
+    """A damage that replaces the file by a directory."""
+    return None
+
+
+def _replace(path, damaged):
+    """Write ``damaged`` text or bytes to ``path``, or make it a directory."""
+    if damaged is None:
+        path.unlink()
+        path.mkdir()
+    elif isinstance(damaged, str):
+        path.write_text(damaged)
+    else:
+        path.write_bytes(damaged)
+
+
 def _short_row(text):
     rows = json.loads(text)
     rows[0] = rows[0][:5]
@@ -733,7 +778,8 @@ def _short_row(text):
     lambda text: text[:-7],  # truncated
     _short_row,  # a row of 5 fields
     lambda text: json.dumps({"rows": json.loads(text)}),  # not a list
-], ids=["truncated", "short-row", "not-a-list"])
+    _directory,
+], ids=["truncated", "short-row", "not-a-list", "directory"])
 def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage):
     out = tmp_path / "exp"
     cfg = tiny_config(tmp_path, k4_file, engine="pt")
@@ -741,7 +787,7 @@ def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage
     path = out / "samples" / "pt_scan.json"
     damaged = damage(path.read_text())
     assert damaged != path.read_text()
-    path.write_text(damaged)
+    _replace(path, damaged)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(path) in err
@@ -785,17 +831,17 @@ def _not_text(data):
 
 
 @pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1,
-                                    _not_text])
+                                    _not_text, _directory])
 def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage):
     # 2 cycles x 10 records: a cut record, 7 records in cycle 1, no cycle 1,
-    # or bytes that are not text
+    # bytes that are not text, or a directory
     out = tmp_path / "exp"
     cfg = tiny_config(tmp_path, k4_file)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
     path = out / "samples" / "C2_a1_g0.ndjson"
     damaged = damage(path.read_bytes())
     assert damaged != path.read_bytes()
-    path.write_bytes(damaged)
+    _replace(path, damaged)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(path) in err

@@ -17,7 +17,7 @@ of that call.
 noise 0.05 and beta 0.1, per Trotter number in ``STACKS["K"]``, level in
 ``STACKS["Cs"]`` and units per stack in ``STACKS["units"]``, the stack sizes
 taking turns in alternating order; ``readme`` times stacks of the README
-config's shape (K = 64, ``stack_size(64, 1000)`` units of 1000 anneals per C
+config's shape (K = 64, ``stack_size(1000)`` units of 1000 anneals per C
 level) and projects its single-core hours. Both print ns per spin-slice
 update (programming included), the median over the repetitions.
 """
@@ -108,7 +108,7 @@ def stacks(_args) -> None:
 def readme(_args) -> None:
     from nqac.sqa import stack_size
 
-    units = stack_size(README["K"], README["runs"])
+    units = stack_size(README["runs"])
     hours = 0.0
     for C in README["Cs"]:
         ns = statistics.median(_ns_per_update(C, README["K"], units, README_TIMING["sweeps"])
