@@ -180,12 +180,13 @@ def _finite(text: str) -> float:
 
 def _read(load, path, what: str, hint: str = ""):
     """``load(path)``; a file that cannot be read (none, a directory, not
-    text) or does not hold a ``what`` is a config error, whose message ends
-    in ``hint``."""
+    text) or does not hold a ``what`` is a config error, whose message names
+    the file once and ends in ``hint``."""
     try:
         return load(path)
     except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"{what} file {path} does not hold a {what}: {exc}{hint}") from exc
+        reason = (getattr(exc, "strerror", None) or str(exc)).removeprefix(f"{path}: ")
+        raise ConfigError(f"{what} file {path} does not hold a {what}: {reason}{hint}") from exc
 
 
 def _engine_params(engine: str, ep) -> dict:
@@ -311,14 +312,13 @@ def _sampling_digest(path: Path) -> str | None:
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
-    returns the artifact directory. A problem or graph file that does not hold
-    a problem or a Chimera graph raises ConfigError before anything is written."""
+    returns the artifact directory. An input that does not hold what it should
+    (the problem or graph file, or under ``stage="analyze"`` a sample file)
+    raises ConfigError before anything is written."""
     base = _read(load_problem, cfg["problem"], "problem")
     graph = _read(load_graph, cfg["graph"], "graph") if cfg.get("graph") else None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     samples_dir = out / "samples"
-    samples_dir.mkdir(exist_ok=True)
 
     ground_energy, ground_states = brute_force_ground(base)
     params, sch = _sampler(cfg)
@@ -336,7 +336,6 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     }
     if stage != "sample":
         manifest["analysis_code_digest"] = digest
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
     def sample_path(ci, ai, gi):
         return samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson"
@@ -352,6 +351,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
         }
 
     if stage in ("all", "sample"):
+        samples_dir.mkdir(parents=True, exist_ok=True)
         if cfg["engine"] == "sqa":
             samples = run_protocol(
                 [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
@@ -379,11 +379,9 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
             (samples_dir / "pt_scan.json").write_text(sample_json(rows))
             table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
 
-    if stage not in ("all", "analyze"):
-        return out
-
     # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
-    # gamma, then boost + exponent
+    # gamma, then boost + exponent; the analyze stage reads and checks every
+    # sample file before it writes anything
     if cfg["engine"] == "sqa" and stage == "analyze":
         table = {}
         for key, np_prob in nested.items():
@@ -402,6 +400,9 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 f"{path} holds another (C, alpha, gamma) grid than this config scans; "
                 "run the sample stage again"
             )
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    if stage == "sample":
+        return out
     curves = []
     for ci, C in enumerate(cfg["C"]):
         Ps = []

@@ -150,10 +150,6 @@ def nested_energy_identity_check(
     return nested_e, predicted
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n).astype(np.int64)
-
-
 def permute_nested(np_prob: NestedProblem, perm) -> NestedProblem:
     """Relabel nested vertices by ``perm`` (old index -> new index).
 
@@ -229,31 +225,16 @@ def decode_batch(
 # { "C": int, "gamma": float, "vertex_map": [[...copies of logical 0...], ...] }
 
 
-def nested_to_dicts(np_prob: NestedProblem) -> tuple[dict, dict]:
+def save_nested(np_prob: NestedProblem, path) -> None:
+    """Write ``path`` (nested problem) and ``path`` + '.meta.json' (sidecar)."""
     sidecar = {
         "C": np_prob.C,
         "gamma": np_prob.gamma,
         "vertex_map": np_prob.copies.tolist(),
         "base": problem_to_dict(np_prob.base),
     }
-    return problem_to_dict(np_prob.nested), sidecar
-
-
-def nested_from_dicts(problem_d: dict, sidecar_d: dict) -> NestedProblem:
-    return NestedProblem(
-        base=problem_from_dict(sidecar_d["base"]),
-        C=int(sidecar_d["C"]),
-        gamma=float(sidecar_d["gamma"]),
-        nested=problem_from_dict(problem_d),
-        copies=np.asarray(sidecar_d["vertex_map"], dtype=np.int64),
-    )
-
-
-def save_nested(np_prob: NestedProblem, path) -> None:
-    """Write ``path`` (nested problem) and ``path`` + '.meta.json' (sidecar)."""
-    problem_d, sidecar = nested_to_dicts(np_prob)
     p = Path(path)
-    p.write_text(json.dumps(problem_d, indent=2, sort_keys=True))
+    p.write_text(json.dumps(problem_to_dict(np_prob.nested), indent=2, sort_keys=True))
     Path(str(p) + ".meta.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
@@ -261,4 +242,10 @@ def load_nested(path) -> NestedProblem:
     p = Path(path)
     problem_d = json.loads(p.read_text())
     sidecar = json.loads(Path(str(p) + ".meta.json").read_text())
-    return nested_from_dicts(problem_d, sidecar)
+    return NestedProblem(
+        base=problem_from_dict(sidecar["base"]),
+        C=int(sidecar["C"]),
+        gamma=float(sidecar["gamma"]),
+        nested=problem_from_dict(problem_d),
+        copies=np.asarray(sidecar["vertex_map"], dtype=np.int64),
+    )

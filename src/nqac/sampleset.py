@@ -152,7 +152,7 @@ def load_sampleset(path) -> SampleSet:
     try:
         lines = Path(path).read_text().split("\n")
     except UnicodeDecodeError:
-        raise DomainError(f"{path} is not a sample set: it is not text") from None
+        raise DomainError(f"{path}: it is not text") from None
     try:
         header = json.loads(lines[0])
         if header.get("type") != "header":

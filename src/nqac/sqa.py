@@ -65,9 +65,9 @@ where one float per slice takes K numbers; the cluster rule is that of one
 float per slice. Cluster sizes and popcount sums are counted exactly in
 float64.
 
-A sweep allocates no array shaped like the stack. ``_Rings`` holds the
-stack's break words, seed slices, acceptance uniforms, exponent terms and
-cluster work words, and on a lattice's first sweep it lays out, per site,
+A sweep allocates no array shaped like the stack. ``_Stack`` holds the
+stack's rings, break words, seed slices, acceptance uniforms, exponent terms
+and cluster work words, and when the stack is built it lays out, per site,
 the rows its neighbors' words are gathered from and the per-group arrays, as
 views of one buffer per kind; every NumPy call then writes with ``out=``.
 The counts are cast once into float64 and multiplied in place, the same
@@ -126,7 +126,7 @@ from .chimera import Embedding, apply_embedding
 from .errors import DomainError, ScheduleError
 from .ising import IsingProblem, apply_gauge
 from .instances import device_like_schedule_text
-from .nesting import NestedProblem, permute_nested, random_permutation
+from .nesting import NestedProblem, permute_nested
 from .sampleset import CycleRecord, SampleSet
 
 
@@ -258,83 +258,91 @@ def sample_noise(p: IsingProblem, sigma: float, rng: np.random.Generator) -> Isi
 STACK_RING_WORDS = 2**12
 
 
-class _Rings:
-    """The bit-packed Trotter rings of a stack, ``bits`` in layout
-    (n, U, batch), and the work arrays its sweeps write in place. Slice k of
-    a ring is bit k of its word, a set bit is spin -1, and the bits past
-    slice K - 1 stay clear.
+class _Stack:
+    """A stack of U problems that share n, ``batch`` anneals each: the
+    bit-packed Trotter rings, what every sweep reads of the problems, and the
+    work arrays the sweeps write in place, all built once.
 
-    ``down`` (n, U, batch) marks the spins that start at -1 on every slice.
-    The work arrays are the unit-major break words ``breaks`` (U, n batch),
-    the seed slices ``seeds`` (n, U, batch) in the word type, the acceptance
-    uniforms ``accept`` (U, n, batch), the float64 exponent terms ``base``
-    (n, U, batch), six arrays of words and three of flags shaped like
-    ``bits``; ``sites`` adds those that depend on the lattice.
+    The rings ``bits`` (n, U, batch) start as K replicas of a uniformly random
+    spin vector per anneal, unit u drawing from ``rngs[u]``. Slice k of a
+    ring is bit k of its word, a set bit is spin -1, and the bits past slice
+    K - 1 stay clear. Each unit keeps its alpha (U,), fields ``h``
+    (n, U, 1), None where no unit has one, and coupling sums
+    ``coupling_sum`` (n, U, 1). The work arrays are the unit-major break
+    words ``breaks`` (U, n batch), the seed slices ``seeds`` (n, U, batch) in
+    the word type, the acceptance uniforms ``accept`` (U, n, batch), the
+    float64 exponent terms ``base`` and ``field`` (n, U, batch; ``field`` is
+    None without fields), six arrays of words and three of flags shaped like
+    ``bits``.
+
+    ``sites[i]`` holds the views and degree groups site i's update reads:
+    (groups, rings (U, batch), masks (U, batch), exponents (U, batch),
+    acceptance uniforms (U, batch), accepted (U, batch) bool, flips
+    (U, batch)). The units of one degree D at the site form a group (units,
+    rows, own rows, couplings (U_g, 1, D), neighbors (U_g, D, batch), own
+    rings and masks (U_g, 1, batch), counts (U_g, D, batch) float64,
+    weighted couplings (U_g, 1, D), sums (U_g, 1, batch)). ``units`` is a
+    slice over the whole stack when every unit has degree D. ``rows``
+    (U_g, D) indexes the neighbors' words among the rows of ``bits`` seen as
+    (n U, batch); ``own rows`` does so for the units' own words, or is None
+    when the group holds every unit and its own rings and masks are views.
+    Groups are swept one at a time, so the arrays of every group are views of
+    one buffer each.
     """
 
-    def __init__(self, K: int, down: np.ndarray):
+    def __init__(self, problems: list[IsingProblem], K: int, batch: int,
+                 rngs: list[np.random.Generator]):
+        n, U = problems[0].n, len(problems)
         self.K = K
         dtype = np.min_scalar_type((1 << K) - 1)
         self.full = dtype.type((1 << K) - 1)
+        down = np.array([rng.integers(0, 2, size=(batch, n)).T == 0 for rng in rngs])
         # C-contiguous, so the row gathers of ``_sweep`` read it through a reshape
-        self.bits = np.ascontiguousarray(np.where(down, self.full, dtype.type(0)))
-        n, U, batch = self.bits.shape
+        self.bits = np.ascontiguousarray(
+            np.where(down.transpose(1, 0, 2), self.full, dtype.type(0)))
+        self.alpha = np.array([p.alpha for p in problems])
+        h = np.array([p.h for p in problems])
+        self.h = h.T[:, :, None] if h.any() else None
         self.breaks = np.empty((U, n * batch), dtype)
         self.seeds = np.empty((n, U, batch), dtype)
         self.accept = np.empty((U, n, batch))
         self.base = np.empty((n, U, batch))
+        self.field = None if self.h is None else np.empty_like(self.base)
         self.words = np.empty((6, n, U, batch), dtype)
         self.flags = np.empty((3, n, U, batch), dtype=bool)
-        self._lat = self._sites = self.field = None
 
-    def sites(self, lat: "_Lattice") -> list:
-        """Per site of ``lat``, the views and degree groups its update reads,
-        built on the lattice's first sweep of this stack.
-
-        A site is (groups, rings (U, batch), masks (U, batch), exponents
-        (U, batch), acceptance uniforms (U, batch), accepted (U, batch) bool,
-        flips (U, batch)).
-        A group is (units, rows, own rows, couplings (U_g, 1, D), neighbors
-        (U_g, D, batch), own rings and masks (U_g, 1, batch), counts
-        (U_g, D, batch) float64, weighted couplings (U_g, 1, D), sums
-        (U_g, 1, batch)). ``rows`` (U_g, D) indexes the neighbors' words
-        among the rows of ``bits`` seen as (n U, batch); ``own rows`` does so
-        for the units' own words, or is None when the group holds every unit
-        and its own rings and masks are views. Groups are swept one at a
-        time, so the arrays of every group are views of one buffer each.
-        """
-        if self._lat is lat:
-            return self._sites
-        n, U, Bn = self.bits.shape
-        groups = [(i, us, nbr, val) for i, site in enumerate(lat.sites) for us, nbr, val in site]
-        some = [g for g in groups if not isinstance(g[1], slice)]
+        lists = [p.neighbor_lists() for p in problems]
+        self.coupling_sum = np.zeros((n, U, 1))
+        groups = []  # (site, units, neighbors (U_g, D), couplings (U_g, 1, D))
+        for i in range(n):
+            degree = np.array([len(idx[i]) for idx, _ in lists])
+            for D in np.unique(degree):
+                us = np.flatnonzero(degree == D)
+                nbr = np.array([lists[u][0][i] for u in us]).reshape(us.size, D)
+                val = np.array([lists[u][1][i] for u in us]).reshape(us.size, 1, D)
+                self.coupling_sum[i, us] = val.sum(axis=2)
+                groups.append((i, us, nbr, val))
 
         def views(dtype, shapes):
             flat = np.empty(max((math.prod(s) for s in shapes), default=0), dtype)
             return iter([flat[:math.prod(s)].reshape(s) for s in shapes])
 
         dims = [nbr.shape for _, _, nbr, _ in groups]
-        gathered = views(self.bits.dtype, [(Ug, D, Bn) for Ug, D in dims])
-        counts = views(np.float64, [(Ug, D, Bn) for Ug, D in dims])
+        gathered = views(dtype, [(Ug, D, batch) for Ug, D in dims])
+        counts = views(np.float64, [(Ug, D, batch) for Ug, D in dims])
         weighted = views(np.float64, [(Ug, 1, D) for Ug, D in dims])
-        sums = views(np.float64, [(Ug, 1, Bn) for Ug, _ in dims])
-        own = views(self.bits.dtype, [(2, us.size, 1, Bn) for _, us, _, _ in some])
-        rings, masks, units = self.bits, self.words[5], np.arange(U)
-        self._sites = [([], rings[i], masks[i], self.base[i], self.accept[:, i],
-                        self.flags[0, i], self.words[0, 0]) for i in range(n)]
+        sums = views(np.float64, [(Ug, 1, batch) for Ug, _ in dims])
+        own = views(dtype, [(2, us.size, 1, batch) for _, us, _, _ in groups if us.size < U])
+        rings, masks = self.bits, self.words[5]
+        self.sites = [([], rings[i], masks[i], self.base[i], self.accept[:, i],
+                       self.flags[0, i], self.words[0, 0]) for i in range(n)]
         for i, us, nbr, val in groups:
-            u = units[us]
-            if isinstance(us, slice):
-                own_rows, own_rings, own_masks = None, rings[i][:, None], masks[i][:, None]
-            else:
-                own_rows = (i * U + u)[:, None]
-                own_rings, own_masks = next(own)
-            self._sites[i][0].append((us, nbr * U + u[:, None], own_rows, val, next(gathered),
-                                      own_rings, own_masks, next(counts), next(weighted),
-                                      next(sums)))
-        self.field = None if lat.h is None else np.empty_like(self.base)
-        self._lat = lat
-        return self._sites
+            every = us.size == U
+            own_rows = None if every else (i * U + us)[:, None]
+            own_rings, own_masks = (rings[i][:, None], masks[i][:, None]) if every else next(own)
+            self.sites[i][0].append((slice(None) if every else us, nbr * U + us[:, None],
+                                     own_rows, val, next(gathered), own_rings, own_masks,
+                                     next(counts), next(weighted), next(sums)))
 
     def slice0(self) -> np.ndarray:
         """Slice 0 of every ring as spins, (n, U, batch) int8."""
@@ -436,38 +444,7 @@ def _breaks(N: int, q: float, rng: np.random.Generator):
         yield pos[:np.searchsorted(pos, N)] if end > N else pos
 
 
-class _Lattice:
-    """Preprocessed arrays of a stack of U problems that share n.
-
-    Each unit keeps its own alpha (U,), fields ``h`` (n, U, 1), None where no
-    unit has one, and coupling sums ``coupling_sum`` (n, U, 1) per site.
-    ``sites[i]`` groups the units by their degree D at site i, one (units,
-    neighbors (U_g, D), coupling values (U_g, 1, D)) triple per degree;
-    ``units`` is a slice over the whole stack when all units share D.
-    """
-
-    def __init__(self, problems: list[IsingProblem]):
-        self.n = problems[0].n
-        h = np.array([p.h for p in problems])
-        self.h = h.T[:, :, None] if h.any() else None
-        self.alpha = np.array([p.alpha for p in problems])
-        lists = [p.neighbor_lists() for p in problems]
-        self.sites = []
-        self.coupling_sum = np.zeros((self.n, len(problems), 1))
-        for i in range(self.n):
-            degree = np.array([len(idx[i]) for idx, _ in lists])
-            groups = []
-            for D in np.unique(degree):
-                idx = np.flatnonzero(degree == D)
-                nbr = np.array([lists[u][0][i] for u in idx]).reshape(idx.size, D)
-                val = np.array([lists[u][1][i] for u in idx]).reshape(idx.size, 1, D)
-                groups.append((slice(None) if idx.size == len(problems) else idx, nbr, val))
-                self.coupling_sum[i, idx] = val.sum(axis=2)
-            self.sites.append(groups)
-
-
-def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
-           rngs: list[np.random.Generator]):
+def _sweep(S: _Stack, q: float, coup_scale: np.ndarray, rngs: list[np.random.Generator]):
     """One full sweep of a stack: per site in index order, one ring-cluster
     update of every ring of every unit.
 
@@ -489,7 +466,6 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
     """
     n, U, Bn = S.bits.shape
     K = S.K
-    sites = S.sites(lat)
     S.breaks.fill(0)
     for u, rng in enumerate(rngs):
         for pos in _breaks(n * Bn * K, q, rng):
@@ -506,20 +482,20 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
     scale = 2.0 * coup_scale[:, None]
     base = S.base
     np.bitwise_count(m, out=base)  # |m|
-    if lat.h is not None:
+    if S.h is not None:
         field = S.field
         np.bitwise_count(np.bitwise_and(S.bits, m, out=S.words[0]), out=field)
         field *= -2.0
         field += base  # |m| - 2 popcount(s_i & m)
-        field *= lat.h
-    base *= lat.coupling_sum
-    if lat.h is not None:
+        field *= S.h
+    base *= S.coupling_sum
+    if S.h is not None:
         base += field
     base *= scale
     weight = -2.0 * scale[:, :, None]
     rows = S.bits.reshape(n * U, Bn)
     mask_rows = m.reshape(n * U, Bn)
-    for groups, rings, masks, x, accept, accepted, flips in sites:
+    for groups, rings, masks, x, accept, accepted, flips in S.sites:
         for us, idx, own_idx, val, disagree, own, mask, count, vw, total in groups:
             # (U_g, D, batch): the neighbors' rings, unit by unit
             rows.take(idx, axis=0, out=disagree, mode="clip")
@@ -540,13 +516,6 @@ def _sweep(S: _Rings, lat: _Lattice, q: float, coup_scale: np.ndarray,
         rings ^= np.multiply(masks, accepted, out=flips)
 
 
-def _init_state(n: int, K: int, batch: int, rngs: list[np.random.Generator]) -> _Rings:
-    """K Trotter replicas of a uniformly random spin vector, per anneal of
-    each unit; unit u draws from ``rngs[u]``."""
-    down = np.array([rng.integers(0, 2, size=(batch, n)).T == 0 for rng in rngs])
-    return _Rings(K, down.transpose(1, 0, 2))
-
-
 def _anneal_batch(
     problems: list[IsingProblem],
     sch: Schedule,
@@ -556,14 +525,13 @@ def _anneal_batch(
 ) -> np.ndarray:
     """Anneal a stack of problems that share n, ``n_anneals`` runs each, unit u
     on ``rngs[u]``; returns final slice-0 configurations (U, B, n)."""
-    lat = _Lattice(problems)
     K = params.trotter_slices
-    S = _init_state(lat.n, K, n_anneals, rngs)
+    S = _Stack(problems, K, n_anneals, rngs)
     for t in range(1, params.sweeps + 1):
         s = t / params.sweeps
         q = math.tanh(params.beta * sch.a_of(s) / K)
-        coup_scale = params.beta * sch.b_of(s) * lat.alpha / K
-        _sweep(S, lat, q, coup_scale, rngs)
+        coup_scale = params.beta * sch.b_of(s) * S.alpha / K
+        _sweep(S, q, coup_scale, rngs)
     return S.slice0().transpose(1, 2, 0)
 
 
@@ -601,18 +569,17 @@ def run_sqa_chain(
     and then records slice 0 of every chain every ``thin`` sweeps, all on one
     stream of ``seed``. Returns (n_chains * n_records, n).
     """
-    lat = _Lattice([p])
     K = params.trotter_slices
     rngs = [np.random.default_rng(seed)]
-    S = _init_state(p.n, K, n_chains, rngs)
+    S = _Stack([p], K, n_chains, rngs)
     q = math.tanh(params.beta * sch.a_of(s_freeze) / K)
-    coup_scale = params.beta * sch.b_of(s_freeze) * lat.alpha / K
+    coup_scale = params.beta * sch.b_of(s_freeze) * S.alpha / K
     out = np.empty((n_records, n_chains, p.n), dtype=np.int8)
     for t in range(params.sweeps):
-        _sweep(S, lat, q, coup_scale, rngs)
+        _sweep(S, q, coup_scale, rngs)
     for r in range(n_records):
         for t in range(thin):
-            _sweep(S, lat, q, coup_scale, rngs)
+            _sweep(S, q, coup_scale, rngs)
         out[r] = S.slice0()[:, 0].T
     return out.reshape(n_records * n_chains, p.n)
 
@@ -627,20 +594,14 @@ def unit_seed(master: int, *idx: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cycle_setup_rng(master_seed: int, cycle: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(cycle, 0))
-    )
-
-
 def _program_cycle(
     np_prob: NestedProblem, emb: Embedding | None, noise_sigma: float, seed: int, cycle: int
 ) -> tuple[IsingProblem, CycleRecord]:
     """One cycle's programmed problem and record: permute, embed, add noise,
     gauge, drawn in that order from the cycle's setup stream. An embedding that
     does not cover the permuted problem raises ``InvalidEmbedding``."""
-    setup = _cycle_setup_rng(seed, cycle)
-    perm = random_permutation(np_prob.n_nested, setup)
+    setup = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, 0)))
+    perm = setup.permutation(np_prob.n_nested).astype(np.int64)
     permuted = permute_nested(np_prob, perm)
     phys_problem = permuted.nested if emb is None else apply_embedding(permuted, emb).problem
 

@@ -222,6 +222,8 @@ def test_subcommand_truncated_problem_file_is_config_error(k4_file, tmp_path, ca
     assert main([*argv, str(bad), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config] ") and str(bad) in err
+    if content == "directory":
+        assert err.count(str(bad)) == 1, err
     assert not out.exists()
 
 
@@ -844,9 +846,29 @@ def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage
     _replace(path, damaged)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("[config] ") and str(path) in err
+    assert err.startswith("[config] ") and err.count(str(path)) == 1, err
     assert "run the sample stage again" in err
     assert not (out / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("engine, sample", [("sqa", "C2_a1_g0.ndjson"), ("pt", "pt_scan.json")])
+def test_rejected_analyze_stage_leaves_the_directory_as_it_was(tmp_path, k4_file, engine,
+                                                               sample):
+    # a damaged sample file leaves the sample stage's manifest and files as
+    # they were; an empty directory gains nothing, and a missing one stays so
+    out = tmp_path / "exp"
+    cfg = tiny_config(tmp_path, k4_file, engine)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
+    (out / "samples" / sample).write_text("cut")
+    before = _files(out)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+    assert _files(out) == before
+    empty, missing = tmp_path / "empty", tmp_path / "missing"
+    empty.mkdir()
+    for target in (empty, missing):
+        assert main(["run", "--config", str(cfg), "--out", str(target), "--stage",
+                     "analyze"]) == 2
+    assert not any(empty.iterdir()) and not missing.exists()
 
 
 def test_analyze_nan_curve_is_compute_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from nqac.nesting import (
     load_nested,
     nested_energy_identity_check,
     permute_nested,
-    random_permutation,
     save_nested,
 )
 
@@ -103,7 +102,7 @@ def test_permutation_preserves_coupling_multiset_and_energy(k4):
     rng = np.random.default_rng(5)
     npr = encode_nested(k4, 2, 0.5)
     for _ in range(10):
-        perm = random_permutation(8, rng)
+        perm = rng.permutation(8)
         moved = permute_nested(npr, perm)
         assert sorted(moved.nested.values) == sorted(npr.nested.values)
         s = rng.choice([-1, 1], size=8).astype(np.int8)
@@ -171,7 +170,7 @@ def test_decode_permutation_equivariance(k4):
     npr = encode_nested(k4, 3, 0.5)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        perm = random_permutation(12, rng)
+        perm = rng.permutation(12)
         moved = permute_nested(npr, perm)
         phys = rng.choice([-1, 1], size=12).astype(np.int8)
         moved_phys = np.empty(12, dtype=np.int8)

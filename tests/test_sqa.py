@@ -16,11 +16,10 @@ from nqac.sqa import (
     Schedule,
     SqaParams,
     STACK_RING_WORDS,
-    _init_state,
-    _Lattice,
     _anneal_batch,
     _anneal_stack,
     _breaks,
+    _Stack,
     _sweep,
     default_schedule,
     device_like_schedule,
@@ -213,17 +212,16 @@ def test_units_of_mixed_degree_sweep_as_they_do_alone():
                      if (u or 5 not in (i, j)) and rng.random() < density}
         probs.append(IsingProblem.from_couplings(10, couplings=couplings,
                                                  h=rng.normal(size=10) * (u != 1)))
-    lat = _Lattice(probs)
-    assert any(len(groups) > 1 for groups in lat.sites)
     rngs = [np.random.default_rng(7 + u) for u in range(3)]
-    S = _init_state(10, 8, 16, rngs)
+    S = _Stack(probs, 8, 16, rngs)
+    assert any(len(groups) > 1 for groups, *_ in S.sites)
     for _ in range(20):
-        _sweep(S, lat, 0.4, np.array([0.3, 0.2, 0.5]), rngs)
+        _sweep(S, 0.4, np.array([0.3, 0.2, 0.5]), rngs)
     for u, p in enumerate(probs):
         rngs = [np.random.default_rng(7 + u)]
-        alone = _init_state(10, 8, 16, rngs)
+        alone = _Stack([p], 8, 16, rngs)
         for _ in range(20):
-            _sweep(alone, _Lattice([p]), 0.4, np.array([(0.3, 0.2, 0.5)[u]]), rngs)
+            _sweep(alone, 0.4, np.array([(0.3, 0.2, 0.5)[u]]), rngs)
         assert np.array_equal(S.bits[:, u], alone.bits[:, 0])
 
 
@@ -239,20 +237,20 @@ def test_steady_state_sweep_allocates_no_stack_array(K):
     k4 = k4_antiferromagnet()
     probs = [sqa._program_cycle(encode_for_scale(k4, 3, 0.5, 0.1), None, 0.05, 7, c)[0]
              for c in range(U)]
-    lat = _Lattice(probs)
-    assert lat.n == 12 and lat.h is not None
     rngs = [np.random.default_rng(u) for u in range(U)]
-    S = _init_state(lat.n, K, batch, rngs)
+    S = _Stack(probs, K, batch, rngs)
+    n = S.bits.shape[0]
+    assert n == 12 and S.h is not None
     q = math.tanh(0.1 * device_like_schedule().a_of(0.0) / K)
     coup_scale = np.full(U, 0.01)
-    _sweep(S, lat, q, coup_scale, rngs)
+    _sweep(S, q, coup_scale, rngs)
     tracemalloc.start()
     try:
-        _sweep(S, lat, q, coup_scale, rngs)
+        _sweep(S, q, coup_scale, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < lat.n * U * batch * 8, peak
+    assert peak < n * U * batch * 8, peak
 
 
 def _buffer_runs():
@@ -289,8 +287,8 @@ def test_results_do_not_alias_work_arrays():
     k4 = k4_antiferromagnet()
     p = encode_for_scale(k4, 2, 0.5, 0.3).nested
     rngs = [np.random.default_rng(9)]
-    S = _init_state(p.n, 8, 20, rngs)
-    _sweep(S, _Lattice([p]), 0.05, np.array([0.2]), rngs)
+    S = _Stack([p], 8, 20, rngs)
+    _sweep(S, 0.05, np.array([0.2]), rngs)
     kept = S.slice0()
     owned = [S.bits, S.breaks, S.seeds, S.accept, S.base, S.words, S.flags, S.field]
     assert not any(np.shares_memory(kept, a) for a in owned if a is not None)
@@ -365,11 +363,11 @@ def test_sweep_matches_loop_reference(K, p_bond):
     h = rng.integers(-8, 9, 6) / 8
     p = IsingProblem.from_couplings(
         6, couplings={(i, j): J[i, j] for i in range(6) for j in range(i + 1, 6)}, h=h)
-    S = _init_state(6, K, 5, [np.random.default_rng(1)])
+    S = _Stack([p], K, 5, [np.random.default_rng(1)])
     want = _slices(S)
     fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(4):
-        _sweep(S, _Lattice([p]), q, np.array([0.3]), [fast])
+        _sweep(S, q, np.array([0.3]), [fast])
         _loop_sweep(want, J, h, q, 0.3, slow)
     assert np.array_equal(_slices(S), want)
     assert fast.bit_generator.state == slow.bit_generator.state
@@ -390,7 +388,8 @@ def test_breaks_match_the_scalar_gap_draws(N, q):
 def _break_bits(K, q, rings, seed):
     """The break words of ``rings`` rings of K slices drawn at q, as bits
     (rings, 64), with the words' dtype."""
-    S = _init_state(1, K, rings, [np.random.default_rng(0)])
+    S = _Stack([IsingProblem.from_couplings(1, couplings={})], K, rings,
+               [np.random.default_rng(0)])
     words = np.zeros(rings, S.bits.dtype)
     for pos in _breaks(rings * K, q, np.random.default_rng(seed)):
         S.add_breaks(words, pos)
@@ -439,9 +438,9 @@ def test_break_draw_edge_cases():
     assert [pos.size for pos in _breaks(10, 1e-300, rng)] == [0]
     # a sweep at q = 0 draws only its seed slices and acceptance uniforms
     p = IsingProblem.from_couplings(3, couplings={(0, 1): -1.0, (1, 2): 0.5})
-    S = _init_state(3, 8, 4, [np.random.default_rng(1)])
+    S = _Stack([p], 8, 4, [np.random.default_rng(1)])
     rng, want = np.random.default_rng(2), np.random.default_rng(2)
-    _sweep(S, _Lattice([p]), 0.0, np.array([0.3]), [rng])
+    _sweep(S, 0.0, np.array([0.3]), [rng])
     want.integers(0, 8, size=(3, 4))
     want.random((3, 4))
     assert rng.bit_generator.state == want.bit_generator.state
