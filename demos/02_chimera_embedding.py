@@ -1,10 +1,12 @@
 """Minor embedding on Chimera hardware graphs.
 
-The triangular layout maps a complete graph K_n onto a perfect Chimera grid
-with chains of exactly ceil(n/4)+1 qubits; the randomized heuristic handles
-graphs with dead qubits and reports failure rather than ever returning an
-invalid embedding. An embedding carries its graph, so validating and
-compiling take no graph argument.
+One layout, two placements. The triangular layout maps a complete graph K_n
+onto a Chimera grid with chains of exactly ceil(n/4)+1 qubits. choi_embed
+places it at the origin of a perfect grid; heuristic_embed walks its
+placements (displaced, reflected, offsets relabelled) in a random order until
+one avoids the dead qubits of the graph, and reports failure rather than ever
+returning an invalid embedding. An embedding carries its graph, so validating
+and compiling take no graph argument.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ for n in (4, 8, 16, 32):
 mask = dead8_mask()
 dead_graph = build_chimera(mask["rows"], mask["cols"], mask["dead"])
 print(f"\ngraph with {len(mask['dead'])} dead qubits "
-      f"({dead_graph.usable_qubits} usable): heuristic embedding of K16")
+      f"({dead_graph.usable_qubits} usable): heuristic placement of K16")
 pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
 try:
     emb = heuristic_embed(pairs, dead_graph, np.random.default_rng(1))

@@ -13,14 +13,16 @@ An ``Embedding`` maps source vertices to chains of qubits and carries the
 graph it was made for, so compiling and validating need nothing else. It
 walks its chains once, when it is made, and keeps the layout both read:
 validation and compilation are lookups into it. The graph keeps one edge
-representation, the sorted neighbor lists. Two
-embedders are provided. ``choi_embed`` places the triangular complete-graph
-layout on a perfect graph: each vertex becomes an L-shaped path of exactly
-``ceil(n/cell_size) + 1`` qubits. ``heuristic_embed`` handles graphs with dead
-qubits by restarts: a randomly displaced, reflected and relabelled placement
-of the same layout, then randomized chain growth. Protocol runs embed the
-complete graph K_{C*N}, so every pair of chains is adjacent and the nested
-vertices can be reassigned to chains by any permutation.
+representation, the sorted neighbor lists.
+
+There is one layout, the triangular complete-graph layout (Choi, Quantum
+Inf. Process. 10, 343 (2011)): each vertex of K_n becomes an L-shaped path of
+exactly ``ceil(n/cell_size) + 1`` qubits. It has two placements.
+``choi_embed`` puts it at the origin of a perfect graph; ``heuristic_embed``
+walks its placements (displaced, reflected, offsets relabelled) in a random
+order until one avoids the dead qubits. Protocol runs embed the complete
+graph K_{C*N}, so every pair of chains is adjacent and the nested vertices
+can be reassigned to chains by any permutation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -101,12 +103,15 @@ class ChimeraGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChimeraGraph":
-        return cls(
-            rows=int(d["rows"]),
-            cols=int(d["cols"]),
-            cell_size=int(d.get("cell_size", 4)),
-            dead=frozenset(int(q) for q in d.get("dead", [])),
-        )
+        unknown = sorted(set(d) - {"rows", "cols", "cell_size", "dead"})
+        if unknown:
+            raise DomainError(f"unknown graph keys {unknown}; a graph has rows, cols, "
+                              "cell_size and dead")
+        sizes = (d["rows"], d["cols"], d.get("cell_size", 4))
+        dead = list(d.get("dead", []))
+        if any(type(x) is not int for x in (*sizes, *dead)):
+            raise DomainError("rows, cols, cell_size and the dead qubits must be integers")
+        return cls(*sizes, dead=frozenset(dead))
 
 
 def build_chimera(rows: int, cols: int, dead: Iterable[int] = ()) -> ChimeraGraph:
@@ -256,46 +261,38 @@ def validate_embedding(e: Embedding, source) -> EmbeddingReport:
 
 
 def _triangular_layout(
-    n: int, g: ChimeraGraph, rng: np.random.Generator | None = None
+    n: int, g: ChimeraGraph, placement=(0, 0, False, False), rng=None
 ) -> dict | None:
     """Chains of the triangular complete-graph layout of K_n, or None if it
-    does not fit or would claim a dead qubit.
+    does not fit or a group of vertices has too few paths free of dead qubits.
 
-    Vertex v (group b = v // cell_size, offset j = v % cell_size) becomes an
-    L-shaped path on qubit offset k: horizontal qubits of block row b across
-    block columns 0..b, then vertical qubits of block column b down block rows
-    b..t-1, in a t x t block with t = ceil(n/cell_size). Every chain has
-    exactly t + 1 qubits. Without ``rng`` the block sits at the origin and
-    k = j. With it the block is displaced to a random position, each axis is
-    randomly reflected and each group's offsets are permuted, drawn in that
-    order.
+    Vertex v (group b = v // cell_size) becomes an L-shaped path on a qubit
+    offset k: horizontal qubits of block row b across block columns 0..b,
+    then vertical qubits of block column b down block rows b..t-1, in a t x t
+    block with t = ceil(n/cell_size). Every chain has exactly t + 1 qubits.
+    ``placement`` = (dr, dc, flip_r, flip_c) displaces the block to rows
+    dr.. and columns dc.. and reflects either axis. Each group takes the
+    first offsets whose paths claim no dead qubit: k = 0, 1, ... in order
+    without ``rng``, in an order permuted by ``rng`` with it.
     """
     m = g.cell_size
     t = -(-n // m)
-    if t > min(g.rows, g.cols):
+    dr, dc, flip_r, flip_c = placement
+    if dr + t > g.rows or dc + t > g.cols:
         return None
-    dr = dc = 0
-    flip_r = flip_c = False
-    offsets = [range(m)] * t
-    if rng is not None:
-        dr = int(rng.integers(0, g.rows - t + 1))
-        dc = int(rng.integers(0, g.cols - t + 1))
-        flip_r = bool(rng.integers(0, 2))
-        flip_c = bool(rng.integers(0, 2))
-        offsets = [rng.permutation(m) for _ in range(t)]
-
     rows = [dr + (t - 1 - b if flip_r else b) for b in range(t)]
     cols = [dc + (t - 1 - b if flip_c else b) for b in range(t)]
     chains = {}
-    for v in range(n):
-        b, j = divmod(v, m)
-        k = int(offsets[b][j])
+    for b in range(t):
         # along block row b to the elbow cell (b, b), then down block column b
-        path = [g.index(rows[b], c, 1, k) for c in cols[: b + 1]]
-        path += [g.index(r, cols[b], 0, k) for r in rows[b:]]
-        if any(q in g.dead for q in path):
+        paths = [[g.index(rows[b], c, 1, k) for c in cols[: b + 1]]
+                 + [g.index(r, cols[b], 0, k) for r in rows[b:]]
+                 for k in (range(m) if rng is None else rng.permutation(m))]
+        live = [path for path in paths if g.dead.isdisjoint(path)]
+        group = range(b * m, min(n, (b + 1) * m))
+        if len(live) < len(group):
             return None
-        chains[v] = path
+        chains.update(zip(group, live))
     return chains
 
 
@@ -311,232 +308,42 @@ def choi_embed(n: int, g: ChimeraGraph) -> Embedding:
     return Embedding(chains=chains, graph=g)
 
 
-def _bfs_path(
-    g: ChimeraGraph,
-    sources: Sequence[int],
-    goal_adjacent: set,
-    free: set,
-    rng: np.random.Generator,
-    blocked: set = frozenset(),
-) -> list[int] | None:
-    """Shortest randomized path from ``sources`` through free qubits to any
-    qubit in ``goal_adjacent``; returns the newly claimed qubits in order.
-
-    ``blocked`` qubits (the last remaining surface of endangered chains) are
-    never used as transit, only as goals.
-    """
-    parents = {q: None for q in sources}
-    frontier = list(sources)
-    hit = None
-    while frontier and hit is None:
-        nxt = []
-        for q in frontier:
-            nbrs = list(g.neighbors(q))
-            rng.shuffle(nbrs)
-            for nb in nbrs:
-                if nb in parents or nb not in free:
-                    continue
-                if nb in goal_adjacent:
-                    parents[nb] = q
-                    hit = nb
-                    break
-                if nb in blocked:
-                    continue
-                parents[nb] = q
-                nxt.append(nb)
-            if hit is not None:
-                break
-        frontier = nxt
-    if hit is None:
-        return None
-    path = []
-    q = hit
-    while q is not None and q not in sources:
-        path.append(q)
-        q = parents[q]
-    path.reverse()
-    return path
-
-
-def _critical_surface(
-    g: ChimeraGraph, chains: dict, unfinished, free: set, threshold: int = 3
-) -> set:
-    """Free qubits forming the scarce surface of chains that still need
-    couplings; consuming them as transit would strand those chains."""
-    crit = set()
-    for u in unfinished:
-        cq = chains.get(u)
-        if not cq:
-            continue
-        surface = {q for c in cq for q in g.neighbors(c) if q in free}
-        if len(surface) <= threshold:
-            crit |= surface
-    return crit
-
-
-def _grow_chain(
-    g: ChimeraGraph,
-    free: set,
-    chains: dict,
-    placed: list,
-    rng: np.random.Generator,
-    unfinished=(),
-    future_degree: int = 0,
-) -> list[int] | None:
-    """Grow a chain through free qubits until adjacent to every placed
-    neighbor chain.
-
-    When the new chain cannot reach a target through free space, the repair
-    step routes the other way: the target chain is extended through free
-    qubits until it touches the new chain. The scarce surface of endangered
-    chains is refused as routing transit (recomputed before each connection)
-    so that earlier chains are not entombed; if avoidance makes a target
-    unreachable, an unblocked last-resort pass runs before giving up.
-    """
-    target_adj = {}
-    for u in placed:
-        adj = set()
-        for q in chains[u]:
-            adj.update(g.neighbors(q))
-        target_adj[u] = adj
-
-    chain: list[int] = []
-    chain_set: set = set()
-    # seed next to the scarcest target (fewest free adjacent qubits), which
-    # is the easiest to strand; ties break randomly
-    scarcity = {u: sum(1 for q in target_adj[u] if q in free) for u in placed}
-    first = sorted(placed, key=lambda u: (scarcity[u], rng.random()))[0]
-    seeds = sorted(q for q in target_adj[first] if q in free)
-    if not seeds:
-        return None
-    critical = _critical_surface(g, chains, unfinished, free)
-    preferred = [q for q in seeds if q not in critical] or seeds
-    chain.append(int(preferred[rng.integers(0, len(preferred))]))
-    chain_set.add(chain[0])
-    free.discard(chain[0])
-
-    remaining = {u for u in placed if not (chain_set & target_adj[u])}
-    while remaining:
-        critical = _critical_surface(g, chains, unfinished, free)
-        # nearest remaining target first: one BFS toward the union of their
-        # adjacency sets, claiming the path to whichever is discovered first
-        goal = set()
-        for u in remaining:
-            goal |= target_adj[u]
-        path = _bfs_path(g, chain, goal, free, rng, blocked=critical)
-        if path is None:
-            path = _bfs_path(g, chain, goal, free, rng)
-        if path is not None:
-            for q in path:
-                chain.append(q)
-                chain_set.add(q)
-                free.discard(q)
-            remaining = {u for u in remaining if not (chain_set & target_adj[u])}
-            continue
-        # repair: extend the scarcest unreachable target toward the new chain
-        u = sorted(remaining, key=lambda w: (scarcity[w], rng.random()))[0]
-        chain_adj = set()
-        for q in chain:
-            chain_adj.update(g.neighbors(q))
-        chain_adj -= chain_set
-        extension = _bfs_path(g, chains[u], chain_adj, free, rng, blocked=critical)
-        if extension is None:
-            extension = _bfs_path(g, chains[u], chain_adj, free, rng)
-        if extension is None:
-            return None
-        for q in extension:
-            chains[u].append(q)
-            free.discard(q)
-        target_adj[u] = set()
-        for q in chains[u]:
-            target_adj[u].update(g.neighbors(q))
-        remaining.discard(u)
-    # singleton chains are easily entombed by later placements; when more
-    # couplings are still to come, give the newborn chain a second qubit of
-    # adjacency surface
-    if len(chain) == 1 and future_degree >= 2:
-        critical = _critical_surface(g, chains, unfinished, free)
-        spare = sorted(q for q in g.neighbors(chain[0]) if q in free)
-        preferred = [q for q in spare if q not in critical] or spare
-        if preferred:
-            q = int(preferred[rng.integers(0, len(preferred))])
-            chain.append(q)
-            free.discard(q)
-    return chain
-
-
 def heuristic_embed(
     source,
     g: ChimeraGraph,
     rng: np.random.Generator,
     max_tries: int = 64,
 ) -> Embedding:
-    """Randomized embedding with restarts: wire layouts, then chain growth.
+    """The triangular layout at a placement that avoids the dead qubits.
 
-    Each restart first tries a randomized displaced/reflected triangular
-    wire placement (the only layout family that scales to dense sources on
-    this topology), rejecting variants that would touch dead qubits. If no
-    variant fits, vertices are placed one by one, growing each chain by BFS
-    through free qubits until it is adjacent to every previously placed
-    neighbor; when a target chain is unreachable, that chain is extended
-    toward the new one instead (BFS repair). The result is verifier-checked
-    before it is returned; after ``max_tries`` failed restarts an
-    ``EmbeddingNotFound`` is raised.
+    The layout is that of K_n, n the number of source vertices; the i-th
+    smallest vertex gets chain i. Every source is placed as a complete graph,
+    so every chain has ``ceil(n/cell_size) + 1`` qubits, as under
+    ``choi_embed``, and a source of more than ``cell_size * min(rows, cols)``
+    vertices has no placement, however sparse its pairs. The distinct
+    placements (block position and axis reflections; see
+    ``_triangular_layout``) are walked in an order shuffled by ``rng``, up to
+    ``max_tries`` of them, each with freshly permuted offsets. The first that
+    passes ``validate_embedding`` is returned. When ``max_tries`` covers every
+    placement, one is found whenever one exists and ``rng`` only picks which;
+    otherwise ``EmbeddingNotFound`` is raised.
     """
     vertices, pairs = _source(source)
-    nbrs: dict[int, set] = {v: set() for v in vertices}
-    for u, v in pairs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-
-    usable = [q for q in range(g.total_qubits) if q not in g.dead and g.neighbors(q)]
-    n_vertices = (max(vertices) + 1) if vertices else 0
-    for _ in range(max_tries):
-        if n_vertices > g.cell_size:
-            tri = _triangular_layout(n_vertices, g, rng)
-            if tri is not None:
-                emb = Embedding(chains={v: tri[v] for v in vertices}, graph=g)
-                if validate_embedding(emb, pairs).ok:
-                    return emb
-        order = list(vertices)
-        rng.shuffle(order)
-        free = set(usable)
-        chains: dict[int, list[int]] = {}
-        ok = True
-        for v in order:
-            placed = [u for u in nbrs[v] if u in chains]
-            future = len(nbrs[v]) - len(placed)
-            if not placed:
-                if not free:
-                    ok = False
-                    break
-                pool = sorted(free)
-                seed = pool[int(rng.integers(0, len(pool)))]
-                chains[v] = [seed]
-                free.discard(seed)
-                if future >= 2:
-                    spare = sorted(q for q in g.neighbors(seed) if q in free)
-                    if spare:
-                        q = int(spare[rng.integers(0, len(spare))])
-                        chains[v].append(q)
-                        free.discard(q)
-                continue
-            unfinished = [u for u in chains if nbrs[u] - set(chains)]
-            chain = _grow_chain(
-                g, free, chains, placed, rng,
-                unfinished=unfinished, future_degree=future,
-            )
-            if chain is None:
-                ok = False
-                break
-            chains[v] = chain
-        if not ok:
-            continue
-        emb = Embedding(chains=chains, graph=g)
-        if validate_embedding(emb, pairs).ok:
-            return emb
+    n = len(vertices)
+    t = -(-n // g.cell_size)
+    flips = (False, True) if t > 1 else (False,)
+    placements = [(dr, dc, fr, fc) for dr in range(g.rows - t + 1)
+                  for dc in range(g.cols - t + 1) for fr in flips for fc in flips]
+    for i in rng.permutation(len(placements))[:max_tries]:
+        chains = _triangular_layout(n, g, placements[i], rng)
+        if chains is not None:
+            emb = Embedding(chains=dict(zip(vertices, chains.values())), graph=g)
+            if validate_embedding(emb, pairs).ok:
+                return emb
     raise EmbeddingNotFound(
-        f"no embedding found after {max_tries} restarts; retry with another seed"
+        f"no placement of the K_{n} layout ({t}x{t} cells) avoids the dead qubits of the "
+        f"{g.rows}x{g.cols} graph: {min(max_tries, len(placements))} of "
+        f"{len(placements)} tried"
     )
 
 

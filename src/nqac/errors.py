@@ -22,7 +22,7 @@ class ScheduleError(DomainError):
 
 
 class EmbeddingNotFound(NqacError, RuntimeError):
-    """The heuristic embedder gave up after its allotted restarts."""
+    """No embedding was found: no tried placement fit the graph."""
 
 
 class InvalidEmbedding(NqacError, ValueError):

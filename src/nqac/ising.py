@@ -255,7 +255,12 @@ def problem_to_dict(p: IsingProblem) -> dict:
 
 
 def problem_from_dict(d: Mapping) -> IsingProblem:
-    n = int(d["n"])
+    unknown = sorted(set(d) - {"n", "h", "J", "alpha"})
+    if unknown:
+        raise DomainError(f"unknown problem keys {unknown}; a problem has n, h, J and alpha")
+    n = d["n"]
+    if type(n) is not int:
+        raise DomainError(f"n must be an integer, got {n!r}")
     h_items = {int(k): float(v) for k, v in d.get("h", {}).items()}
     j_items = {}
     for k, v in d.get("J", {}).items():

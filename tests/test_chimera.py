@@ -146,10 +146,14 @@ def test_heuristic_k4_perfect_graph():
 
 
 def test_heuristic_k2_single_cell():
+    # the triangular layout on one cell: each chain is the horizontal and the
+    # vertical qubit of one offset k, qubits k and k + cell_size
     g = build_chimera(1, 1)
     emb = heuristic_embed([(0, 1)], g, np.random.default_rng(1))
     assert validate_embedding(emb, [(0, 1)]).ok
-    assert len(emb.chains[0]) == 1 and len(emb.chains[1]) == 1
+    chains = [sorted(emb.chains[v]) for v in (0, 1)]
+    assert [len(qs) for qs in chains] == [2, 2]
+    assert all(hi == lo + g.cell_size for lo, hi in chains)
 
 
 def test_nested_source_gives_every_vertex_a_chain():
@@ -173,6 +177,33 @@ def test_heuristic_never_returns_invalid_on_dead_graph():
     except EmbeddingNotFound:
         return
     assert validate_embedding(emb, pairs).ok
+
+
+def test_heuristic_finds_a_placement_whenever_one_exists():
+    # K20 on the dead8 graph has 16 block positions x 4 reflections; 64 tries
+    # walk them all, so every seed finds one of the clean ones
+    mask = dead8_mask()
+    g = build_chimera(mask["rows"], mask["cols"], mask["dead"])
+    for seed in range(20):
+        emb = heuristic_embed(complete_pairs(20), g, np.random.default_rng(seed), max_tries=64)
+        assert validate_embedding(emb, complete_pairs(20)).ok
+
+
+def test_heuristic_places_any_source_as_a_complete_graph():
+    # vertices are ranked, so a pair of high labels is K2 on one cell
+    emb = heuristic_embed([(100, 101)], build_chimera(1, 1), np.random.default_rng(0))
+    assert sorted(emb.chains) == [100, 101] and embedding_stats(emb)[:2] == (4, 2)
+    # a 40-vertex ring is placed as K40, which needs a 10x10 block
+    ring = [(i, (i + 1) % 40) for i in range(40)]
+    with pytest.raises(EmbeddingNotFound):
+        heuristic_embed(ring, build_chimera(8, 8), np.random.default_rng(0))
+    # K4 needs a whole live unit cell: with a dead qubit in every cell there
+    # is none, while K3 takes the three live offsets of one cell
+    g = build_chimera(2, 2, [cell * 8 for cell in range(4)])
+    with pytest.raises(EmbeddingNotFound):
+        heuristic_embed(complete_pairs(4), g, np.random.default_rng(0))
+    assert validate_embedding(
+        heuristic_embed(complete_pairs(3), g, np.random.default_rng(0)), complete_pairs(3)).ok
 
 
 def test_heuristic_impossible_raises():
@@ -264,7 +295,7 @@ _COMPILED_CASES = {
 #: sha256 over the digests of the compiled problems, three permutations a case
 _COMPILED_DIGESTS = {
     "choi": "e0a0df2bc52aa3e8bdeeca33651087a191f06cbe2bf99537b6fa3963f72381ce",
-    "heuristic": "2dc5e674979c7a1a825b445eebec945649b9fc04b4a52bd691cd0080a39e3b81",
+    "heuristic": "4ef1111de2a595a7c6181c8f2b749f05d9b79dfbfc8a56b7d7a1d6c6c6aa20a5",
 }
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqac import cli, sqa
-from nqac.chimera import build_chimera, choi_embed
+from nqac import analysis, cli, sqa
+from nqac.chimera import build_chimera, choi_embed, embedding_stats
 from nqac.cli import _build_embedding, main
 from nqac.instances import dead8_mask, k4_antiferromagnet
 from nqac.ising import IsingProblem, save_problem
@@ -100,6 +100,19 @@ def test_embed_subcommand_failure_exit_code(k4_file, tmp_path):
     rc = main(["embed", "--source", str(nested), "--rows", "1", "--cols", "1",
                "--mode", "heuristic", "--max-tries", "3", "--out", str(tmp_path / "e.json")])
     assert rc == 3
+
+
+def test_embed_heuristic_places_a_sparse_problem_as_a_complete_graph(tmp_path):
+    # a 40-spin ring is placed as K_40, which needs a 10x10 block: exit 3 on 8x8
+    ring = tmp_path / "ring.json"
+    save_problem(IsingProblem.from_couplings(40, couplings={(i, (i + 1) % 40): 1.0
+                                                            for i in range(40)}), ring)
+    nested = tmp_path / "nested.json"
+    main(["encode", "--problem", str(ring), "--C", "1", "--gamma", "0.4", "--out", str(nested)])
+    rc = main(["embed", "--source", str(nested), "--mode", "heuristic",
+               "--out", str(tmp_path / "e.json")])
+    assert rc == 3
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_sqa_subcommand(k4_file, tmp_path):
@@ -389,8 +402,11 @@ def test_run_non_finite_number_is_config_error(tmp_path, k4_file, capsys, engine
     '{"n": 4, "J": {"0,1": Infinity}}',
     '{"n": 4, "h": {"2": "-inf"}}',
     '[4]',
+    '{"n": 4, "couplings": {"0,1": 1.0}}',
+    '{"n": 4.5, "J": {"0,1": 1.0}}',
+    '{"n": true, "h": {"0": 0.5}}',
 ], ids=["truncated", "endpoint-out-of-range", "infinite-coupling", "infinite-field",
-        "not-an-object"])
+        "not-an-object", "unknown-key", "non-integer-n", "boolean-n"])
 def test_run_bad_problem_file_is_config_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -406,7 +422,12 @@ def test_run_bad_problem_file_is_config_error(tmp_path, capsys, text):
     '[8, 8]',
     '{"cols": 8}',
     '{"rows": 8, "cols": 8, "dead": [9999]}',
-], ids=["truncated", "list", "no-rows", "dead-out-of-range"])
+    '{"rows": 8, "cols": 8, "dead_qubits": [0, 1, 2]}',
+    '{"rows": 2.7, "cols": 8}',
+    '{"rows": 8, "cols": true}',
+    '{"rows": 8, "cols": 8, "dead": [1.5]}',
+], ids=["truncated", "list", "no-rows", "dead-out-of-range", "unknown-key", "non-integer-rows",
+        "boolean-cols", "non-integer-dead"])
 def test_run_bad_graph_file_is_config_error(tmp_path, k4_file, capsys, text):
     graph = tmp_path / "graph.json"
     graph.write_text(text)
@@ -653,18 +674,25 @@ def test_uncoupled_vertex_gets_a_chain(tmp_path):
 #: perfect 8x8 graph, heuristic on the bundled 8-dead-qubit graph
 _EMBEDDING_DIGESTS = {
     "choi": "0dd213ceb4781ad590760bce25516d0436a1ab5344a5ffff55ee13c2554c747a",
-    "heuristic": "59b7d7c487c55ed2f5265b748da809f22cf4aba40580a531092b09fc70f4195b",
+    "heuristic": "2ccd2a5b9bb8d3c3d07172a5c45348ab7c4ccdaba7316e4a1d7d32541ab6aafa",
 }
 
 
 @pytest.mark.parametrize("mode", sorted(_EMBEDDING_DIGESTS))
 def test_run_embeddings_are_pinned(mode):
+    # both modes place the triangular layout, so every embedding has the
+    # footprint that analysis.physical_qubits counts
     mask = dead8_mask()
     graph = (build_chimera(8, 8) if mode == "choi"
              else build_chimera(mask["rows"], mask["cols"], mask["dead"]))
-    chains = [_build_embedding({"embedding": mode, "seed": seed}, C, k4_antiferromagnet(),
-                               graph).to_dict()
-              for seed in (1, 2, 3) for C in (1, 2, 3)]
+    chains = []
+    for seed in (1, 2, 3):
+        for C in (1, 2, 3):
+            emb = _build_embedding({"embedding": mode, "seed": seed}, C, k4_antiferromagnet(),
+                                   graph)
+            assert {len(qs) for qs in emb.chains.values()} == {analysis.chain_length(C, 4)}
+            assert embedding_stats(emb)[0] == analysis.physical_qubits(C, 4)
+            chains.append(emb.to_dict())
     digest = hashlib.sha256(json.dumps(chains, sort_keys=True).encode()).hexdigest()
     assert digest == _EMBEDDING_DIGESTS[mode]
 

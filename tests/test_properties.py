@@ -100,6 +100,27 @@ def test_heuristic_embed_is_valid_or_raises_on_dead_graphs(rows, cols, n, dead_s
     assert apply_embedding(npr, emb).problem.n == len(emb.qubits)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(2, 8), st.floats(0.0, 0.3),
+    st.integers(0, 2**32 - 1),
+)
+def test_heuristic_embed_success_does_not_depend_on_the_seed(rows, cols, n, dead_share, seed):
+    # with a try for every placement, the search finds one whenever one exists
+    rng = np.random.default_rng(seed)
+    total = rows * cols * 8
+    g = build_chimera(rows, cols, rng.choice(total, size=int(dead_share * total), replace=False))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = []
+    for s in (seed, seed + 1):
+        try:
+            heuristic_embed(pairs, g, np.random.default_rng(s), max_tries=4 * rows * cols)
+            found.append(True)
+        except EmbeddingNotFound:
+            found.append(False)
+    assert found[0] == found[1]
+
+
 def _walked_validation(e, source):
     """Reference validation that walks every chain and scans the qubit pairs
     of every source pair on each call, as ``validate_embedding`` did before
