@@ -11,7 +11,7 @@ Runtime: about three seconds.
 
 import numpy as np
 
-from nqac import SuccessCurve, brute_force_ground, compute_boost, fit_eta
+from nqac import SuccessCurve, brute_force_ground, compute_boost, fit_eta, success
 from nqac.instances import k4_antiferromagnet
 from nqac.pt import PtParams, geometric_ladder, thermal_boost_scan
 
@@ -28,12 +28,11 @@ scans = thermal_boost_scan(k4, Cs, gammas=[1.0], alphas=alphas,
                            params=params, ground_states=ground_states,
                            n_samples=800, seeds=[[42]] * len(Cs))
 curves = []
-for C, [pts] in zip(Cs, scans):
-    curves.append(SuccessCurve(C=C,
-                               alphas=[a for a, _, _ in pts],
-                               P=[p for _, p, _ in pts],
-                               stderr=[s for _, _, s in pts]))
-    shown = ", ".join(f"{p:.2f}" for _, p, _ in pts[::3])
+for C, [rows] in zip(Cs, scans):
+    # each row's ground-state hits, as (P, stderr)
+    P, stderr = zip(*(success(units) for _, units in rows))
+    curves.append(SuccessCurve(C=C, alphas=[a for a, _ in rows], P=P, stderr=stderr))
+    shown = ", ".join(f"{p:.2f}" for p in P[::3])
     print(f"C={C}: P(alpha) samples [{shown}]")
 
 boost = compute_boost(curves)

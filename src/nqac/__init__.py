@@ -66,7 +66,9 @@ from .analysis import (
     compute_boost,
     estimate_success,
     fit_eta,
+    hit_counts,
     optimize_gamma,
+    success,
 )
 
 __version__ = "0.1.0"

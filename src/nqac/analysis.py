@@ -78,37 +78,48 @@ def _spin_codes(states: np.ndarray) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def estimate_success(
+def hit_counts(
     samples: SampleSet,
     np_prob: NestedProblem,
     emb,
     ground_states: np.ndarray,
     decode_seed: int | np.random.Generator = 0,
-) -> tuple[float, float]:
-    """Decode every record and average per-cycle success fractions, the
-    fraction of a cycle's records that decode to a ground state.
-
-    Returns (mean over cycles, stddev over cycles / sqrt(cycles)); a single
-    cycle reports its binomial standard error. Each cycle is decoded with its
-    own recorded nested-vertex permutation composed into the copy map. Tie
-    coins come from ``decode_seed``, a seed or a generator; a generator is
-    drawn from in place.
-    """
+) -> list[tuple[int, int, int, int]]:
+    """Decode every record; per cycle, in ascending order, one ``(unit, runs,
+    hits, ties)``: the cycle id, its records, those that decode to a ground
+    state and the ties of their votes. Each cycle is decoded with its own
+    recorded nested-vertex permutation composed into the copy map. Tie coins
+    come from ``decode_seed``, a seed or a generator drawn from in place."""
     if samples.n_records == 0:
         raise DomainError("empty sample set")
     rng = np.random.default_rng(decode_seed)
     targets = _spin_codes(ground_states)
     cycle_perms = {c.cycle: c.permutation for c in samples.cycles}
-    fracs = []
+    units = []
     for cid, idxs in sorted(samples.cycle_slices().items()):
         perm = cycle_perms.get(cid)
         npr_c = np_prob if perm is None else permute_nested(np_prob, perm)
-        logical, _ = decode_batch(npr_c, emb, samples.configs[idxs], rng)
-        fracs.append(np.isin(_spin_codes(logical), targets).sum() / idxs.size)
-    fr = np.asarray(fracs)
+        logical, ties = decode_batch(npr_c, emb, samples.configs[idxs], rng)
+        hits = int(np.isin(_spin_codes(logical), targets).sum())
+        units.append((cid, idxs.size, hits, ties))
+    return units
+
+
+def success(units) -> tuple[float, float]:
+    """(P, stderr) of ``(unit, runs, hits, ties)`` counts: the mean of the
+    units' hit fractions and their stddev / sqrt(units); a single unit
+    reports its binomial standard error."""
+    if not units:
+        raise DomainError("no units to estimate success from")
+    fr = np.asarray([hits / runs for _, runs, hits, _ in units])
     if fr.size == 1:
-        return float(fr[0]), float(np.sqrt(fr[0] * (1 - fr[0]) / idxs.size))
+        return float(fr[0]), float(np.sqrt(fr[0] * (1 - fr[0]) / units[0][1]))
     return float(fr.mean()), float(fr.std(ddof=1) / np.sqrt(fr.size))
+
+
+def estimate_success(samples, np_prob, emb, ground_states, decode_seed=0) -> tuple[float, float]:
+    """``success`` of the ``hit_counts`` of a sample set."""
+    return success(hit_counts(samples, np_prob, emb, ground_states, decode_seed))
 
 
 def optimize_gamma(results: dict) -> tuple[float, float]:

@@ -7,9 +7,9 @@ are byte-identical across reruns and across worker counts, because each
 indices. One ``sqa.run_protocol`` call samples the whole SQA grid, with
 ``--jobs`` worker processes; its docstring says why no sample depends on
 the worker count.
-A whole run analyses the samples it holds after writing them (the SQA sample
-sets, the PT scan rows); only ``--stage analyze`` reads them back from their
-files, and checks each first.
+Both engines decode at the sample stage into one hit table,
+``samples/hits.json``; a whole run analyses the units it holds, and only
+``--stage analyze`` reads the table back, and checks it against the config.
 
 Exit codes: 0 ok, 2 config error, 3 embedding failure, 4 compute failure.
 """
@@ -42,7 +42,7 @@ from .ising import brute_force_ground, load_problem
 from .meanfield import free_energy_grid
 from .nesting import encode_for_scale, encode_nested, load_nested, save_nested
 from .pt import PtParams, geometric_ladder, run_pt, thermal_boost_scan
-from .sampleset import load_sampleset, sample_json, save_sampleset
+from .sampleset import sample_json, save_sampleset
 from .sqa import (
     SqaParams,
     default_schedule,
@@ -263,41 +263,35 @@ def _choi_embed(n: int, graph):
         raise EmbeddingNotFound(str(exc)) from exc
 
 
-def _read_samples(path: Path, digest: str, cfg: dict):
-    """The sample set in ``path``, checked to hold the config's cycles and
-    records of the problem with ``digest``; otherwise a config error."""
-    ss = _read(load_sampleset, path, "sample set", "; run the sample stage again")
-    if ss.problem_digest != digest:
+def _hit_table(path) -> tuple[list, str]:
+    """The ``units`` rows [C, alpha, gamma, unit, runs, hits, ties] and the
+    ``grid_digest`` of the hit table in ``path``; hits and ties are integers
+    with 0 <= hits <= runs and ties >= 0."""
+    table = json.loads(Path(path).read_text())
+    if not (isinstance(table, dict) and set(table) == {"grid_digest", "units"}
+            and isinstance(table["units"], list) and all(
+                isinstance(r, list) and len(r) == 7 and type(r[5]) is type(r[6]) is int
+                and 0 <= r[5] <= r[4] and r[6] >= 0 for r in table["units"])):
+        raise ValueError("not an object of a grid_digest and "
+                         "[C, alpha, gamma, unit, runs, hits, ties] units")
+    return table["units"], table["grid_digest"]
+
+
+def _read_units(path: Path, digest: str, values: dict, cfg: dict) -> dict:
+    """Each grid point's ``(unit, runs, hits, ties)`` in the hit table at
+    ``path``; a table of another ``digest``, other (C, alpha, gamma)
+    ``values`` or other units than the config's is a config error."""
+    rows, held = _read(_hit_table, path, "hit table", "; run the sample stage again")
+    per_point = ([(u, cfg["runs_per_cycle"]) for u in range(cfg["cycles"])]
+                 if cfg["engine"] == "sqa" else [(0, cfg["engine_params"]["n_samples"])])
+    if held != digest or [r[:5] for r in rows] != [[*v, *u] for v in values.values()
+                                                    for u in per_point]:
         raise ConfigError(
-            f"{path} holds samples of another problem than this "
-            "config programs at its grid point; run the sample stage again"
+            f"{path} holds the hits of another problem, embedding, grid or units than "
+            "this config samples; run the sample stage again"
         )
-    ids, counts = np.unique(ss.cycle_ids, return_counts=True)
-    want = list(range(cfg["cycles"]))
-    if ([c.cycle for c in ss.cycles] != want or ids.tolist() != want
-            or np.any(counts != cfg["runs_per_cycle"])):
-        raise ConfigError(
-            f"{path} holds cycles {ids.tolist()} with {counts.tolist()} records, "
-            f"where this config runs {cfg['runs_per_cycle']} anneals in each of "
-            f"cycles {want}; run the sample stage again"
-        )
-    return ss
-
-
-def _scan_rows(path) -> list:
-    """The rows of a PT scan file, lists of numbers [ci, ai, gi, alpha, P, se]."""
-    rows = json.loads(Path(path).read_text())
-    if not (isinstance(rows, list) and all(
-            isinstance(r, list) and len(r) == 6 and all(type(x) in (int, float) for x in r)
-            for r in rows)):
-        raise ValueError("not a list of [ci, ai, gi, alpha, P, se] rows of numbers")
-    return rows
-
-
-def _estimate(ss, np_prob, emb, ground_states, seed: int, key: tuple) -> tuple[float, float]:
-    """(P, se) of the sample set of grid point ``key``, decoded on its own seed."""
-    return analysis.estimate_success(ss, np_prob, emb, ground_states,
-                                     decode_seed=unit_seed(seed, 0xDEC, *key))
+    n = len(per_point)
+    return {key: [r[3:] for r in rows[i * n:(i + 1) * n]] for i, key in enumerate(values)}
 
 
 def _sampling_digest(path: Path) -> str | None:
@@ -312,9 +306,12 @@ def _sampling_digest(path: Path) -> str | None:
 
 def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
-    returns the artifact directory. An input that does not hold what it should
-    (the problem or graph file, or under ``stage="analyze"`` a sample file)
-    raises ConfigError before anything is written."""
+    returns the artifact directory. The sample stage writes the hit table
+    ``samples/hits.json``, each grid point's decoded ``(unit, runs, hits,
+    ties)`` (a unit is an SQA cycle or a PT row), and the curves are built
+    from those units alone. An input that does not hold what it should (the
+    problem or graph file, or under ``stage="analyze"`` the hit table) raises
+    ConfigError before anything is written."""
     base = _read(load_problem, cfg["problem"], "problem")
     graph = _read(load_graph, cfg["graph"], "graph") if cfg.get("graph") else None
     out = Path(out_dir)
@@ -337,21 +334,26 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
     if stage != "sample":
         manifest["analysis_code_digest"] = digest
 
-    def sample_path(ci, ai, gi):
-        return samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson"
+    # the (C, alpha, gamma) values of every (ci, ai, gi) grid point and its
+    # nested problem, encoded once
+    values = {(ci, ai, gi): (C, alpha, gamma) for ci, C in enumerate(cfg["C"])
+              for ai, alpha in enumerate(cfg["alphas"]) for gi, gamma in enumerate(cfg["gammas"])}
+    nested = {key: encode_for_scale(base, C, gamma, alpha)
+              for key, (C, alpha, gamma) in values.items()}
+    embeddings = [_build_embedding(cfg, C, base, graph) for C in cfg["C"]]  # None under PT
 
-    if cfg["engine"] == "sqa":
-        embeddings = [_build_embedding(cfg, C, base, graph) for C in cfg["C"]]
-        # the nested problem of every (ci, ai, gi) grid point, encoded once
-        nested = {
-            (ci, ai, gi): encode_for_scale(base, C, gamma, alpha)
-            for ci, C in enumerate(cfg["C"])
-            for ai, alpha in enumerate(cfg["alphas"])
-            for gi, gamma in enumerate(cfg["gammas"])
-        }
+    def grid_digest(samples) -> str:  # of the points' programmed problems; sample sets hold theirs
+        digests = [ss.problem_digest for ss in samples] or [
+            programmed_digest(np_prob, embeddings[key[0]]) for key, np_prob in nested.items()]
+        return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
-    if stage in ("all", "sample"):
+    # a whole run analyses the units it holds; only the analyze stage reads
+    # the hit table back, and no other sample file
+    if stage == "analyze":
+        units = _read_units(samples_dir / "hits.json", grid_digest([]), values, cfg)
+    else:
         samples_dir.mkdir(parents=True, exist_ok=True)
+        samples = []
         if cfg["engine"] == "sqa":
             samples = run_protocol(
                 [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
@@ -359,14 +361,12 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 sch, params, cfg["engine_params"]["noise_sigma"], cfg["cycles"],
                 cfg["runs_per_cycle"], jobs,
             )
-            # stage all analyses the sample sets it holds; only the analyze
-            # stage reads sample files
-            table = {}
+            units = {}
             for (key, np_prob), ss in zip(nested.items(), samples):
-                save_sampleset(ss, sample_path(*key))
-                if stage == "all":
-                    table[key] = _estimate(ss, np_prob, embeddings[key[0]], ground_states,
-                                           cfg["seed"], key)
+                ci, ai, gi = key
+                save_sampleset(ss, samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson")
+                units[key] = analysis.hit_counts(ss, np_prob, embeddings[ci], ground_states,
+                                                 decode_seed=unit_seed(cfg["seed"], 0xDEC, *key))
         else:  # pt engine
             scans = thermal_boost_scan(
                 base, cfg["C"], cfg["gammas"], cfg["alphas"], params, ground_states,
@@ -374,51 +374,28 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
                 seeds=[[unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))]
                        for ci in range(len(cfg["C"]))],
             )
-            rows = [(ci, ai, gi, *pt) for ci, per_gamma in enumerate(scans)
-                    for gi, pts in enumerate(per_gamma) for ai, pt in enumerate(pts)]
-            (samples_dir / "pt_scan.json").write_text(sample_json(rows))
-            table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
-
-    # analysis: a (ci, ai, gi) -> (P, se) table, then per (C, alpha) the best
-    # gamma, then boost + exponent; the analyze stage reads and checks every
-    # sample file before it writes anything
-    if cfg["engine"] == "sqa" and stage == "analyze":
-        table = {}
-        for key, np_prob in nested.items():
-            emb = embeddings[key[0]]
-            ss = _read_samples(sample_path(*key), programmed_digest(np_prob, emb), cfg)
-            table[key] = _estimate(ss, np_prob, emb, ground_states, cfg["seed"], key)
-    elif cfg["engine"] == "pt" and stage == "analyze":
-        path = samples_dir / "pt_scan.json"
-        rows = _read(_scan_rows, path, "PT scan", "; run the sample stage again")
-        table = {(ci, ai, gi): (P, se) for ci, ai, gi, _, P, se in rows}
-        grid = {(ci, ai, gi) for ci in range(len(cfg["C"])) for ai in range(len(cfg["alphas"]))
-                for gi in range(len(cfg["gammas"]))}
-        if (len(rows) != len(table) or set(table) != grid
-                or any(alpha != cfg["alphas"][ai] for _, ai, _, alpha, _, _ in rows)):
-            raise ConfigError(
-                f"{path} holds another (C, alpha, gamma) grid than this config scans; "
-                "run the sample stage again"
-            )
+            units = {(ci, ai, gi): row for ci, per_gamma in enumerate(scans)
+                     for gi, rows in enumerate(per_gamma) for ai, (_, row) in enumerate(rows)}
+        (samples_dir / "hits.json").write_text(sample_json({
+            "grid_digest": grid_digest(samples),
+            "units": [[*values[key], *unit] for key in nested for unit in units[key]],
+        }))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     if stage == "sample":
         return out
+
+    # per (C, alpha) the best gamma's (P, se), then boost + exponent
     curves = []
     for ci, C in enumerate(cfg["C"]):
-        Ps = []
-        ses = []
-        gamma_used = {}
+        best = {}  # alpha -> (gamma_star, P, se)
         for ai, alpha in enumerate(cfg["alphas"]):
-            per_gamma = {gamma: table[(ci, ai, gi)] for gi, gamma in enumerate(cfg["gammas"])}
+            per_gamma = {gamma: analysis.success(units[ci, ai, gi])
+                         for gi, gamma in enumerate(cfg["gammas"])}
             gstar, pstar = analysis.optimize_gamma(per_gamma)
-            Ps.append(pstar)
-            ses.append(per_gamma[gstar][1])
-            gamma_used[float(alpha)] = gstar
-        curves.append(
-            analysis.SuccessCurve(
-                C=C, alphas=cfg["alphas"], P=Ps, stderr=ses, gamma_used=gamma_used
-            )
-        )
+            best[float(alpha)] = (gstar, pstar, per_gamma[gstar][1])
+        gstars, Ps, ses = zip(*best.values())
+        curves.append(analysis.SuccessCurve(C=C, alphas=cfg["alphas"], P=Ps, stderr=ses,
+                                            gamma_used=dict(zip(best, gstars))))
 
     (out / "curves.csv").write_text(analysis.curves_csv(curves))
     if 1 in cfg["C"] and len(cfg["alphas"]) >= 2:

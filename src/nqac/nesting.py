@@ -239,13 +239,21 @@ def save_nested(np_prob: NestedProblem, path) -> None:
 
 
 def load_nested(path) -> NestedProblem:
+    """The nested problem of ``save_nested``; a sidecar with another key set,
+    a ``C`` that is not an integer >= 1 or a ``gamma`` that is not a number
+    raises DomainError."""
     p = Path(path)
     problem_d = json.loads(p.read_text())
     sidecar = json.loads(Path(str(p) + ".meta.json").read_text())
+    keys, C, gamma = sorted(sidecar), sidecar.get("C"), sidecar.get("gamma")
+    if keys != ["C", "base", "gamma", "vertex_map"] or not (
+            type(C) is int and C >= 1 and type(gamma) in (int, float)):
+        raise DomainError(f"a sidecar holds C (an integer >= 1), base, gamma (a number) and "
+                          f"vertex_map, got the keys {keys}, C {C!r} and gamma {gamma!r}")
     return NestedProblem(
         base=problem_from_dict(sidecar["base"]),
-        C=int(sidecar["C"]),
-        gamma=float(sidecar["gamma"]),
+        C=C,
+        gamma=float(gamma),
         nested=problem_from_dict(problem_d),
         copies=np.asarray(sidecar["vertex_map"], dtype=np.int64),
     )

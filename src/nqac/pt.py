@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import estimate_success
+from .analysis import hit_counts
 from .errors import DomainError
 from .ising import IsingProblem
 from .nesting import encode_for_scale
@@ -242,8 +242,8 @@ def thermal_boost_scan(
     ground_states: np.ndarray,
     n_samples: int,
     seeds,
-) -> list[list[list[tuple[float, float, float]]]]:
-    """Success of the top-rung thermal state over a (C, gamma, alpha) grid.
+) -> list[list[list[tuple[float, list]]]]:
+    """Ground-state hits of the top-rung thermal state over a (C, gamma, alpha) grid.
 
     Each penalty is held at its gamma in device units for every scan point
     (the stored penalty is ``gamma / alpha``), matching the protocol in which
@@ -251,9 +251,10 @@ def thermal_boost_scan(
     of one batch. The rows of ``Cs[c]`` at ``gammas[g]`` sample and decode
     with generators seeded by ``seeds[c][g]``, so each (C, gamma) block gets
     the result a one-block call with its seed gives; a row is decoded by
-    ``estimate_success``, one cycle, on its block's decode generator in alpha
-    order. Returns ``out[c][g] = [(alpha, P, stderr), ...]`` for the largest
-    ladder beta.
+    ``analysis.hit_counts`` as one unit, on its block's decode generator in
+    alpha order. Returns ``out[c][g] = [(alpha, units), ...]`` for the
+    largest ladder beta, ``units`` the row's one ``(0, n_samples, hits,
+    ties)``; ``analysis.success(units)`` is its (P, stderr).
     """
     alphas = [float(a) for a in alphas]
     if not alphas or len(gammas) == 0 or len(Cs) == 0:
@@ -274,8 +275,8 @@ def thermal_boost_scan(
     for block, block_recs, (_, _, seed) in zip(nested, recs, grid):
         decode_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xDEC0DE, 1)))
         # the sets are never written, so they carry no problem digest
-        pts.append([(alpha, *estimate_success(SampleSet.unprogrammed(configs, seed, ""),
-                                              block[0], None, ground_states, decode_rng))
+        pts.append([(alpha, hit_counts(SampleSet.unprogrammed(configs, seed, ""),
+                                       block[0], None, ground_states, decode_rng))
                     for alpha, configs in zip(alphas, block_recs[:, 0])])
     G = len(gammas)
     return [pts[ci * G:(ci + 1) * G] for ci in range(len(Cs))]

@@ -21,6 +21,7 @@ from nqac.analysis import (
     estimate_success,
     fit_eta,
     repetition_count,
+    success,
 )
 from nqac.chimera import build_chimera, choi_embed, embedding_stats, heuristic_embed, validate_embedding
 from nqac.cli import main
@@ -123,15 +124,10 @@ def test_criterion_05_thermal_boost_scaling():
     Cs = (1, 2, 3, 4)
     scans = thermal_boost_scan(k4, Cs, [1.0], alphas, params, gs, n_samples=1000,
                                seeds=[[505]] * 4)
-    curves = [
-        SuccessCurve(
-            C=C,
-            alphas=[a for a, _, _ in pts],
-            P=[p for _, p, _ in pts],
-            stderr=[se for _, _, se in pts],
-        )
-        for C, [pts] in zip(Cs, scans)
-    ]
+    curves = []
+    for C, [rows] in zip(Cs, scans):
+        P, se = zip(*(success(units) for _, units in rows))
+        curves.append(SuccessCurve(C=C, alphas=[a for a, _ in rows], P=P, stderr=se))
     boost = compute_boost(curves)
     mus = {C: v[0] for C, v in boost.mu.items() if v is not None}
     assert set(mus) == {1, 2, 3, 4}, boost.mu

@@ -10,13 +10,15 @@ from nqac.analysis import (
     curves_csv,
     estimate_success,
     fit_eta,
+    hit_counts,
     optimize_gamma,
     read_curves,
     repetition_count,
+    success,
 )
 from nqac.errors import DomainError
 from nqac.instances import k4_antiferromagnet
-from nqac.nesting import encode_nested
+from nqac.nesting import decode_batch, encode_nested, lift_logical, permute_nested
 from nqac.sampleset import CycleRecord, SampleSet
 
 
@@ -91,6 +93,64 @@ def test_estimate_success_empty_raises(k4_setup):
     ss = make_sampleset([np.zeros((0, 4))], 4)
     with pytest.raises(DomainError):
         estimate_success(ss, npr, None, gs)
+
+
+def _estimate_by_fractions(ss, npr, gs, seed):
+    """Success as it was estimated before the hit counts were kept: each
+    cycle's hit fraction as a NumPy count over its record count, then their
+    mean and stderr, or the binomial stderr of a single cycle."""
+    rng = np.random.default_rng(seed)
+    targets = {tuple(g) for g in gs.tolist()}
+    perms = {c.cycle: c.permutation for c in ss.cycles}
+    fracs = []
+    for cid, idxs in sorted(ss.cycle_slices().items()):
+        logical, _ = decode_batch(permute_nested(npr, perms[cid]), None, ss.configs[idxs], rng)
+        hits = np.asarray([tuple(row) in targets for row in logical.tolist()]).sum()
+        fracs.append(hits / idxs.size)
+    fr = np.asarray(fracs)
+    if fr.size == 1:
+        return float(fr[0]), float(np.sqrt(fr[0] * (1 - fr[0]) / idxs.size))
+    return float(fr.mean()), float(fr.std(ddof=1) / np.sqrt(fr.size))
+
+
+def _permuted_sampleset(configs_by_cycle, n, rng):
+    ss = make_sampleset(configs_by_cycle, n)
+    cycles = tuple(CycleRecord(cycle=c.cycle, gauge=c.gauge, permutation=rng.permutation(n),
+                               seed=c.seed) for c in ss.cycles)
+    return SampleSet(configs=ss.configs, cycle_ids=ss.cycle_ids, cycles=cycles,
+                     problem_digest="x")
+
+
+@pytest.mark.parametrize("case", ["cycles", "one-cycle", "all-ground"])
+def test_success_of_hit_counts_is_the_fraction_estimate_bit_for_bit(k4_setup, case):
+    # nested K4 at C = 2 ties a vote of 2 against 2; random records over 7
+    # permuted cycles, one cycle, and one cycle of ground states only (se 0)
+    _, gs = k4_setup
+    npr = encode_nested(k4_antiferromagnet(), 2, 0.5)
+    rng = np.random.default_rng(17)
+    if case == "all-ground":
+        cycles = [np.tile(lift_logical(npr, gs[2]), (9, 1))]
+        ss = make_sampleset(cycles, 8)
+    else:
+        cycles = [rng.choice([-1, 1], size=(37, 8)) for _ in range(7 if case == "cycles" else 1)]
+        ss = _permuted_sampleset(cycles, 8, rng)
+    units = hit_counts(ss, npr, None, gs, decode_seed=5)
+    got = estimate_success(ss, npr, None, gs, decode_seed=5)
+    assert got == success(units) == _estimate_by_fractions(ss, npr, gs, seed=5)
+    assert [u[:2] for u in units] == [(c, len(x)) for c, x in enumerate(cycles)]
+    if case == "all-ground":
+        assert got == (1.0, 0.0) and units[0][3] == 0
+    # the recorded ties are decode_batch's count, on the same coins
+    coins = np.random.default_rng(5)
+    for (cid, _, _, ties), c in zip(units, ss.cycles):
+        cut = ss.configs[ss.cycle_ids == cid]
+        assert ties == decode_batch(permute_nested(npr, c.permutation), None, cut, coins)[1]
+    assert case == "all-ground" or sum(u[3] for u in units) > 0
+
+
+def test_success_needs_a_unit():
+    with pytest.raises(DomainError):
+        success([])
 
 
 def test_optimize_gamma_examples():

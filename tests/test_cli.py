@@ -93,6 +93,21 @@ def test_embed_subcommand_choi(k4_file, tmp_path, capsys):
     assert "24 qubits, max chain 3" in capsys.readouterr().out
 
 
+def test_embed_rejects_a_damaged_sidecar(k4_file, tmp_path, capsys):
+    # a fractional C and a misspelt key went through as C = 2 ("24 qubits")
+    nested = tmp_path / "nested.json"
+    main(["encode", "--problem", str(k4_file), "--C", "2", "--gamma", "0.4",
+          "--out", str(nested)])
+    meta = tmp_path / "nested.json.meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "C": 2.7, "gama": 5}))
+    rc = main(["embed", "--source", str(nested), "--mode", "choi",
+               "--out", str(tmp_path / "emb.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] ") and str(nested) in err and "gama" in err
+    assert not (tmp_path / "emb.json").exists()
+
+
 def test_embed_subcommand_failure_exit_code(k4_file, tmp_path):
     nested = tmp_path / "nested.json"
     main(["encode", "--problem", str(k4_file), "--C", "4", "--gamma", "0.4",
@@ -754,32 +769,77 @@ def test_runs_import_nothing_beyond_the_cli(tmp_path, k4_file):
     assert report == {"rcs": [0, 0, 0], "scipy": [], "new": []}
 
 
-def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, capsys):
+def _sample(tmp_path, k4_file, engine, **overrides) -> Path:
+    """The output directory of a sample stage of ``tiny_config`` with ``overrides``."""
     out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file, gammas=[0.2, 0.5])
+    cfg = tiny_config(tmp_path, k4_file, engine, **overrides)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    cfg = tiny_config(tmp_path, k4_file, gammas=[0.3, 0.9])
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
-    assert "run the sample stage again" in capsys.readouterr().err
-    assert not (out / "curves.csv").exists()
+    return out
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [{"C": [1, 2, 3]}, {"C": [1]}, {"gammas": [0.3, 0.5]}, {"alphas": [0.2, 1]},
-     {"alphas": [0.1, 0.5, 1]}],
-)
-def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
-                                                          overrides):
-    # pt_scan.json was sampled at C [1, 2], alphas [0.1, 1], gammas [0.3]
-    out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file, engine="pt", alphas=[0.1, 1])
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    cfg = tiny_config(tmp_path, k4_file, engine="pt", **{"alphas": [0.1, 1], **overrides})
+def _refused_analyze(tmp_path, k4_file, capsys, out, engine, **overrides) -> str:
+    """Run the analyze stage of ``tiny_config`` with ``overrides`` on ``out``;
+    check that it exits 2, names the hit table and leaves the directory as it
+    was, and return its error message."""
+    cfg = tiny_config(tmp_path, k4_file, engine, **overrides)
+    before = _files(out)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("[config] ") and "run the sample stage again" in err
-    assert not (out / "curves.csv").exists()
+    assert err.startswith("[config] ") and "run the sample stage again" in err, err
+    assert str(out / "samples" / "hits.json") in err
+    assert _files(out) == before and not (out / "curves.csv").exists()
+    return err
+
+
+def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, capsys):
+    out = _sample(tmp_path, k4_file, "sqa", gammas=[0.2, 0.5])
+    _refused_analyze(tmp_path, k4_file, capsys, out, "sqa", gammas=[0.3, 0.9])
+
+
+#: grids other than C [1, 2], alphas [0.1, 1] and gammas [0.3]
+_OTHER_GRIDS = [{"C": [1, 2, 3]}, {"C": [1]}, {"gammas": [0.3, 0.5]}, {"alphas": [0.2, 1]},
+                {"alphas": [0.1, 0.5, 1]}]
+
+
+@pytest.mark.parametrize("overrides", _OTHER_GRIDS)
+def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
+                                                          overrides):
+    out = _sample(tmp_path, k4_file, "pt", alphas=[0.1, 1])
+    _refused_analyze(tmp_path, k4_file, capsys, out, "pt", **{"alphas": [0.1, 1], **overrides})
+
+
+@pytest.mark.parametrize("overrides", _OTHER_GRIDS)
+def test_sqa_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
+                                                           overrides):
+    out = _sample(tmp_path, k4_file, "sqa", alphas=[0.1, 1])
+    _refused_analyze(tmp_path, k4_file, capsys, out, "sqa", **{"alphas": [0.1, 1], **overrides})
+
+
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_analyze_stage_rejects_samples_of_another_problem(tmp_path, k4_file, capsys, engine):
+    # samples of the K4 antiferromagnet, analysed as a K4 ferromagnet on the
+    # same grid
+    ferro = tmp_path / "k4_ferro.json"
+    save_problem(IsingProblem.from_couplings(
+        4, couplings={(i, j): -1.0 for i in range(4) for j in range(i + 1, 4)}), ferro)
+    out = _sample(tmp_path, k4_file, engine)
+    _refused_analyze(tmp_path, k4_file, capsys, out, engine, problem=str(ferro))
+
+
+@pytest.mark.parametrize("engine, sampled, analysed", [
+    ("sqa", {}, {"cycles": 3}),
+    ("sqa", {}, {"runs_per_cycle": 11}),
+    ("pt", {}, {"engine_params": {"n_betas": 4, "sweeps": 100, "swap_interval": 2,
+                                  "n_samples": 21}}),
+    ("sqa", {"C": [1]}, {"C": [1], "gammas": [0.5]}),
+    ("pt", {"C": [1]}, {"C": [1], "gammas": [0.5]}),
+], ids=["cycles", "runs", "n-samples", "sqa-C1-gamma", "pt-C1-gamma"])
+def test_analyze_stage_rejects_samples_of_other_units_or_values(tmp_path, k4_file, capsys,
+                                                                engine, sampled, analysed):
+    # the programmed problems match, the units or the (C, alpha, gamma) values
+    # do not: at C = 1 no penalty is programmed
+    out = _sample(tmp_path, k4_file, engine, **sampled)
+    _refused_analyze(tmp_path, k4_file, capsys, out, engine, **analysed)
 
 
 def _directory(data):
@@ -788,51 +848,92 @@ def _directory(data):
 
 
 def _replace(path, damaged):
-    """Write ``damaged`` text or bytes to ``path``, or make it a directory."""
+    """Write ``damaged`` bytes to ``path``, or make it a directory."""
     if damaged is None:
         path.unlink()
         path.mkdir()
-    elif isinstance(damaged, str):
-        path.write_text(damaged)
     else:
         path.write_bytes(damaged)
 
 
-def _short_row(text):
-    rows = json.loads(text)
-    rows[0] = rows[0][:5]
-    return sample_json(rows)
+def _encoded(table) -> bytes:
+    return sample_json(table).encode()
+
+
+def _units(data) -> tuple[dict, list]:
+    """The hit table of ``data`` and its units rows."""
+    table = json.loads(data)
+    return table, table["units"]
+
+
+def _cut_mid_record(data):
+    return data[:-7]
+
+
+def _drop_last_records(data):
+    table, units = _units(data)
+    return _encoded({**table, "units": units[:-3]})
+
+
+def _renumber_cycle_1(data):
+    table, units = _units(data)
+    return _encoded({**table, "units": [r[:3] + [0] + r[4:] if r[3] == 1 else r
+                                        for r in units]})
+
+
+def _short_row(data):
+    table, units = _units(data)
+    return _encoded({**table, "units": [units[0][:6]] + units[1:]})
+
+
+def _not_an_object(data):
+    return _encoded(_units(data)[1])
+
+
+def _not_a_list(data):
+    table, units = _units(data)
+    return _encoded({**table, "units": {"rows": units}})
+
+
+def _not_text(data):
+    return b"\xff\xfe\x00garbage"
+
+
+def _rejects_damaged_table(tmp_path, k4_file, capsys, engine, damage):
+    out = _sample(tmp_path, k4_file, engine)
+    path = out / "samples" / "hits.json"
+    damaged = damage(path.read_bytes())
+    assert damaged != path.read_bytes()
+    _replace(path, damaged)
+    err = _refused_analyze(tmp_path, k4_file, capsys, out, engine)
+    assert err.count(str(path)) == 1, err
 
 
 @pytest.mark.parametrize("damage", [
-    lambda text: text[:-7],  # truncated
-    _short_row,  # a row of 5 fields
-    lambda text: json.dumps({"rows": json.loads(text)}),  # not a list
-    _directory,
-], ids=["truncated", "short-row", "not-a-list", "directory"])
+    _cut_mid_record, _short_row, _not_a_list, _directory, _not_an_object, _not_text,
+], ids=["truncated", "short-row", "not-a-list", "directory", "not-an-object", "not-text"])
 def test_pt_analyze_stage_rejects_damaged_scan(tmp_path, k4_file, capsys, damage):
-    out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file, engine="pt")
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    path = out / "samples" / "pt_scan.json"
-    damaged = damage(path.read_text())
-    assert damaged != path.read_text()
-    _replace(path, damaged)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("[config] ") and str(path) in err
-    assert "run the sample stage again" in err
-    assert not (out / "curves.csv").exists()
+    _rejects_damaged_table(tmp_path, k4_file, capsys, "pt", damage)
 
 
-def test_pt_analyze_stage_reads_a_spaced_scan(tmp_path, k4_file):
-    # pt_scan.json as written before the samples lost their optional spaces
+@pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1,
+                                    _not_text, _directory, _short_row, _not_an_object])
+def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage):
+    # 2 cycles x 10 records at 4 points: the hit table cut in a row, without
+    # its last 3 units, with cycle 1 counted as 0, as bytes that are not text,
+    # as a directory, with a row of 6 fields, or as a list
+    _rejects_damaged_table(tmp_path, k4_file, capsys, "sqa", damage)
+
+
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_analyze_stage_reads_a_spaced_hit_table(tmp_path, k4_file, engine):
+    # the hit table written with spaces after "," and ":"
     out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file, engine="pt")
+    cfg = tiny_config(tmp_path, k4_file, engine)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 0
     curves = (out / "curves.csv").read_bytes()
-    path = out / "samples" / "pt_scan.json"
+    path = out / "samples" / "hits.json"
     spaced = json.dumps(json.loads(path.read_text()), sort_keys=True)
     assert spaced != path.read_text() and spaced.replace(" ", "") == path.read_text()
     path.write_text(spaced)
@@ -841,56 +942,11 @@ def test_pt_analyze_stage_reads_a_spaced_scan(tmp_path, k4_file):
     assert (out / "curves.csv").read_bytes() == curves
 
 
-def _cut_mid_record(data):
-    return data[:-7]
-
-
-def _drop_last_records(data):
-    return b"".join(data.splitlines(keepends=True)[:-3])
-
-
-def _renumber_cycle_1(data):
-    header, *lines = data.decode().splitlines()
-    records = [{**rec, "cycle": 0} if rec["cycle"] == 1 else rec
-               for rec in map(json.loads, lines)]
-    return "\n".join([header, *map(sample_json, records), ""]).encode()
-
-
-def _not_text(data):
-    return b"\xff\xfe\x00garbage"
-
-
-@pytest.mark.parametrize("damage", [_cut_mid_record, _drop_last_records, _renumber_cycle_1,
-                                    _not_text, _directory])
-def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage):
-    # 2 cycles x 10 records: a cut record, 7 records in cycle 1, no cycle 1,
-    # bytes that are not text, or a directory
-    out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    path = out / "samples" / "C2_a1_g0.ndjson"
-    damaged = damage(path.read_bytes())
-    assert damaged != path.read_bytes()
-    _replace(path, damaged)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("[config] ") and err.count(str(path)) == 1, err
-    assert "run the sample stage again" in err
-    assert not (out / "curves.csv").exists()
-
-
-@pytest.mark.parametrize("engine, sample", [("sqa", "C2_a1_g0.ndjson"), ("pt", "pt_scan.json")])
-def test_rejected_analyze_stage_leaves_the_directory_as_it_was(tmp_path, k4_file, engine,
-                                                               sample):
-    # a damaged sample file leaves the sample stage's manifest and files as
-    # they were; an empty directory gains nothing, and a missing one stays so
-    out = tmp_path / "exp"
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+def test_rejected_analyze_stage_leaves_the_directory_as_it_was(tmp_path, k4_file, engine):
+    # an analyze stage without a sample stage: an empty directory gains
+    # nothing, and a missing one stays so
     cfg = tiny_config(tmp_path, k4_file, engine)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    (out / "samples" / sample).write_text("cut")
-    before = _files(out)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
-    assert _files(out) == before
     empty, missing = tmp_path / "empty", tmp_path / "missing"
     empty.mkdir()
     for target in (empty, missing):
@@ -945,41 +1001,59 @@ def test_analyze_stage_keeps_the_sampling_code_digest(tmp_path, k4_file, monkeyp
     assert manifest["code_digest"] == manifest["analysis_code_digest"] == "analysing code"
 
 
+@pytest.fixture()
+def reads(monkeypatch):
+    """The paths read by ``Path.read_text`` from here on, in order."""
+    seen = []
+    read_text = Path.read_text
+
+    def spy(path, *args, **kwargs):
+        seen.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    return seen
+
+
+def _read_back(reads, out) -> list:
+    """The files under ``out`` among ``reads``, relative to it, and forget all reads."""
+    back = [str(p.relative_to(out)) for p in reads if out in p.parents]
+    reads.clear()
+    return back
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs):
-    # a whole run analyses the sample sets it holds, the analyze stage reads
-    # them back from their files; over 2 gammas x 2 cycles both give the same
-    # files, at either worker count
+def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs, reads):
+    # a whole run analyses the units it holds and reads no file back; the
+    # analyze stage reads the hit table and no other sample file. Over 2
+    # gammas x 2 cycles both give the same files, at either worker count
     cfg = tiny_config(tmp_path, k4_file, gammas=[0.3, 0.6], cycles=2)
     whole, staged = tmp_path / "whole", tmp_path / "staged"
     assert main(["run", "--config", str(cfg), "--out", str(whole), "--jobs", jobs]) == 0
+    assert _read_back(reads, whole) == []
     assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample",
                  "--jobs", jobs]) == 0
     assert not (staged / "curves.csv").exists()
+    assert _read_back(reads, staged) == []
     assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
+    assert _read_back(reads, staged) == ["manifest.json", "samples/hits.json"]
     files = _files(whole)
     assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
     assert "curves.csv" in files and files == _files(staged)
 
 
-def test_pt_whole_run_analyses_the_rows_it_holds(tmp_path, k4_file, monkeypatch):
-    # a whole PT run builds its table from the scan rows it holds; only the
-    # analyze stage reads pt_scan.json back, and both give the same files
-    reads = []
-    read_text = Path.read_text
-
-    def spy(path, *args, **kwargs):
-        reads.append(path.name)
-        return read_text(path, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", spy)
+def test_pt_whole_run_analyses_the_rows_it_holds(tmp_path, k4_file, reads):
+    # a whole PT run analyses the units of the rows it holds and reads no
+    # file back; only the analyze stage reads the hit table, and both give
+    # the same files
     cfg = boost_config(tmp_path, k4_file, "pt")
     whole, staged = tmp_path / "whole", tmp_path / "staged"
     assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
-    assert "pt_scan.json" not in reads
+    assert _read_back(reads, whole) == []
     assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
+    assert _read_back(reads, staged) == []
     assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    assert "pt_scan.json" in reads
+    assert _read_back(reads, staged) == ["manifest.json", "samples/hits.json"]
     files = _files(whole)
-    assert {"curves.csv", "boost.csv", "eta.txt", "samples/pt_scan.json"} <= set(files)
+    assert {"curves.csv", "boost.csv", "eta.txt", "samples/hits.json"} <= set(files)
     assert files == _files(staged)

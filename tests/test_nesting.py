@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,20 @@ def test_nested_serialization_round_trip(tmp_path, k4):
     assert back.gamma == pytest.approx(0.3)
     assert back.nested.coupling_dict() == npr.nested.coupling_dict()
     assert np.array_equal(back.copies, npr.copies)
+
+
+@pytest.mark.parametrize("change", [
+    {"gama": 5},
+    {"C": 2.7},
+    {"C": True},
+    {"C": 0},
+    {"gamma": "0.3"},
+    {"gamma": None},
+], ids=["unknown-key", "fractional-C", "boolean-C", "zero-C", "string-gamma", "null-gamma"])
+def test_load_nested_checks_its_sidecar(tmp_path, k4, change):
+    path = tmp_path / "nested.json"
+    save_nested(encode_nested(k4, 2, 0.3), path)
+    meta = Path(str(path) + ".meta.json")
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), **change}))
+    with pytest.raises(DomainError):
+        load_nested(path)

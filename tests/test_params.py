@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from nqac.analysis import success
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import brute_force_ground
 from nqac.nesting import encode_for_scale
@@ -36,8 +37,9 @@ def _pt(params, seed=1):
 
 def _scan(params, seed=1):
     # a run lengthens to 2 x n_samples swap intervals, here 80 of the 100
-    return thermal_boost_scan(K4, [2], [0.5], [0.05, 0.1, 0.2, 0.4], params,
-                              brute_force_ground(K4)[1], 40, [[seed]])
+    [[rows]] = thermal_boost_scan(K4, [2], [0.5], [0.05, 0.1, 0.2, 0.4], params,
+                                  brute_force_ground(K4)[1], 40, [[seed]])
+    return [success(units) for _, units in rows]
 
 
 SQA = SqaParams(sweeps=3, trotter_slices=4, beta=0.5)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nqac.analysis import success
 from nqac.errors import DomainError
 from nqac.instances import k4_antiferromagnet
 from nqac.ising import IsingProblem
@@ -200,9 +201,9 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 
     def top_rung(betas):
         params = PtParams(betas=betas, sweeps=6000, swap_interval=5)
-        [[[(_, P, se)]]] = thermal_boost_scan(k4, [2], [1.0], [1.0], params, gs, n_samples=2000,
+        [[[(_, units)]]] = thermal_boost_scan(k4, [2], [1.0], [1.0], params, gs, n_samples=2000,
                                               seeds=[[21]])
-        return P, se
+        return success(units)
 
     p_cold, _ = top_rung((0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
     assert p_cold >= 0.99
@@ -216,10 +217,12 @@ def test_thermal_boost_scan_shapes(k4, k4_ground):
     params = PtParams(betas=geometric_ladder(2.0, 6, 0.1), sweeps=1500, swap_interval=5)
     [[pts]] = thermal_boost_scan(k4, [2], [1.0], [0.1, 0.4, 1.0], params, gs, n_samples=300,
                                  seeds=[[4]])
-    assert [a for a, _, _ in pts] == [0.1, 0.4, 1.0]
-    assert all(0 <= p <= 1 for _, p, _ in pts)
+    assert [a for a, _ in pts] == [0.1, 0.4, 1.0]
+    # one unit per row: every record, its hits and the ties of its votes
+    assert all(len(units) == 1 and units[0][:2] == (0, 300) for _, units in pts)
+    assert all(0 <= hits <= 300 and ties >= 0 for _, [(_, _, hits, ties)] in pts)
     # monotone trend in alpha at fixed C
-    assert pts[-1][1] > pts[0][1]
+    assert success(pts[-1][1])[0] > success(pts[0][1])[0]
 
 
 def _stream(k4, params, n_samples, blocks):
