@@ -13,6 +13,7 @@ import numpy as np
 
 from nqac import SuccessCurve, brute_force_ground, compute_boost, fit_eta, success
 from nqac.instances import k4_antiferromagnet
+from nqac.nesting import encode_for_scale
 from nqac.pt import PtParams, geometric_ladder, thermal_boost_scan
 
 k4 = k4_antiferromagnet()
@@ -22,16 +23,18 @@ alphas = np.geomspace(0.004, 1.0, 14)
 params = PtParams(betas=geometric_ladder(2.0, 12, 0.1), sweeps=10_000,
                   swap_interval=5)
 
-# one batch samples every level; each level draws from its own generator
+# one batch samples every level; each level is a block of nested problems,
+# one per alpha with the penalty fixed in device units, drawing from its own
+# generator
 Cs = (1, 2, 3, 4)
-scans = thermal_boost_scan(k4, Cs, gammas=[1.0], alphas=alphas,
-                           params=params, ground_states=ground_states,
-                           n_samples=800, seeds=[[42]] * len(Cs))
+blocks = [([encode_for_scale(k4, C, 1.0, a) for a in alphas], 42) for C in Cs]
+scans = thermal_boost_scan(blocks, params=params, ground_states=ground_states,
+                           n_samples=800)
 curves = []
-for C, [rows] in zip(Cs, scans):
+for C, rows in zip(Cs, scans):
     # each row's ground-state hits, as (P, stderr)
-    P, stderr = zip(*(success(units) for _, units in rows))
-    curves.append(SuccessCurve(C=C, alphas=[a for a, _ in rows], P=P, stderr=stderr))
+    P, stderr = zip(*(success(units) for units in rows))
+    curves.append(SuccessCurve(C=C, alphas=alphas, P=P, stderr=stderr))
     shown = ", ".join(f"{p:.2f}" for p in P[::3])
     print(f"C={C}: P(alpha) samples [{shown}]")
 

@@ -137,6 +137,28 @@ def optimize_gamma(results: dict) -> tuple[float, float]:
     return best_gamma, best_p
 
 
+def curves_from_units(rows) -> list[SuccessCurve]:
+    """The success curves of hit-table rows ``[C, alpha, gamma, unit, runs,
+    hits, ties]``, one per C in ascending order. The rows are grouped by
+    their own (C, alpha, gamma) values; per (C, alpha) each penalty's units
+    give its ``success``, and the curve takes the (P, stderr) of the penalty
+    ``optimize_gamma`` picks."""
+    grid: dict = {}
+    for C, alpha, gamma, *unit in rows:
+        grid.setdefault(C, {}).setdefault(float(alpha), {}).setdefault(gamma, []).append(unit)
+    curves = []
+    for C, per_alpha in sorted(grid.items()):
+        best = {}  # alpha -> (gamma_star, P, se)
+        for alpha, per_gamma in per_alpha.items():
+            results = {gamma: success(units) for gamma, units in per_gamma.items()}
+            gstar, pstar = optimize_gamma(results)
+            best[alpha] = (gstar, pstar, results[gstar][1])
+        gstars, Ps, ses = zip(*best.values())
+        curves.append(SuccessCurve(C=C, alphas=list(best), P=Ps, stderr=ses,
+                                   gamma_used=dict(zip(best, gstars))))
+    return curves
+
+
 _BAND_Z = 1.96  #: the band's curve shift in stderrs, the two-sided ~95 % normal quantile
 
 

@@ -7,9 +7,10 @@ are byte-identical across reruns and across worker counts, because each
 indices. One ``sqa.run_protocol`` call samples the whole SQA grid, with
 ``--jobs`` worker processes; its docstring says why no sample depends on
 the worker count.
-Both engines decode at the sample stage into one hit table,
-``samples/hits.json``; a whole run analyses the units it holds, and only
-``--stage analyze`` reads the table back, and checks it against the config.
+Both engines decode into one hit table, ``samples/hits.json``, whose rows
+carry their own (C, alpha, gamma) values. A run builds its curves from the
+rows it writes and reads no file back; ``nqac analyze`` rebuilds the curves,
+boost and eta from the table alone, with no config.
 
 Exit codes: 0 ok, 2 config error, 3 embedding failure, 4 compute failure.
 """
@@ -48,7 +49,6 @@ from .sqa import (
     default_schedule,
     device_like_schedule,
     load_schedule,
-    programmed_digest,
     run_protocol,
     run_sqa,
     unit_seed,
@@ -263,55 +263,52 @@ def _choi_embed(n: int, graph):
         raise EmbeddingNotFound(str(exc)) from exc
 
 
-def _hit_table(path) -> tuple[list, str]:
-    """The ``units`` rows [C, alpha, gamma, unit, runs, hits, ties] and the
-    ``grid_digest`` of the hit table in ``path``; hits and ties are integers
-    with 0 <= hits <= runs and ties >= 0."""
-    table = json.loads(Path(path).read_text())
+def _hit_table(text: str) -> list:
+    """The ``units`` rows [C, alpha, gamma, unit, runs, hits, ties] of a hit
+    table's text. C, alpha and gamma obey the config's grid rules; unit,
+    runs, hits and ties are integers with runs >= 1, 0 <= hits <= runs and
+    ties >= 0; no (C, alpha, gamma, unit) repeats; the points are a whole
+    C x alpha x gamma grid, each with the same (unit, runs); and
+    ``grid_digest``, the provenance of the programmed problems, is a string."""
+    table = json.loads(text)
     if not (isinstance(table, dict) and set(table) == {"grid_digest", "units"}
-            and isinstance(table["units"], list) and all(
-                isinstance(r, list) and len(r) == 7 and type(r[5]) is type(r[6]) is int
-                and 0 <= r[5] <= r[4] and r[6] >= 0 for r in table["units"])):
-        raise ValueError("not an object of a grid_digest and "
+            and isinstance(table["grid_digest"], str) and isinstance(table["units"], list)
+            and table["units"] and all(isinstance(r, list) and len(r) == 7
+                                       for r in table["units"])):
+        raise ValueError("not an object of a grid_digest string and a non-empty list of "
                          "[C, alpha, gamma, unit, runs, hits, ties] units")
-    return table["units"], table["grid_digest"]
+    points: dict = {}  # (C, alpha, gamma) -> {unit: runs}
+    for row in table["units"]:
+        *values, unit, runs, hits, ties = row
+        for name, key, v in zip(("C", "alpha", "gamma"), ("C", "alphas", "gammas"), values):
+            ok, what = _GRID_VALUES[key]
+            if not (type(v) in (int, float) and ok(v)):
+                raise ValueError(f"{name} takes {what}, got the row {row}")
+        if not (all(type(n) is int for n in (unit, runs, hits, ties))
+                and 0 <= hits <= runs and runs >= 1 and ties >= 0):
+            raise ValueError("unit, runs, hits and ties are integers with runs >= 1, "
+                             f"0 <= hits <= runs and ties >= 0, got the row {row}")
+        units = points.setdefault(tuple(values), {})
+        if unit in units:
+            raise ValueError(f"(C, alpha, gamma, unit) repeats in the row {row}")
+        units[unit] = runs
+    Cs, alphas, gammas = ({key[i] for key in points} for i in range(3))
+    if (len(points) != len(Cs) * len(alphas) * len(gammas)
+            or len({tuple(units.items()) for units in points.values()}) > 1):
+        raise ValueError("the rows are not a whole C x alpha x gamma grid with the same "
+                         "(unit, runs) at each point")
+    return table["units"]
 
 
-def _read_units(path: Path, digest: str, values: dict, cfg: dict) -> dict:
-    """Each grid point's ``(unit, runs, hits, ties)`` in the hit table at
-    ``path``; a table of another ``digest``, other (C, alpha, gamma)
-    ``values`` or other units than the config's is a config error."""
-    rows, held = _read(_hit_table, path, "hit table", "; run the sample stage again")
-    per_point = ([(u, cfg["runs_per_cycle"]) for u in range(cfg["cycles"])]
-                 if cfg["engine"] == "sqa" else [(0, cfg["engine_params"]["n_samples"])])
-    if held != digest or [r[:5] for r in rows] != [[*v, *u] for v in values.values()
-                                                    for u in per_point]:
-        raise ConfigError(
-            f"{path} holds the hits of another problem, embedding, grid or units than "
-            "this config samples; run the sample stage again"
-        )
-    n = len(per_point)
-    return {key: [r[3:] for r in rows[i * n:(i + 1) * n]] for i, key in enumerate(values)}
-
-
-def _sampling_digest(path: Path) -> str | None:
-    """The ``code_digest`` of the manifest at ``path``, or None when there is
-    no manifest that names one: the code that drew the samples is unknown."""
-    try:
-        digest = json.loads(path.read_text()).get("code_digest")
-    except (OSError, ValueError, AttributeError):  # none, not JSON, not an object
-        return None
-    return digest if isinstance(digest, str) else None
-
-
-def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Path:
+def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> Path:
     """Execute the full pipeline for a checked config (see ``load_config``);
-    returns the artifact directory. The sample stage writes the hit table
+    returns the artifact directory. Sampling writes the hit table
     ``samples/hits.json``, each grid point's decoded ``(unit, runs, hits,
-    ties)`` (a unit is an SQA cycle or a PT row), and the curves are built
-    from those units alone. An input that does not hold what it should (the
-    problem or graph file, or under ``stage="analyze"`` the hit table) raises
-    ConfigError before anything is written."""
+    ties)`` (a unit is an SQA cycle or a PT row) with its (C, alpha, gamma)
+    values, and ``analysis.curves_from_units`` builds the curves from those
+    rows alone, as ``nqac analyze`` does from the file. A problem or graph
+    file that does not hold what it should raises ConfigError before
+    anything is written."""
     base = _read(load_problem, cfg["problem"], "problem")
     graph = _read(load_graph, cfg["graph"], "graph") if cfg.get("graph") else None
     out = Path(out_dir)
@@ -319,20 +316,13 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
 
     ground_energy, ground_states = brute_force_ground(base)
     params, sch = _sampler(cfg)
-
-    # code_digest names the code that drew the samples, so the analyze stage
-    # carries it over from the sample stage's manifest, or writes null when
-    # that manifest names none
-    digest = code_digest()
     manifest = {
         "config": cfg,
-        "code_digest": _sampling_digest(out / "manifest.json") if stage == "analyze" else digest,
+        "code_digest": code_digest(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "problem_digest": base.digest(),
         "ground_energy": ground_energy,
     }
-    if stage != "sample":
-        manifest["analysis_code_digest"] = digest
 
     # the (C, alpha, gamma) values of every (ci, ai, gi) grid point and its
     # nested problem, encoded once
@@ -342,61 +332,42 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1, stage: str = "all") -> Pat
               for key, (C, alpha, gamma) in values.items()}
     embeddings = [_build_embedding(cfg, C, base, graph) for C in cfg["C"]]  # None under PT
 
-    def grid_digest(samples) -> str:  # of the points' programmed problems; sample sets hold theirs
-        digests = [ss.problem_digest for ss in samples] or [
-            programmed_digest(np_prob, embeddings[key[0]]) for key, np_prob in nested.items()]
-        return hashlib.sha256("\n".join(digests).encode()).hexdigest()
-
-    # a whole run analyses the units it holds; only the analyze stage reads
-    # the hit table back, and no other sample file
-    if stage == "analyze":
-        units = _read_units(samples_dir / "hits.json", grid_digest([]), values, cfg)
-    else:
-        samples_dir.mkdir(parents=True, exist_ok=True)
-        samples = []
-        if cfg["engine"] == "sqa":
-            samples = run_protocol(
-                [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
-                 for key, np_prob in nested.items()],
-                sch, params, cfg["engine_params"]["noise_sigma"], cfg["cycles"],
-                cfg["runs_per_cycle"], jobs,
-            )
-            units = {}
-            for (key, np_prob), ss in zip(nested.items(), samples):
-                ci, ai, gi = key
-                save_sampleset(ss, samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson")
-                units[key] = analysis.hit_counts(ss, np_prob, embeddings[ci], ground_states,
-                                                 decode_seed=unit_seed(cfg["seed"], 0xDEC, *key))
-        else:  # pt engine
-            scans = thermal_boost_scan(
-                base, cfg["C"], cfg["gammas"], cfg["alphas"], params, ground_states,
-                n_samples=cfg["engine_params"]["n_samples"],
-                seeds=[[unit_seed(cfg["seed"], ci, gi) for gi in range(len(cfg["gammas"]))]
-                       for ci in range(len(cfg["C"]))],
-            )
-            units = {(ci, ai, gi): row for ci, per_gamma in enumerate(scans)
-                     for gi, rows in enumerate(per_gamma) for ai, (_, row) in enumerate(rows)}
-        (samples_dir / "hits.json").write_text(sample_json({
-            "grid_digest": grid_digest(samples),
-            "units": [[*values[key], *unit] for key in nested for unit in units[key]],
-        }))
+    samples_dir.mkdir(parents=True, exist_ok=True)
+    if cfg["engine"] == "sqa":
+        samples = run_protocol(
+            [(np_prob, embeddings[key[0]], unit_seed(cfg["seed"], *key))
+             for key, np_prob in nested.items()],
+            sch, params, cfg["engine_params"]["noise_sigma"], cfg["cycles"],
+            cfg["runs_per_cycle"], jobs,
+        )
+        units = {}
+        for (key, np_prob), ss in zip(nested.items(), samples):
+            ci, ai, gi = key
+            save_sampleset(ss, samples_dir / f"C{cfg['C'][ci]}_a{ai}_g{gi}.ndjson")
+            units[key] = analysis.hit_counts(ss, np_prob, embeddings[ci], ground_states,
+                                             decode_seed=unit_seed(cfg["seed"], 0xDEC, *key))
+        digests = [ss.problem_digest for ss in samples]
+    else:  # pt engine: one block per (C, gamma), its points in alpha order
+        blocks = {(ci, gi): [(ci, ai, gi) for ai in range(len(cfg["alphas"]))]
+                  for ci in range(len(cfg["C"])) for gi in range(len(cfg["gammas"]))}
+        scans = thermal_boost_scan(
+            [([nested[key] for key in keys], unit_seed(cfg["seed"], *block))
+             for block, keys in blocks.items()],
+            params, ground_states, cfg["engine_params"]["n_samples"],
+        )
+        units = {key: u for keys, per_row in zip(blocks.values(), scans)
+                 for key, u in zip(keys, per_row)}
+        digests = [np_prob.nested.digest() for np_prob in nested.values()]
+    # the table's grid_digest is provenance: the sha256 of the points'
+    # programmed problems, in (ci, ai, gi) order
+    rows = [[*values[key], *unit] for key in nested for unit in units[key]]
+    (samples_dir / "hits.json").write_text(sample_json({
+        "grid_digest": hashlib.sha256("\n".join(digests).encode()).hexdigest(),
+        "units": rows,
+    }))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    if stage == "sample":
-        return out
 
-    # per (C, alpha) the best gamma's (P, se), then boost + exponent
-    curves = []
-    for ci, C in enumerate(cfg["C"]):
-        best = {}  # alpha -> (gamma_star, P, se)
-        for ai, alpha in enumerate(cfg["alphas"]):
-            per_gamma = {gamma: analysis.success(units[ci, ai, gi])
-                         for gi, gamma in enumerate(cfg["gammas"])}
-            gstar, pstar = analysis.optimize_gamma(per_gamma)
-            best[float(alpha)] = (gstar, pstar, per_gamma[gstar][1])
-        gstars, Ps, ses = zip(*best.values())
-        curves.append(analysis.SuccessCurve(C=C, alphas=cfg["alphas"], P=Ps, stderr=ses,
-                                            gamma_used=dict(zip(best, gstars))))
-
+    curves = analysis.curves_from_units(rows)
     (out / "curves.csv").write_text(analysis.curves_csv(curves))
     if 1 in cfg["C"] and len(cfg["alphas"]) >= 2:
         analysis.write_boost(curves, out, cfg["p0"], cfg["fit_count"])
@@ -437,7 +408,7 @@ def _check_flags(args) -> None:
 
 def _cmd_run(args) -> int:
     cfg = {**load_config(args.config), **_given(args, ["seed"])}
-    out = run_experiment(cfg, args.out, jobs=vars(args)["--jobs"], stage=args.stage)
+    out = run_experiment(cfg, args.out, jobs=vars(args)["--jobs"])
     print(f"experiment artifacts in {out}")
     return EXIT_OK
 
@@ -507,11 +478,21 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """Boost and eta from a curves.csv, or from a hit table (a JSON object),
+    whose curves.csv it writes first."""
     _check_boost(args.p0, args.fit_count)
-    rows = _read(lambda p: analysis.curve_rows(Path(p).read_text()), args.curves, "curves.csv")
-    curves = analysis.success_curves(rows)
+    text = _read(lambda p: Path(p).read_text(), args.curves, "curves.csv or hit table")
+    table = text.lstrip().startswith("{")
+    if table:
+        curves = analysis.curves_from_units(_read(lambda _: _hit_table(text), args.curves,
+                                                  "hit table"))
+    else:
+        curves = analysis.success_curves(_read(lambda _: analysis.curve_rows(text), args.curves,
+                                               "curves.csv", "; a hit table is a JSON object"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if table:
+        (out / "curves.csv").write_text(analysis.curves_csv(curves))
     if analysis.write_boost(curves, out, args.p0, args.fit_count) is None:
         raise DomainError("eta fit needs at least 2 nesting levels with a boost")
     print(f"boost + eta -> {out}")
@@ -553,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override config seed")
     _add_flags(run_p, _COUNTS, ["--jobs"])
-    run_p.add_argument("--stage", choices=("all", "sample", "analyze"), default="all")
     run_p.set_defaults(func=_cmd_run)
 
     enc = sub.add_parser("encode", help="nest a problem at level C")
@@ -585,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(mf, _COUNTS, ["--n-m", "--n-s"])
     mf.set_defaults(func=_cmd_meanfield)
 
-    an = sub.add_parser("analyze", help="boost and exponent from a curves.csv")
+    an = sub.add_parser("analyze", help="boost and exponent from a curves.csv or hit table")
     an.add_argument("--curves", required=True)
     an.add_argument("--p0", type=float, default=None)
     an.add_argument("--fit-count", type=int, default=CONFIG_KEYS["sqa"]["fit_count"])

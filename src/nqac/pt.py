@@ -60,7 +60,7 @@ import numpy as np
 from .analysis import hit_counts
 from .errors import DomainError
 from .ising import IsingProblem
-from .nesting import encode_for_scale
+from .nesting import NestedProblem
 from .sampleset import SampleSet
 
 
@@ -234,49 +234,36 @@ def run_pt(p: IsingProblem, params: PtParams, n_samples: int, seed: int) -> dict
 
 
 def thermal_boost_scan(
-    base: IsingProblem,
-    Cs,
-    gammas,
-    alphas,
+    blocks: list[tuple[list[NestedProblem], int]],
     params: PtParams,
     ground_states: np.ndarray,
     n_samples: int,
-    seeds,
-) -> list[list[list[tuple[float, list]]]]:
-    """Ground-state hits of the top-rung thermal state over a (C, gamma, alpha) grid.
+) -> list[list[list[tuple]]]:
+    """Ground-state hits of the top-rung thermal state of every nested problem
+    of ``blocks``, ``(problems, seed)`` pairs.
 
-    Each penalty is held at its gamma in device units for every scan point
-    (the stored penalty is ``gamma / alpha``), matching the protocol in which
-    the penalty is never rescaled with the problem. All grid points are rows
-    of one batch. The rows of ``Cs[c]`` at ``gammas[g]`` sample and decode
-    with generators seeded by ``seeds[c][g]``, so each (C, gamma) block gets
-    the result a one-block call with its seed gives; a row is decoded by
-    ``analysis.hit_counts`` as one unit, on its block's decode generator in
-    alpha order. Returns ``out[c][g] = [(alpha, units), ...]`` for the
-    largest ladder beta, ``units`` the row's one ``(0, n_samples, hits,
-    ties)``; ``analysis.success(units)`` is its (P, stderr).
+    A block's problems share their nesting level; the driver makes one block
+    per (C, gamma), its problems in alpha order, each encoded with the
+    penalty held at gamma in device units (``encode_for_scale``). All
+    problems are rows of one batch. A block samples and decodes with
+    generators seeded by its seed, so it gets the result a one-block call
+    gives; a row is decoded by ``analysis.hit_counts`` as one unit, on its
+    block's decode generator in row order. Returns ``out[b][i]``, the units
+    of problem i of block b at the largest ladder beta: its one ``(0,
+    n_samples, hits, ties)``; ``analysis.success(units)`` is its (P, stderr).
     """
-    alphas = [float(a) for a in alphas]
-    if not alphas or len(gammas) == 0 or len(Cs) == 0:
-        raise DomainError("empty C, alpha or gamma grid")
-    if len(seeds) != len(Cs) or any(len(row) != len(gammas) for row in seeds):
-        raise DomainError(
-            f"need one seed per gamma for each C, got {[len(row) for row in seeds]} "
-            f"for {len(Cs)} C x {len(gammas)} gammas"
-        )
-    grid = [(C, gamma, seed) for C, row in zip(Cs, seeds) for gamma, seed in zip(gammas, row)]
-    nested = [[encode_for_scale(base, C, gamma, a) for a in alphas] for C, gamma, _ in grid]
+    if not blocks or not all(problems for problems, _ in blocks):
+        raise DomainError("no nested problems to scan")
     recs = _pt_sample(
-        [(_dense_rows([npx.nested for npx in block]), np.random.default_rng(seed))
-         for block, (_, _, seed) in zip(nested, grid)],
+        [(_dense_rows([npx.nested for npx in problems]), np.random.default_rng(seed))
+         for problems, seed in blocks],
         params, n_samples, rungs=slice(-1, None),
     )
-    pts = []
-    for block, block_recs, (_, _, seed) in zip(nested, recs, grid):
+    out = []
+    for (problems, seed), block_recs in zip(blocks, recs):
         decode_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xDEC0DE, 1)))
         # the sets are never written, so they carry no problem digest
-        pts.append([(alpha, hit_counts(SampleSet.unprogrammed(configs, seed, ""),
-                                       block[0], None, ground_states, decode_rng))
-                    for alpha, configs in zip(alphas, block_recs[:, 0])])
-    G = len(gammas)
-    return [pts[ci * G:(ci + 1) * G] for ci in range(len(Cs))]
+        out.append([hit_counts(SampleSet.unprogrammed(configs, seed, ""), npx, None,
+                               ground_states, decode_rng)
+                    for npx, configs in zip(problems, block_recs[:, 0])])
+    return out

@@ -122,12 +122,12 @@ def test_criterion_05_thermal_boost_scaling():
     alphas = np.geomspace(0.004, 1.0, 16)
     params = PtParams(betas=geometric_ladder(2.0, 12, 0.1), sweeps=12_000, swap_interval=5)
     Cs = (1, 2, 3, 4)
-    scans = thermal_boost_scan(k4, Cs, [1.0], alphas, params, gs, n_samples=1000,
-                               seeds=[[505]] * 4)
+    blocks = [([encode_for_scale(k4, C, 1.0, a) for a in alphas], 505) for C in Cs]
+    scans = thermal_boost_scan(blocks, params, gs, n_samples=1000)
     curves = []
-    for C, [rows] in zip(Cs, scans):
-        P, se = zip(*(success(units) for _, units in rows))
-        curves.append(SuccessCurve(C=C, alphas=[a for a, _ in rows], P=P, stderr=se))
+    for C, rows in zip(Cs, scans):
+        P, se = zip(*(success(units) for units in rows))
+        curves.append(SuccessCurve(C=C, alphas=alphas, P=P, stderr=se))
     boost = compute_boost(curves)
     mus = {C: v[0] for C, v in boost.mu.items() if v is not None}
     assert set(mus) == {1, 2, 3, 4}, boost.mu

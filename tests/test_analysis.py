@@ -8,6 +8,7 @@ from nqac.analysis import (
     boost_csv,
     compute_boost,
     curves_csv,
+    curves_from_units,
     estimate_success,
     fit_eta,
     hit_counts,
@@ -151,6 +152,20 @@ def test_success_of_hit_counts_is_the_fraction_estimate_bit_for_bit(k4_setup, ca
 def test_success_needs_a_unit():
     with pytest.raises(DomainError):
         success([])
+
+
+def test_curves_from_units_takes_each_alphas_best_gamma():
+    # rows [C, alpha, gamma, unit, runs, hits, ties], grouped by their own
+    # values whatever their order; at alpha 1 both gammas tie at P = 1
+    rows = [[1, 0.5, 0.3, 0, 10, 4, 0], [1, 1, 0.6, 0, 10, 10, 0], [1, 0.5, 0.6, 0, 10, 9, 1],
+            [2, 0.5, 0.3, 0, 10, 8, 0], [1, 1, 0.3, 0, 10, 10, 0], [1, 0.5, 0.3, 1, 10, 6, 0],
+            [1, 1, 0.6, 1, 10, 10, 0], [1, 0.5, 0.6, 1, 10, 7, 0], [1, 1, 0.3, 1, 10, 10, 0]]
+    c1, c2 = curves_from_units(rows)
+    assert (c1.C, c1.alphas.tolist(), c1.gamma_used) == (1, [0.5, 1.0], {0.5: 0.6, 1.0: 0.3})
+    assert (c1.P[0], c1.stderr[0]) == success([(0, 10, 9, 1), (1, 10, 7, 0)])
+    assert (c1.P[1], c1.stderr[1]) == (1.0, 0.0)
+    assert (c2.C, c2.P.tolist(), c2.gamma_used) == (2, [0.8], {0.5: 0.3})
+    assert c2.stderr[0] == success([(0, 10, 8, 0)])[1]
 
 
 def test_optimize_gamma_examples():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqac import analysis, cli, sqa
+from nqac import analysis, cli, nesting, pt, sqa
 from nqac.chimera import build_chimera, choi_embed, embedding_stats
 from nqac.cli import _build_embedding, main
 from nqac.instances import dead8_mask, k4_antiferromagnet
@@ -769,77 +769,24 @@ def test_runs_import_nothing_beyond_the_cli(tmp_path, k4_file):
     assert report == {"rcs": [0, 0, 0], "scipy": [], "new": []}
 
 
-def _sample(tmp_path, k4_file, engine, **overrides) -> Path:
-    """The output directory of a sample stage of ``tiny_config`` with ``overrides``."""
+def _table(tmp_path, k4_file, engine, **overrides) -> Path:
+    """The hit table of a run of ``tiny_config`` with ``overrides``."""
     out = tmp_path / "exp"
     cfg = tiny_config(tmp_path, k4_file, engine, **overrides)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    return out
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "samples" / "hits.json"
 
 
-def _refused_analyze(tmp_path, k4_file, capsys, out, engine, **overrides) -> str:
-    """Run the analyze stage of ``tiny_config`` with ``overrides`` on ``out``;
-    check that it exits 2, names the hit table and leaves the directory as it
-    was, and return its error message."""
-    cfg = tiny_config(tmp_path, k4_file, engine, **overrides)
-    before = _files(out)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 2
+def _refused_table(tmp_path, capsys, path) -> str:
+    """Run ``nqac analyze`` on the hit table at ``path``; check that it exits
+    2, names the file once and creates no output directory, and return its
+    error message."""
+    out = tmp_path / "analyzed"
+    assert main(["analyze", "--curves", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("[config] ") and "run the sample stage again" in err, err
-    assert str(out / "samples" / "hits.json") in err
-    assert _files(out) == before and not (out / "curves.csv").exists()
+    assert err.startswith("[config] ") and err.count(str(path)) == 1, err
+    assert not out.exists()
     return err
-
-
-def test_analyze_stage_rejects_samples_of_another_config(tmp_path, k4_file, capsys):
-    out = _sample(tmp_path, k4_file, "sqa", gammas=[0.2, 0.5])
-    _refused_analyze(tmp_path, k4_file, capsys, out, "sqa", gammas=[0.3, 0.9])
-
-
-#: grids other than C [1, 2], alphas [0.1, 1] and gammas [0.3]
-_OTHER_GRIDS = [{"C": [1, 2, 3]}, {"C": [1]}, {"gammas": [0.3, 0.5]}, {"alphas": [0.2, 1]},
-                {"alphas": [0.1, 0.5, 1]}]
-
-
-@pytest.mark.parametrize("overrides", _OTHER_GRIDS)
-def test_pt_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
-                                                          overrides):
-    out = _sample(tmp_path, k4_file, "pt", alphas=[0.1, 1])
-    _refused_analyze(tmp_path, k4_file, capsys, out, "pt", **{"alphas": [0.1, 1], **overrides})
-
-
-@pytest.mark.parametrize("overrides", _OTHER_GRIDS)
-def test_sqa_analyze_stage_rejects_samples_of_another_grid(tmp_path, k4_file, capsys,
-                                                           overrides):
-    out = _sample(tmp_path, k4_file, "sqa", alphas=[0.1, 1])
-    _refused_analyze(tmp_path, k4_file, capsys, out, "sqa", **{"alphas": [0.1, 1], **overrides})
-
-
-@pytest.mark.parametrize("engine", ["sqa", "pt"])
-def test_analyze_stage_rejects_samples_of_another_problem(tmp_path, k4_file, capsys, engine):
-    # samples of the K4 antiferromagnet, analysed as a K4 ferromagnet on the
-    # same grid
-    ferro = tmp_path / "k4_ferro.json"
-    save_problem(IsingProblem.from_couplings(
-        4, couplings={(i, j): -1.0 for i in range(4) for j in range(i + 1, 4)}), ferro)
-    out = _sample(tmp_path, k4_file, engine)
-    _refused_analyze(tmp_path, k4_file, capsys, out, engine, problem=str(ferro))
-
-
-@pytest.mark.parametrize("engine, sampled, analysed", [
-    ("sqa", {}, {"cycles": 3}),
-    ("sqa", {}, {"runs_per_cycle": 11}),
-    ("pt", {}, {"engine_params": {"n_betas": 4, "sweeps": 100, "swap_interval": 2,
-                                  "n_samples": 21}}),
-    ("sqa", {"C": [1]}, {"C": [1], "gammas": [0.5]}),
-    ("pt", {"C": [1]}, {"C": [1], "gammas": [0.5]}),
-], ids=["cycles", "runs", "n-samples", "sqa-C1-gamma", "pt-C1-gamma"])
-def test_analyze_stage_rejects_samples_of_other_units_or_values(tmp_path, k4_file, capsys,
-                                                                engine, sampled, analysed):
-    # the programmed problems match, the units or the (C, alpha, gamma) values
-    # do not: at C = 1 no penalty is programmed
-    out = _sample(tmp_path, k4_file, engine, **sampled)
-    _refused_analyze(tmp_path, k4_file, capsys, out, engine, **analysed)
 
 
 def _directory(data):
@@ -900,13 +847,11 @@ def _not_text(data):
 
 
 def _rejects_damaged_table(tmp_path, k4_file, capsys, engine, damage):
-    out = _sample(tmp_path, k4_file, engine)
-    path = out / "samples" / "hits.json"
+    path = _table(tmp_path, k4_file, engine)
     damaged = damage(path.read_bytes())
     assert damaged != path.read_bytes()
     _replace(path, damaged)
-    err = _refused_analyze(tmp_path, k4_file, capsys, out, engine)
-    assert err.count(str(path)) == 1, err
+    _refused_table(tmp_path, capsys, path)
 
 
 @pytest.mark.parametrize("damage", [
@@ -925,34 +870,60 @@ def test_analyze_stage_rejects_damaged_samples(tmp_path, k4_file, capsys, damage
     _rejects_damaged_table(tmp_path, k4_file, capsys, "sqa", damage)
 
 
+#: a damage of the first row [C, alpha, gamma, unit, runs, hits, ties] (by
+#: field index and value) or of the grid digest, and a part of its message
+_BAD_ROWS = {
+    "C-zero": (0, 0, "C takes positive integers"),
+    "C-float": (0, 1.0, "C takes positive integers"),
+    "alpha-zero": (1, 0, "alpha takes numbers in (0, 1]"),
+    "alpha-above-1": (1, 1.5, "alpha takes numbers in (0, 1]"),
+    "alpha-text": (1, "0.3", "alpha takes numbers in (0, 1]"),
+    "alpha-nan": (1, float("nan"), "alpha takes numbers in (0, 1]"),
+    "gamma-negative": (2, -0.3, "gamma takes finite positive numbers"),
+    "gamma-infinite": (2, float("inf"), "gamma takes finite positive numbers"),
+    "unit-float": (3, 0.0, "are integers"),
+    "runs-zero": (4, 0, "runs >= 1"),
+    "runs-float": (4, 10.0, "are integers"),
+    "hits-above-runs": (5, 1001, "0 <= hits <= runs"),
+    "ties-negative": (6, -1, "ties >= 0"),
+    "repeated-unit": (3, 1, "repeats"),
+    "digest-number": ("grid_digest", 7, "grid_digest string"),
+    "digest-null": ("grid_digest", None, "grid_digest string"),
+}
+
+
+@pytest.mark.parametrize("engine", ["sqa", "pt"])
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_analyze_checks_every_hit_table_row(tmp_path, k4_file, capsys, engine, case):
+    # a table's values obey the rules of the config values they name, and the
+    # rows of a run are whole: the first row's unit set to 1 repeats the
+    # second row's
+    field, value, message = _BAD_ROWS[case]
+    if engine == "pt" and case == "repeated-unit":
+        field, value = 0, 2  # the first C=1 point counted at C=2
+    path = _table(tmp_path, k4_file, engine)
+    table, units = _units(path.read_bytes())
+    if field == "grid_digest":
+        table["grid_digest"] = value
+    else:
+        units[0][field] = value
+    path.write_text(json.dumps(table))
+    assert message in _refused_table(tmp_path, capsys, path)
+
+
 @pytest.mark.parametrize("engine", ["sqa", "pt"])
 def test_analyze_stage_reads_a_spaced_hit_table(tmp_path, k4_file, engine):
     # the hit table written with spaces after "," and ":"
-    out = tmp_path / "exp"
-    cfg = tiny_config(tmp_path, k4_file, engine)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "sample"]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 0
-    curves = (out / "curves.csv").read_bytes()
-    path = out / "samples" / "hits.json"
+    run, out = tmp_path / "run", tmp_path / "analyzed"
+    assert main(["run", "--config", str(boost_config(tmp_path, k4_file, engine)),
+                 "--out", str(run)]) == 0
+    path = run / "samples" / "hits.json"
     spaced = json.dumps(json.loads(path.read_text()), sort_keys=True)
     assert spaced != path.read_text() and spaced.replace(" ", "") == path.read_text()
     path.write_text(spaced)
-    (out / "curves.csv").unlink()
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--stage", "analyze"]) == 0
-    assert (out / "curves.csv").read_bytes() == curves
-
-
-@pytest.mark.parametrize("engine", ["sqa", "pt"])
-def test_rejected_analyze_stage_leaves_the_directory_as_it_was(tmp_path, k4_file, engine):
-    # an analyze stage without a sample stage: an empty directory gains
-    # nothing, and a missing one stays so
-    cfg = tiny_config(tmp_path, k4_file, engine)
-    empty, missing = tmp_path / "empty", tmp_path / "missing"
-    empty.mkdir()
-    for target in (empty, missing):
-        assert main(["run", "--config", str(cfg), "--out", str(target), "--stage",
-                     "analyze"]) == 2
-    assert not any(empty.iterdir()) and not missing.exists()
+    assert main(["analyze", "--curves", str(path), "--out", str(out)]) == 0
+    assert _files(out) == {name: (run / name).read_bytes()
+                           for name in ("boost.csv", "curves.csv", "eta.txt")}
 
 
 def test_analyze_nan_curve_is_compute_error(tmp_path, capsys):
@@ -963,42 +934,12 @@ def test_analyze_nan_curve_is_compute_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("[compute] ")
 
 
-def test_staged_run_matches_single_run(tmp_path, k4_file):
+def test_run_has_no_stage_flag(tmp_path, k4_file, capsys):
     cfg = tiny_config(tmp_path, k4_file)
-    whole = tmp_path / "whole"
-    main(["run", "--config", str(cfg), "--out", str(whole)])
-    staged = tmp_path / "staged"
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
-    assert not (staged / "curves.csv").exists()
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    assert (whole / "curves.csv").read_bytes() == (staged / "curves.csv").read_bytes()
-
-
-@pytest.mark.parametrize("engine", ["sqa", "pt"])
-def test_analyze_stage_keeps_the_sampling_code_digest(tmp_path, k4_file, monkeypatch, engine):
-    # the manifest's code_digest names the code that drew the samples; an
-    # analyze stage run by other code carries it over and records its own
-    # digest beside it (null when no manifest names the sampling code), where
-    # a whole run names one code twice
-    cfg = tiny_config(tmp_path, k4_file, engine)
-    staged, whole = tmp_path / "staged", tmp_path / "whole"
-    monkeypatch.setattr(cli, "code_digest", lambda: "sampling code")
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
-    manifest = json.loads((staged / "manifest.json").read_text())
-    assert manifest["code_digest"] == "sampling code" and "analysis_code_digest" not in manifest
-    monkeypatch.setattr(cli, "code_digest", lambda: "analysing code")
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    manifest = json.loads((staged / "manifest.json").read_text())
-    assert (manifest["code_digest"], manifest["analysis_code_digest"]) == \
-        ("sampling code", "analysing code")
-    # without the sample stage's manifest the sampling code is unknown
-    (staged / "manifest.json").unlink()
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    manifest = json.loads((staged / "manifest.json").read_text())
-    assert (manifest["code_digest"], manifest["analysis_code_digest"]) == (None, "analysing code")
-    assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
-    manifest = json.loads((whole / "manifest.json").read_text())
-    assert manifest["code_digest"] == manifest["analysis_code_digest"] == "analysing code"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp"), "--stage", "sample"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.fixture()
@@ -1022,38 +963,34 @@ def _read_back(reads, out) -> list:
     return back
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_staged_run_matches_single_run_at_any_jobs(tmp_path, k4_file, jobs, reads):
-    # a whole run analyses the units it holds and reads no file back; the
-    # analyze stage reads the hit table and no other sample file. Over 2
-    # gammas x 2 cycles both give the same files, at either worker count
-    cfg = tiny_config(tmp_path, k4_file, gammas=[0.3, 0.6], cycles=2)
-    whole, staged = tmp_path / "whole", tmp_path / "staged"
-    assert main(["run", "--config", str(cfg), "--out", str(whole), "--jobs", jobs]) == 0
-    assert _read_back(reads, whole) == []
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample",
-                 "--jobs", jobs]) == 0
-    assert not (staged / "curves.csv").exists()
-    assert _read_back(reads, staged) == []
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    assert _read_back(reads, staged) == ["manifest.json", "samples/hits.json"]
-    files = _files(whole)
-    assert len([f for f in files if f.endswith(".ndjson")]) == 2 * 2 * 2
-    assert "curves.csv" in files and files == _files(staged)
+@pytest.mark.parametrize("engine, jobs", [("sqa", "1"), ("sqa", "2"), ("pt", "1")],
+                         ids=["sqa-1", "sqa-2", "pt"])
+def test_analyze_reproduces_a_run_from_its_hit_table(tmp_path, k4_file, reads, engine, jobs):
+    # a run builds its curves from the rows it writes and reads no file
+    # back; nqac analyze reads the hit table alone and writes the run's
+    # curves.csv, boost.csv and eta.txt byte for byte
+    cfg = boost_config(tmp_path, k4_file, engine)
+    run, out = tmp_path / "run", tmp_path / "analyzed"
+    assert main(["run", "--config", str(cfg), "--out", str(run), "--jobs", jobs]) == 0
+    assert _read_back(reads, run) == []
+    assert main(["analyze", "--curves", str(run / "samples" / "hits.json"),
+                 "--out", str(out)]) == 0
+    assert _read_back(reads, run) == ["samples/hits.json"]
+    assert _files(out) == {name: (run / name).read_bytes()
+                           for name in ("boost.csv", "curves.csv", "eta.txt")}
 
 
-def test_pt_whole_run_analyses_the_rows_it_holds(tmp_path, k4_file, reads):
-    # a whole PT run analyses the units of the rows it holds and reads no
-    # file back; only the analyze stage reads the hit table, and both give
-    # the same files
-    cfg = boost_config(tmp_path, k4_file, "pt")
-    whole, staged = tmp_path / "whole", tmp_path / "staged"
-    assert main(["run", "--config", str(cfg), "--out", str(whole)]) == 0
-    assert _read_back(reads, whole) == []
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "sample"]) == 0
-    assert _read_back(reads, staged) == []
-    assert main(["run", "--config", str(cfg), "--out", str(staged), "--stage", "analyze"]) == 0
-    assert _read_back(reads, staged) == ["manifest.json", "samples/hits.json"]
-    files = _files(whole)
-    assert {"curves.csv", "boost.csv", "eta.txt", "samples/hits.json"} <= set(files)
-    assert files == _files(staged)
+def test_pt_run_encodes_each_grid_point_once(tmp_path, k4_file, monkeypatch):
+    # the driver encodes every (C, alpha, gamma) point once and hands the
+    # nested problems to the scan, which encodes none
+    calls = []
+
+    def counted(base, C, gamma, alpha):
+        calls.append((C, alpha, gamma))
+        return nesting.encode_for_scale(base, C, gamma, alpha)
+
+    for module in (cli, pt):
+        monkeypatch.setattr(module, "encode_for_scale", counted, raising=False)
+    cfg = tiny_config(tmp_path, k4_file, "pt", gammas=[0.3, 0.6])
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 0
+    assert sorted(calls) == [(C, a, g) for C in (1, 2) for a in (0.3, 1.0) for g in (0.3, 0.6)]

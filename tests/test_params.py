@@ -37,9 +37,9 @@ def _pt(params, seed=1):
 
 def _scan(params, seed=1):
     # a run lengthens to 2 x n_samples swap intervals, here 80 of the 100
-    [[rows]] = thermal_boost_scan(K4, [2], [0.5], [0.05, 0.1, 0.2, 0.4], params,
-                                  brute_force_ground(K4)[1], 40, [[seed]])
-    return [success(units) for _, units in rows]
+    blocks = [([encode_for_scale(K4, 2, 0.5, a) for a in (0.05, 0.1, 0.2, 0.4)], seed)]
+    [rows] = thermal_boost_scan(blocks, params, brute_force_ground(K4)[1], 40)
+    return [success(units) for units in rows]
 
 
 SQA = SqaParams(sweeps=3, trotter_slices=4, beta=0.5)

@@ -150,14 +150,20 @@ def test_pt_sample_keeps_the_requested_rungs(k4):
     assert np.array_equal(sample(slice(-1, None)), sample(slice(None))[:, -1:])
 
 
+def _blocks(k4, Cs, gammas, alphas, seeds):
+    """One ``(problems, seed)`` block per (C, gamma), as the driver makes
+    them: the nested problems in alpha order, with ``seeds[c][g]``."""
+    return [([encode_for_scale(k4, C, g, a) for a in alphas], seed)
+            for C, row in zip(Cs, seeds) for g, seed in zip(gammas, row)]
+
+
 def test_thermal_boost_scan_batches_gammas(k4, k4_ground):
     # a two-gamma call gives each gamma what a one-gamma call with its seed gives
     _, gs = k4_ground
     params = PtParams(betas=geometric_ladder(2.0, 4, 0.1), sweeps=400, swap_interval=5)
     alphas = [0.05, 0.2, 1.0]
-    [both] = thermal_boost_scan(k4, [2], [0.5, 1.0], alphas, params, gs, n_samples=100,
-                                seeds=[[7, 8]])
-    one = [thermal_boost_scan(k4, [2], [g], alphas, params, gs, n_samples=100, seeds=[[s]])[0][0]
+    both = thermal_boost_scan(_blocks(k4, [2], [0.5, 1.0], alphas, [[7, 8]]), params, gs, 100)
+    one = [thermal_boost_scan(_blocks(k4, [2], [g], alphas, [[s]]), params, gs, 100)[0]
            for g, s in ((0.5, 7), (1.0, 8))]
     assert both == one
 
@@ -169,29 +175,25 @@ def test_thermal_boost_scan_batches_levels(k4, k4_ground):
     params = PtParams(betas=geometric_ladder(2.0, 4, 0.1), sweeps=400, swap_interval=5)
     alphas = [0.05, 0.2, 1.0]
     Cs, seeds = [2, 1, 3], [[7, 8], [9, 10], [11, 12]]
-    levels = thermal_boost_scan(k4, Cs, [0.5, 1.0], alphas, params, gs, n_samples=100,
-                                seeds=seeds)
-    one = [thermal_boost_scan(k4, [C], [0.5, 1.0], alphas, params, gs, n_samples=100,
-                              seeds=[row])[0] for C, row in zip(Cs, seeds)]
-    assert levels == one
-    assert len(levels) == 3 and all(len(per_gamma) == 2 for per_gamma in levels)
+    levels = thermal_boost_scan(_blocks(k4, Cs, [0.5, 1.0], alphas, seeds), params, gs, 100)
+    one = [thermal_boost_scan(_blocks(k4, [C], [0.5, 1.0], alphas, [row]), params, gs, 100)
+           for C, row in zip(Cs, seeds)]
+    assert levels == [block for level in one for block in level]
+    assert len(levels) == 6 and all(len(rows) == 3 for rows in levels)
 
 
 def test_thermal_boost_scan_rejects_no_samples(k4, k4_ground):
     params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
     with pytest.raises(DomainError):
-        thermal_boost_scan(k4, [2], [0.5], [1.0], params, k4_ground[1], n_samples=0,
-                           seeds=[[0]])
+        thermal_boost_scan(_blocks(k4, [2], [0.5], [1.0], [[0]]), params, k4_ground[1],
+                           n_samples=0)
 
 
-def test_thermal_boost_scan_needs_one_seed_per_gamma(k4, k4_ground):
+@pytest.mark.parametrize("blocks", [[], [([], 0)]], ids=["no-block", "empty-block"])
+def test_thermal_boost_scan_rejects_no_problems(k4_ground, blocks):
     params = PtParams(betas=(1.0,), sweeps=40, swap_interval=5)
-    with pytest.raises(DomainError, match="one seed per gamma"):
-        thermal_boost_scan(k4, [2], [0.5, 1.0], [1.0], params, k4_ground[1], n_samples=4,
-                           seeds=[[0]])
-    with pytest.raises(DomainError, match="one seed per gamma"):
-        thermal_boost_scan(k4, [1, 2], [0.5], [1.0], params, k4_ground[1], n_samples=4,
-                           seeds=[[0]])
+    with pytest.raises(DomainError, match="no nested problems"):
+        thermal_boost_scan(blocks, params, k4_ground[1], n_samples=4)
 
 
 def test_thermal_boost_scan_limits(k4, k4_ground):
@@ -201,8 +203,8 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 
     def top_rung(betas):
         params = PtParams(betas=betas, sweeps=6000, swap_interval=5)
-        [[[(_, units)]]] = thermal_boost_scan(k4, [2], [1.0], [1.0], params, gs, n_samples=2000,
-                                              seeds=[[21]])
+        [[units]] = thermal_boost_scan(_blocks(k4, [2], [1.0], [1.0], [[21]]), params, gs,
+                                       n_samples=2000)
         return success(units)
 
     p_cold, _ = top_rung((0.001, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
@@ -215,14 +217,14 @@ def test_thermal_boost_scan_limits(k4, k4_ground):
 def test_thermal_boost_scan_shapes(k4, k4_ground):
     _, gs = k4_ground
     params = PtParams(betas=geometric_ladder(2.0, 6, 0.1), sweeps=1500, swap_interval=5)
-    [[pts]] = thermal_boost_scan(k4, [2], [1.0], [0.1, 0.4, 1.0], params, gs, n_samples=300,
-                                 seeds=[[4]])
-    assert [a for a, _ in pts] == [0.1, 0.4, 1.0]
+    [pts] = thermal_boost_scan(_blocks(k4, [2], [1.0], [0.1, 0.4, 1.0], [[4]]), params, gs,
+                               n_samples=300)
+    assert len(pts) == 3
     # one unit per row: every record, its hits and the ties of its votes
-    assert all(len(units) == 1 and units[0][:2] == (0, 300) for _, units in pts)
-    assert all(0 <= hits <= 300 and ties >= 0 for _, [(_, _, hits, ties)] in pts)
+    assert all(len(units) == 1 and units[0][:2] == (0, 300) for units in pts)
+    assert all(0 <= hits <= 300 and ties >= 0 for [(_, _, hits, ties)] in pts)
     # monotone trend in alpha at fixed C
-    assert success(pts[-1][1])[0] > success(pts[0][1])[0]
+    assert success(pts[-1])[0] > success(pts[0])[0]
 
 
 def _stream(k4, params, n_samples, blocks):
