@@ -138,19 +138,21 @@ class IsingProblem:
             J[self.pairs[:, 1], self.pairs[:, 0]] = self.values
         return J
 
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (vertex, neighbor, value) entry of the couplings, two per
+        pair, sorted by vertex and, at one vertex, in pair order: one stable
+        argsort of the (pair, endpoint) entries."""
+        ends = self.pairs.reshape(-1)
+        order = np.argsort(ends, kind="stable")
+        return ends[order], self.pairs[:, ::-1].reshape(-1)[order], self.values.repeat(2)[order]
+
     def neighbor_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-vertex neighbor indices and coupling values (for sweep kernels)."""
-        idx = [[] for _ in range(self.n)]
-        val = [[] for _ in range(self.n)]
-        for (i, j), v in zip(self.pairs, self.values):
-            idx[i].append(j)
-            val[i].append(v)
-            idx[j].append(i)
-            val[j].append(v)
-        return (
-            [np.asarray(a, dtype=np.int64) for a in idx],
-            [np.asarray(a, dtype=np.float64) for a in val],
-        )
+        """Per-vertex neighbor indices and coupling values (for sweep kernels),
+        each vertex's in pair order."""
+        vertex, neighbor, value = self.adjacency()
+        ends = np.cumsum(np.bincount(vertex, minlength=self.n)).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        return [neighbor[a:b] for a, b in spans], [value[a:b] for a, b in spans]
 
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical JSON form."""

@@ -67,9 +67,10 @@ float64.
 
 A sweep allocates no array shaped like the stack. ``_Stack`` holds the
 stack's rings, break words, seed slices, acceptance uniforms, exponent terms
-and cluster work words, and when the stack is built it lays out, per site,
-the rows its neighbors' words are gathered from and the per-group arrays, as
-views of one buffer per kind; every NumPy call then writes with ``out=``.
+and cluster work words, and when the stack is built it lays out, per level
+of sites that share no coupling (see ``_Stack``), the rows its sites' and
+their neighbors' words are gathered from and the per-group arrays, as views
+of one buffer per kind; every NumPy call then writes with ``out=``.
 The counts are cast once into float64 and multiplied in place, the same
 IEEE operations in the same order as the int32 x float64 products they
 replace. What a sweep still allocates are each unit's break chunks (at most
@@ -80,7 +81,19 @@ again: a run of the benchmark's ``sqa_nested`` config took about 78,600
 minor page faults and 0.10-0.28 s of system time, where it takes about 3,250
 and 0.004-0.04 s now (``tools/sqa_cost.py faults``).
 
-A site update is still some twenty NumPy calls whatever its size, so units
+The sites are updated level by level (``_Stack``), all sites of a level at
+once, so the NumPy calls of a sweep scale with its levels rather than with
+n. A complete graph, every unembedded nested problem, has n one-site levels.
+Chain qubits, of degree 4-6 on Chimera, share few: the choi K4 embeddings at
+C = 1, 2 and 3 take 2, 4 and 6 levels for 8, 24 and 48 qubits, and bundled
+``k8_harder`` at C = 3 takes 12 for 168. On those K4 stacks as the
+``sqa_embedded`` benchmark anneals them (four 32-anneal units, K = 8, ten
+sweeps, programming included), ``tools/sqa_cost.py stacks`` measured 47.1,
+21.1 and 15.3 ns per qubit-slice update at C = 1, 2 and 3, where the sweep
+of one site at a time measured 59.4, 33.5 and 25.7 ns (medians of four
+alternating runs on one core of a shared 2-core host).
+
+A level update is still some twenty NumPy calls whatever its size, so units
 join a stack while U * batch stays at or below STACK_RING_WORDS = 2^12
 ring words per site row (``stack_size``). Per spin-slice update on one core
 (nested K4 at alpha 0.1 and gamma 0.5 with coupler noise 0.05, device
@@ -275,19 +288,27 @@ class _Stack:
     None without fields), six arrays of words and three of flags shaped like
     ``bits``.
 
-    ``sites[i]`` holds the views and degree groups site i's update reads:
-    (groups, rings (U, batch), masks (U, batch), exponents (U, batch),
-    acceptance uniforms (U, batch), accepted (U, batch) bool, flips
-    (U, batch)). The units of one degree D at the site form a group (units,
-    rows, own rows, couplings (U_g, 1, D), neighbors (U_g, D, batch), own
-    rings and masks (U_g, 1, batch), counts (U_g, D, batch) float64,
-    weighted couplings (U_g, 1, D), sums (U_g, 1, batch)). ``units`` is a
-    slice over the whole stack when every unit has degree D. ``rows``
-    (U_g, D) indexes the neighbors' words among the rows of ``bits`` seen as
-    (n U, batch); ``own rows`` does so for the units' own words, or is None
-    when the group holds every unit and its own rings and masks are views.
-    Groups are swept one at a time, so the arrays of every group are views of
-    one buffer each.
+    The sweep visits the sites by level. Site i's level is 1 + the largest
+    level of its neighbors j < i in any unit, 0 without one, so no two sites
+    of a level are coupled, and updating a level at once gives the rings the
+    index-order sweep gives. A complete graph has n one-site levels in index
+    order. ``levels`` holds, per level in sweep order, (groups, rows, accept
+    rows, rings, masks, exponents, acceptance uniforms, accepted bool,
+    flips), the last six (R, batch) over the level's R (site, unit) rows.
+    ``rows`` indexes those among the rows of ``bits`` seen as (n U, batch),
+    sorted by degree. When they are one site's rows in unit order, ``accept
+    rows`` is None and the six arrays are views of that site's state; for
+    any other level, ``accept rows`` indexes ``accept`` seen as (U n, batch)
+    and the sweep gathers the level's rings, masks, exponents and uniforms
+    into the six arrays and writes its rings back. The rows of one degree D
+    form a group, one slice of the level: (units, neighbor rows (R_g, D),
+    couplings (R_g, 1, D), neighbors (R_g, D, batch), own rings and masks
+    (R_g, 1, batch), counts (R_g, D, batch) float64, weighted couplings
+    (R_g, 1, D), sums (R_g, 1, batch), exponents (R_g, batch)). ``units``
+    picks the rows' units, as a slice for a site's rows in unit order and
+    as indices otherwise. Rows without a neighbor form no group. Levels and
+    groups are swept one at a time, so the arrays of every level and of
+    every group are views of one buffer per kind.
     """
 
     def __init__(self, problems: list[IsingProblem], K: int, batch: int,
@@ -311,38 +332,83 @@ class _Stack:
         self.words = np.empty((6, n, U, batch), dtype)
         self.flags = np.empty((3, n, U, batch), dtype=bool)
 
-        lists = [p.neighbor_lists() for p in problems]
+        # every coupling entry of every unit, by (site, unit) row of the state
+        # seen as (n U, batch), a row's entries in its problem's pair order
+        tables = [p.adjacency() for p in problems]
+        unit = np.repeat(np.arange(U), [site.size for site, _, _ in tables])
+        site, nbr, val = (np.concatenate(parts) for parts in zip(*tables))
+        row = site * U + unit
+        by_row = np.argsort(row, kind="stable")
+        nbr_rows, val = (nbr * U + unit)[by_row], val[by_row]
+        degree = np.bincount(row, minlength=n * U)
+        start = np.cumsum(degree) - degree
+        # site i's level: 1 + the largest level of its neighbors j < i in any
+        # unit, 0 without one; a pass of the loop settles one more level
+        later, earlier = site[nbr < site], nbr[nbr < site]
+        level = np.zeros(n, np.intp)
+        while True:
+            rise = np.zeros(n, np.intp)
+            np.maximum.at(rise, later, level[earlier] + 1)
+            if np.array_equal(rise, level):
+                break
+            level = rise
+        # the rows by level, and by degree within a level
+        row_level = level.repeat(U)
+        plan = np.lexsort((degree, row_level))
+        plan_level, plan_degree = row_level[plan], degree[plan]
+
+        def spans(keys):  # the runs of equal keys, as (first, end)
+            cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+            return list(zip([0] + cuts, cuts + [keys.size])) if keys.size else []
+
         self.coupling_sum = np.zeros((n, U, 1))
-        groups = []  # (site, units, neighbors (U_g, D), couplings (U_g, 1, D))
-        for i in range(n):
-            degree = np.array([len(idx[i]) for idx, _ in lists])
-            for D in np.unique(degree):
-                us = np.flatnonzero(degree == D)
-                nbr = np.array([lists[u][0][i] for u in us]).reshape(us.size, D)
-                val = np.array([lists[u][1][i] for u in us]).reshape(us.size, 1, D)
-                self.coupling_sum[i, us] = val.sum(axis=2)
-                groups.append((i, us, nbr, val))
+        sums_of = self.coupling_sum.reshape(n * U)
+        layout = []  # per level: its rows, and (first, end, D, neighbors, couplings) per group
+        for a, z in spans(plan_level):
+            rows, groups = plan[a:z], []
+            for ga, gz in spans(plan_degree[a:z]):
+                D = plan_degree[a + ga]
+                if D:
+                    entries = start[rows[ga:gz]][:, None] + np.arange(D)
+                    couplings = val[entries][:, None]
+                    sums_of[rows[ga:gz]] = couplings.sum(axis=2)[:, 0]
+                    groups.append((ga, gz, D, nbr_rows[entries], couplings))
+            layout.append((rows, groups))
 
         def views(dtype, shapes):
             flat = np.empty(max((math.prod(s) for s in shapes), default=0), dtype)
             return iter([flat[:math.prod(s)].reshape(s) for s in shapes])
 
-        dims = [nbr.shape for _, _, nbr, _ in groups]
-        gathered = views(dtype, [(Ug, D, batch) for Ug, D in dims])
-        counts = views(np.float64, [(Ug, D, batch) for Ug, D in dims])
-        weighted = views(np.float64, [(Ug, 1, D) for Ug, D in dims])
-        sums = views(np.float64, [(Ug, 1, batch) for Ug, _ in dims])
-        own = views(dtype, [(2, us.size, 1, batch) for _, us, _, _ in groups if us.size < U])
-        rings, masks = self.bits, self.words[5]
-        self.sites = [([], rings[i], masks[i], self.base[i], self.accept[:, i],
-                       self.flags[0, i], self.words[0, 0]) for i in range(n)]
-        for i, us, nbr, val in groups:
-            every = us.size == U
-            own_rows = None if every else (i * U + us)[:, None]
-            own_rings, own_masks = (rings[i][:, None], masks[i][:, None]) if every else next(own)
-            self.sites[i][0].append((slice(None) if every else us, nbr * U + us[:, None],
-                                     own_rows, val, next(gathered), own_rings, own_masks,
-                                     next(counts), next(weighted), next(sums)))
+        dims = [(gz - ga, D) for _, groups in layout for ga, gz, D, _, _ in groups]
+        gathered = views(dtype, [(Rg, D, batch) for Rg, D in dims])
+        counts = views(np.float64, [(Rg, D, batch) for Rg, D in dims])
+        weighted = views(np.float64, [(Rg, 1, D) for Rg, D in dims])
+        sums = views(np.float64, [(Rg, 1, batch) for Rg, _ in dims])
+        # one site's rows in unit order are views of the state; any other
+        # level's rows are gathered into these
+        gathers = [rows.size != U or not np.array_equal(rows, np.arange(rows[0], rows[0] + U))
+                   for rows, _ in layout]
+        spread = [(rows.size, batch) for (rows, _), gather in zip(layout, gathers) if gather]
+        level_words = [views(dtype, spread) for _ in range(3)]
+        level_floats = [views(np.float64, spread) for _ in range(2)]
+        level_flags = views(bool, spread)
+        self.levels = []
+        for (rows, groups), gather in zip(layout, gathers):
+            if gather:
+                units = rows % U
+                accept_rows = units * n + rows // U
+                rings, masks, flips = (next(w) for w in level_words)
+                x, accept = (next(f) for f in level_floats)
+                accepted = next(level_flags)
+            else:
+                i, units, accept_rows = rows[0] // U, None, None
+                rings, masks, flips = self.bits[i], self.words[5, i], self.words[0, 0]
+                x, accept, accepted = self.base[i], self.accept[:, i], self.flags[0, i]
+            self.levels.append((
+                [(slice(ga, gz) if units is None else units[ga:gz], idx, couplings,
+                  next(gathered), rings[ga:gz, None], masks[ga:gz, None], next(counts),
+                  next(weighted), next(sums), x[ga:gz]) for ga, gz, _, idx, couplings in groups],
+                rows, accept_rows, rings, masks, x, accept, accepted, flips))
 
     def slice0(self) -> np.ndarray:
         """Slice 0 of every ring as spins, (n, U, batch) int8."""
@@ -445,8 +511,9 @@ def _breaks(N: int, q: float, rng: np.random.Generator):
 
 
 def _sweep(S: _Stack, q: float, coup_scale: np.ndarray, rngs: list[np.random.Generator]):
-    """One full sweep of a stack: per site in index order, one ring-cluster
-    update of every ring of every unit.
+    """One full sweep of a stack: level by level (see ``_Stack``), one
+    ring-cluster update of every ring of every unit, which leaves the rings
+    as a sweep over the sites in index order does.
 
     A bond breaks with probability ``q`` = tanh(beta A(s) / K), and
     ``coup_scale`` holds one scale per unit. Unit u draws the sweep's
@@ -457,12 +524,14 @@ def _sweep(S: _Stack, q: float, coup_scale: np.ndarray, rngs: list[np.random.Gen
 
     A site's ring changes only at its own update, so every cluster, its size
     |m| and the exponent's terms that need no neighbor, |m| sum_j J_ij and
-    the field's, are found for all sites before the site loop. There, one
-    matrix product per group of units with the same degree weighs the
-    neighbors' disagreements, popcount((s_i xor s_j) & m), with -2 J_ij. No
-    neighbor list is padded, so a unit's sums are the ones it gets alone.
-    Every array written is one of ``S``'s work arrays (``S.sites``), and
-    ``x``, a site's exponents, is its row of ``base``.
+    the field's, are found for all sites before the level loop. There, for
+    each (site, unit) row of a group of rows of one degree, one (1, D) @
+    (D, batch) matrix product weighs the neighbors' disagreements,
+    popcount((s_i xor s_j) & m), with -2 J_ij. No neighbor list is padded
+    or reordered, so a unit's sums are the ones it gets alone. Every array
+    written is one of ``S``'s work arrays (``S.levels``); ``x``, a level's
+    exponents, is its rows of ``base``, a view for one site's rows in unit
+    order and a gathered copy otherwise.
     """
     n, U, Bn = S.bits.shape
     K = S.K
@@ -494,26 +563,28 @@ def _sweep(S: _Stack, q: float, coup_scale: np.ndarray, rngs: list[np.random.Gen
     base *= scale
     weight = -2.0 * scale[:, :, None]
     rows = S.bits.reshape(n * U, Bn)
-    mask_rows = m.reshape(n * U, Bn)
-    for groups, rings, masks, x, accept, accepted, flips in S.sites:
-        for us, idx, own_idx, val, disagree, own, mask, count, vw, total in groups:
-            # (U_g, D, batch): the neighbors' rings, unit by unit
+    mask_rows, base_rows = m.reshape(n * U, Bn), base.reshape(n * U, Bn)
+    accept_rows = S.accept.reshape(U * n, Bn)
+    for groups, at, accept_at, rings, masks, x, accept, accepted, flips in S.levels:
+        if accept_at is not None:
+            rows.take(at, axis=0, out=rings, mode="clip")
+            mask_rows.take(at, axis=0, out=masks, mode="clip")
+            base_rows.take(at, axis=0, out=x, mode="clip")
+            accept_rows.take(accept_at, axis=0, out=accept, mode="clip")
+        for units, idx, val, disagree, own, mask, count, vw, total, xg in groups:
+            # (R_g, D, batch): the neighbors' rings, row by row
             rows.take(idx, axis=0, out=disagree, mode="clip")
-            if own_idx is not None:
-                rows.take(own_idx, axis=0, out=own, mode="clip")
-                mask_rows.take(own_idx, axis=0, out=mask, mode="clip")
             disagree ^= own
             disagree &= mask
             np.bitwise_count(disagree, out=count)
-            np.matmul(np.multiply(val, weight[us], out=vw), count, out=total)
-            if own_idx is None:
-                x += total[:, 0]
-            else:
-                np.add.at(x, us, total[:, 0])
+            np.matmul(np.multiply(val, weight[units], out=vw), count, out=total)
+            xg += total[:, 0]
         np.minimum(x, 700.0, out=x)
         np.maximum(x, -700.0, out=x)
         np.less(accept, np.exp(x, out=x), out=accepted)
         rings ^= np.multiply(masks, accepted, out=flips)
+        if accept_at is not None:
+            rows[at] = rings
 
 
 def _anneal_batch(

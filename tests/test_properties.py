@@ -1,7 +1,7 @@
 """Property tests on random inputs: the decode -> success path, gauge
-invariance of the energy, embedding validity on damaged hardware, embedding
-validation against a chain-walking reference, the curves.csv round trip and
-the sample-set file format."""
+invariance of the energy, neighbor lists against a per-pair loop, embedding
+validity on damaged hardware, embedding validation against a chain-walking
+reference, the curves.csv round trip and the sample-set file format."""
 
 import json
 
@@ -78,6 +78,34 @@ def test_energy_invariant_under_gauge(n, alpha, seed):
     np.testing.assert_allclose(
         energies(apply_gauge(p, g), S * g), energies(p, S), rtol=0, atol=1e-12
     )
+
+
+def _looped_neighbor_lists(p):
+    """Neighbor lists built one pair at a time, in pair order."""
+    idx = [[] for _ in range(p.n)]
+    val = [[] for _ in range(p.n)]
+    for (i, j), v in zip(p.pairs, p.values):
+        idx[i].append(j)
+        val[i].append(v)
+        idx[j].append(i)
+        val[j].append(v)
+    return ([np.asarray(a, dtype=np.int64) for a in idx],
+            [np.asarray(a, dtype=np.float64) for a in val])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_neighbor_lists_match_the_per_pair_loop(n, density, seed):
+    # the same arrays in the same order: a sweep sums its neighbors in list order
+    rng = np.random.default_rng(seed)
+    couplings = {(i, j): rng.normal() for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density}
+    p = IsingProblem.from_couplings(n, couplings=couplings)
+    got, want = p.neighbor_lists(), _looped_neighbor_lists(p)
+    for got_arrays, want_arrays in zip(got, want):
+        assert len(got_arrays) == len(want_arrays) == n
+        for a, b in zip(got_arrays, want_arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -202,8 +202,8 @@ def test_determinism_byte_identical(k4):
 
 
 def test_units_of_mixed_degree_sweep_as_they_do_alone():
-    # units whose sites differ in degree form one group per degree at each
-    # site; every unit's rings end as they do when it is swept alone, fields
+    # units whose sites differ in degree form one group per degree in a
+    # level; every unit's rings end as they do when it is swept alone, fields
     # and an isolated site (5 in unit 0) included
     rng = np.random.default_rng(3)
     probs = []
@@ -214,7 +214,7 @@ def test_units_of_mixed_degree_sweep_as_they_do_alone():
                                                  h=rng.normal(size=10) * (u != 1)))
     rngs = [np.random.default_rng(7 + u) for u in range(3)]
     S = _Stack(probs, 8, 16, rngs)
-    assert any(len(groups) > 1 for groups, *_ in S.sites)
+    assert any(len(groups) > 1 for groups, *_ in S.levels)
     for _ in range(20):
         _sweep(S, 0.4, np.array([0.3, 0.2, 0.5]), rngs)
     for u, p in enumerate(probs):
@@ -225,22 +225,16 @@ def test_units_of_mixed_degree_sweep_as_they_do_alone():
         assert np.array_equal(S.bits[:, u], alone.bits[:, 0])
 
 
-@pytest.mark.parametrize("K", [8, 64])
-def test_steady_state_sweep_allocates_no_stack_array(K):
-    # after one warm-up sweep, a stack of four 1000-anneal units of noisy
-    # nested K4 at C = 3 (n = 12, a field on every site) sweeps in its own
-    # work arrays: the most it holds in new allocations at once stays below
-    # one (n, U, batch) float64 array. NumPy reports its data buffers to
-    # tracemalloc. q is the largest the device schedule reaches at beta 0.1;
-    # what is left are the break chunks, which scale with the breaks drawn.
+def _steady_state_peak(K, emb):
+    """The most a second sweep of four 1000-anneal units of noisy nested K4
+    at C = 3, compiled through ``emb`` if given, holds in new allocations at
+    once, and the stack."""
     U, batch = 4, 1000
     k4 = k4_antiferromagnet()
-    probs = [sqa._program_cycle(encode_for_scale(k4, 3, 0.5, 0.1), None, 0.05, 7, c)[0]
+    probs = [sqa._program_cycle(encode_for_scale(k4, 3, 0.5, 0.1), emb, 0.05, 7, c)[0]
              for c in range(U)]
     rngs = [np.random.default_rng(u) for u in range(U)]
     S = _Stack(probs, K, batch, rngs)
-    n = S.bits.shape[0]
-    assert n == 12 and S.h is not None
     q = math.tanh(0.1 * device_like_schedule().a_of(0.0) / K)
     coup_scale = np.full(U, 0.01)
     _sweep(S, q, coup_scale, rngs)
@@ -250,7 +244,120 @@ def test_steady_state_sweep_allocates_no_stack_array(K):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, S
+
+
+@pytest.mark.parametrize("K", [8, 64])
+def test_steady_state_sweep_allocates_no_stack_array(K):
+    # after one warm-up sweep, a stack of four 1000-anneal units of noisy
+    # nested K4 at C = 3 (n = 12, a field on every site) sweeps in its own
+    # work arrays: the most it holds in new allocations at once stays below
+    # one (n, U, batch) float64 array. NumPy reports its data buffers to
+    # tracemalloc. q is the largest the device schedule reaches at beta 0.1;
+    # what is left are the break chunks, which scale with the breaks drawn.
+    peak, S = _steady_state_peak(K, None)
+    n, U, batch = S.bits.shape
+    assert n == 12 and S.h is not None
     assert peak < n * U * batch * 8, peak
+
+
+@pytest.mark.parametrize("K", [8, 64])
+def test_steady_state_embedded_sweep_allocates_no_stack_array(K):
+    # the same for the choi embedding of those units (48 chain qubits),
+    # whose levels gather their rows and write their rings back
+    peak, S = _steady_state_peak(K, choi_embed(12, build_chimera(8, 8)))
+    n, U, batch = S.bits.shape
+    assert n == 48 and S.h is not None
+    assert all(accept_at is not None for _, _, accept_at, *_ in S.levels)
+    assert peak < n * U * batch * 8, peak
+
+
+def _level_sites(S):
+    """The sites of each of ``S``'s levels, in sweep order."""
+    U = S.bits.shape[1]
+    return [np.unique(rows // U).tolist() for _, rows, *_ in S.levels]
+
+
+def _coupled(problems):
+    """Every (j, i), j < i, coupled in some unit."""
+    return {(int(j), int(i)) for p in problems for j, i in p.pairs}
+
+
+def _embedded_k4(C, K, batch, units=3):
+    k4 = k4_antiferromagnet()
+    emb = choi_embed(4 * C, build_chimera(8, 8))
+    probs = [sqa._program_cycle(encode_for_scale(k4, C, 0.5, a), emb, 0.05, 17, c)[0]
+             for c, a in enumerate((0.1, 0.4, 1.0)[:units])]
+    rngs = [np.random.default_rng(50 + u) for u in range(units)]
+    return _Stack(probs, K, batch, rngs), probs, rngs
+
+
+def _level_cases():
+    rng = np.random.default_rng(4)
+    mixed = [IsingProblem.from_couplings(
+        9, couplings={(i, j): 1.0 for i in range(9) for j in range(i + 1, 9)
+                      if rng.random() < density}) for density in (0.2, 0.5)]
+    return {
+        "choi_k4_c3": _embedded_k4(3, 8, 4)[1],
+        "choi_k4_c1": _embedded_k4(1, 8, 4)[1],
+        "mixed": mixed,
+        "uncoupled": [IsingProblem.from_couplings(5, couplings={})],
+        "empty": [IsingProblem.from_couplings(0)],
+    }
+
+
+@pytest.mark.parametrize("case", ["choi_k4_c3", "choi_k4_c1", "mixed", "uncoupled", "empty"])
+def test_levels_are_uncoupled_and_topologically_ordered(case):
+    # every site is in one level, with the rows of all units; no two sites
+    # of a level are coupled in any unit, and a site's lower coupled
+    # neighbours are in earlier levels
+    probs = _level_cases()[case]
+    U = len(probs)
+    rngs = [np.random.default_rng(u) for u in range(U)]
+    S = _Stack(probs, 8, 4, rngs)
+    sites = _level_sites(S)
+    where = {i: k for k, level in enumerate(sites) for i in level}
+    assert sorted(where) == list(range(probs[0].n))
+    assert all(where[j] < where[i] for j, i in _coupled(probs))
+    assert all(rows.size == U * len(level) for (_, rows, *_), level in zip(S.levels, sites))
+    _sweep(S, 0.1, np.full(U, 0.2), rngs)
+
+
+def test_levels_of_embedded_k4_are_few():
+    # chain-qubit index order: the choi K4 stacks sweep in 2, 4 and 6 levels
+    assert [len(_level_sites(_embedded_k4(C, 8, 4)[0])) for C in (1, 2, 3)] == [2, 4, 6]
+
+
+def test_complete_graph_sweeps_a_site_per_level_in_index_order():
+    # nested K4 at C = 3 couples every pair: twelve one-site levels, each a
+    # view of its site's rows
+    k4 = k4_antiferromagnet()
+    probs = [encode_for_scale(k4, 3, 0.5, a).nested for a in (0.1, 1.0)]
+    S = _Stack(probs, 8, 4, [np.random.default_rng(u) for u in range(2)])
+    assert _level_sites(S) == [[i] for i in range(12)]
+    assert all(accept_at is None and np.shares_memory(rings, S.bits)
+               for _, _, accept_at, rings, *_ in S.levels)
+
+
+# final rings of a choi-embedded noisy K4 C = 3 stack (three units, sixteen
+# anneals each, ten sweeps of the device schedule); as the index-order sweep
+# left them
+PINNED_EMBEDDED = {
+    8: "f308e7da4bfd081cc406fa11586948094b402b309bc4988a1b1d3b839070817a",
+    64: "41ca28dae7b3cf4ca0f68ce1a9c9daf8eeb70cb7178b1d443d8591e45da15b70",
+}
+
+
+@pytest.mark.parametrize("K", [8, 64])
+def test_embedded_stack_rings_are_pinned(K):
+    S, _, rngs = _embedded_k4(3, K, 16)
+    # sites of several degrees share a level, so a level holds several groups
+    assert any(len(groups) > 1 for groups, *_ in S.levels)
+    dev = device_like_schedule()
+    for t in range(1, 11):
+        q = math.tanh(0.1 * dev.a_of(t / 10) / K)
+        _sweep(S, q, 0.1 * dev.b_of(t / 10) * S.alpha / K, rngs)
+    assert _sha(S.bits) == PINNED_EMBEDDED[K]
 
 
 def _buffer_runs():

@@ -29,3 +29,16 @@ def test_sqa_cost_times_a_stack_and_projects_the_readme_config(monkeypatch, caps
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["C"] for line in lines[:-1]] == list(tool.README["Cs"])
     assert 0 < lines[-1]["readme_single_core_hours"] < math.inf
+
+
+def test_sqa_cost_stack_table_times_embedded_stacks(monkeypatch, capsys):
+    # the stack table at one sweep, one repetition and one shape per part:
+    # its embedded row anneals the choi embedding's 8 chain qubits at C = 1
+    tool = _sqa_cost(monkeypatch)
+    monkeypatch.setattr(tool, "STACKS", {"K": (8,), "Cs": (1,), "units": (1,), "sweeps": 1,
+                                         "reps": 1})
+    monkeypatch.setitem(tool.EMBEDDED, "sweeps", 1)
+    tool.stacks(None)
+    nested, embedded = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert (nested["n"], embedded["embedding"], embedded["n"]) == (4, "choi", 8)
+    assert 0 < embedded["ns_per_update"] < math.inf

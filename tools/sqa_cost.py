@@ -16,7 +16,10 @@ of that call.
 1000-anneal units at alpha 0.1 and gamma 0.5, device schedule, coupler
 noise 0.05 and beta 0.1, per Trotter number in ``STACKS["K"]``, level in
 ``STACKS["Cs"]`` and units per stack in ``STACKS["units"]``, the stack sizes
-taking turns in alternating order; ``readme`` times stacks of the README
+taking turns in alternating order. Its last rows time the same units
+choi-embedded on an 8x8 Chimera graph, at the shape the ``sqa_embedded``
+benchmark anneals them (``EMBEDDED``: four 32-anneal units per stack, K = 8,
+n the chain qubits); ``readme`` times stacks of the README
 config's shape (K = 64, ``stack_size(1000)`` units of 1000 anneals per C
 level) and projects its single-core hours. Both print ns per spin-slice
 update (programming included), the median over the repetitions.
@@ -43,6 +46,8 @@ README = {"Cs": (1, 2, 3), "points": 6 * 11, "cycles": 20, "runs": 1000, "sweeps
           "K": 64}
 #: the stack table: Trotter numbers, C levels, units per stack, sweeps, repetitions
 STACKS = {"K": (8, 64), "Cs": (1, 2, 3), "units": (1, 2, 4), "sweeps": 25, "reps": 10}
+#: the embedded rows of the stack table: Trotter number, units, anneals and sweeps
+EMBEDDED = {"K": 8, "units": 4, "runs": 32, "sweeps": 10}
 #: sweeps and repetitions of each timed stack of the README projection
 README_TIMING = {"sweeps": 100, "reps": 3}
 #: the workload seed of a ``faults`` run
@@ -79,8 +84,18 @@ def faults(args) -> None:
     print(proc.stdout.strip().splitlines()[-1], flush=True)
 
 
-def _ns_per_update(C: int, K: int, units: int, sweeps: int) -> float:
-    """One timed ``_anneal_stack`` of nested K4 at level C, ns per update."""
+def _embedding(C: int):
+    """The choi embedding of nested K4 at level C on an 8x8 Chimera graph."""
+    from nqac.chimera import build_chimera, choi_embed
+
+    return choi_embed(4 * C, build_chimera(8, 8))
+
+
+def _ns_per_update(C: int, K: int, units: int, sweeps: int, runs: int = 1000,
+                   emb=None) -> float:
+    """One timed ``_anneal_stack`` of nested K4 at level C, compiled through
+    ``emb`` if one is given, ns per update of a spin (a chain qubit when
+    embedded) in one slice."""
     from nqac.instances import k4_antiferromagnet
     from nqac.nesting import encode_for_scale
     from nqac.sqa import SqaParams, _anneal_stack, device_like_schedule
@@ -88,9 +103,10 @@ def _ns_per_update(C: int, K: int, units: int, sweeps: int) -> float:
     stack = [(encode_for_scale(k4_antiferromagnet(), C, 0.5, 0.1), 100 + u, u)
              for u in range(units)]
     params = SqaParams(sweeps=sweeps, trotter_slices=K, beta=0.1)
+    n = 4 * C if emb is None else sum(map(len, emb.chains.values()))
     t0 = time.perf_counter()
-    _anneal_stack(stack, None, device_like_schedule(), params, 0.05, 1000)
-    return (time.perf_counter() - t0) * 1e9 / (units * 1000 * 4 * C * K * sweeps)
+    _anneal_stack(stack, emb, device_like_schedule(), params, 0.05, runs)
+    return (time.perf_counter() - t0) * 1e9 / (units * runs * n * K * sweeps)
 
 
 def stacks(_args) -> None:
@@ -103,6 +119,14 @@ def stacks(_args) -> None:
                     ns[units].append(_ns_per_update(C, K, units, STACKS["sweeps"]))
             print(json.dumps({"K": K, "n": 4 * C, "ns_per_update": {
                 units: round(statistics.median(v), 3) for units, v in ns.items()}}), flush=True)
+    for C in STACKS["Cs"]:
+        emb = _embedding(C)
+        ns = statistics.median(
+            _ns_per_update(C, EMBEDDED["K"], EMBEDDED["units"], EMBEDDED["sweeps"],
+                           EMBEDDED["runs"], emb) for _ in range(STACKS["reps"]))
+        print(json.dumps({"embedding": "choi", "C": C, "K": EMBEDDED["K"],
+                          "n": sum(map(len, emb.chains.values())), "units": EMBEDDED["units"],
+                          "runs": EMBEDDED["runs"], "ns_per_update": round(ns, 3)}), flush=True)
 
 
 def readme(_args) -> None:
